@@ -6,7 +6,7 @@ import argparse
 import json
 from pathlib import Path
 
-from torusradon.experiments import ExperimentConfig, run_experiment
+from torusradon.experiments import METHODS, ExperimentConfig, run_experiment
 
 DEFAULT = {
     "phantom": {"kind": "multi-bump", "bumps": [
@@ -27,7 +27,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/noise_sweep")
     ap.add_argument("--config", help="JSON config overriding the built-in default")
-    ap.add_argument("--method", choices=["slice", "filtered", "normalized", "sum", "tikhonov"])
+    ap.add_argument("--method", choices=list(METHODS))
     args = ap.parse_args()
     raw = dict(DEFAULT)
     if args.config:

@@ -54,7 +54,6 @@ from .sinogram import (
     WeightRule,
     canonical_weight,
     enforce_moment_constraint,
-    is_in_range,
     sinogram_norm,
     weight_build,
     weight_on_family,

@@ -67,3 +67,7 @@ class MissingAngle(TorusRadonError):
 
 class ConfigInvalid(TorusRadonError):
     """Experiment configuration failed validation; message lists the fields."""
+
+
+class CorruptInput(TorusRadonError):
+    """A file or directory read from disk is malformed or holds non-finite values."""

@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, ParamViolation
-from .fields import (
-    TorusField,
-    orthogonality_mask,
-    random_field,
-    sobolev_norm,
-    to_samples,
-    unit_harmonic,
-)
+from .fields import TorusField, evaluate_at, random_field, sobolev_norm, to_samples, unit_harmonic
 from .inversion import (
     ReconstructionReport,
     adjoint_normalized,
@@ -47,6 +40,7 @@ from .sinogram import (
     TorusSinogram,
     canonical_weight,
     sinogram_norm,
+    support,
     weight_on_family,
 )
 from .transforms import GeodesicSpec, forward_direction, forward_sinogram, quadrature_line_integral
@@ -75,27 +69,20 @@ def derive_seed(master: int, index: int) -> int:
 def add_noise(g: TorusSinogram, eps: float, t: float, seed: int) -> TorusSinogram:
     """Add pseudo-random data-space noise of exact H^t data norm eps.
 
-    The noise respects the support rule (it is generated on each slice's
-    orthogonality set) and the shared-average constraint, and is Hermitian
-    so real data stays real. Deterministic in the seed."""
+    The noise is drawn on each slice's coefficient vector, so it respects
+    the support rule, and on the shared average. It is Hermitian (the -k
+    partner of a vector entry is its mirror entry), so real data stays
+    real. Deterministic in the seed."""
     if eps < 0:
         raise ParamViolation("eps must be nonnegative")
     if eps == 0:
         return g
     rng = np.random.default_rng(seed)
-    center = (g.K,) * g.n
-    slices = {}
-    for A in g.subspaces:
-        mask = orthogonality_mask(A, g.K)
-        shape = mask.shape
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        raw = np.where(mask, raw, 0j)
-        flipped = raw[(slice(None, None, -1),) * g.n]
-        arr = (raw + np.conj(flipped)) / 2.0
-        arr[center] = 0
-        slices[A] = TorusField(g.n, g.K, arr)
-    mean = complex(rng.standard_normal())
-    noise = TorusSinogram(g.n, g.d, g.K, mean, slices)
+    vectors = {}
+    for A, v in g.vectors.items():
+        raw = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        vectors[A] = (raw + np.conj(raw[::-1])) / 2.0
+    noise = TorusSinogram.from_vectors(g.n, g.d, g.K, complex(rng.standard_normal()), vectors)
     scale = eps / sinogram_norm(noise, t, _norm_weight(g))
     return g + scale * noise
 
@@ -116,21 +103,36 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
         raise ParamViolation("probe needs eps > 0")
     k = tuple(int(x) for x in k_star)
     A = line(orthogonal_primitive(k))
-    if A not in g.slices:
+    if A not in g.vectors:
         raise ConfigInvalid(f"family lacks the direction orthogonal to probe frequency {k}")
-    arr = np.zeros((2 * g.K + 1,) * g.n, dtype=np.complex128)
-    arr[tuple(x + g.K for x in k)] = 1.0
-    arr[tuple(-x + g.K for x in k)] = 1.0
-    slices = {B: (TorusField(g.n, g.K, arr) if B == A else TorusField(
-        g.n, g.K, np.zeros_like(arr))) for B in g.subspaces}
-    noise = TorusSinogram(g.n, g.d, g.K, 0j, slices)
+    idx = support(A, g.K)
+    at = np.searchsorted(idx, np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
+    vectors = {B: np.zeros_like(v) for B, v in g.vectors.items()}
+    vectors[A][[at, idx.size - 1 - at]] = 1.0
+    noise = TorusSinogram.from_vectors(g.n, g.d, g.K, 0j, vectors)
     scale = eps / sinogram_norm(noise, t, _norm_weight(g))
     return g + scale * noise
 
 
 # --- configuration --------------------------------------------------------------
 
-METHODS = ("slice", "filtered", "normalized", "sum", "tikhonov")
+def reconstruct_sum(g: TorusSinogram) -> TorusField:
+    """Summation inversion of the zero-average part, with the shared average
+    added back at k = 0."""
+    rec = invert_sum(g.without_mean())
+    rec.coeffs[(g.K,) * g.n] += g.mean
+    return rec
+
+
+# Reconstruction methods by name: fn(g, w, reg) with w the weight rule (None
+# for the canonical rule on g's family) and reg the tikhonov r, s and alpha.
+METHODS = {
+    "slice": lambda g, w, reg: reconstruct_slices(g),
+    "filtered": lambda g, w, reg: invert_filtered(g, w or canonical_weight(g.subspaces, g.K)),
+    "normalized": lambda g, w, reg: adjoint_normalized(g, w or canonical_weight(g.subspaces, g.K)),
+    "sum": lambda g, w, reg: reconstruct_sum(g),
+    "tikhonov": lambda g, w, reg: tikhonov_reconstruct(g, reg["r"], reg["s"], reg["alpha"]),
+}
 
 
 @dataclass
@@ -186,7 +188,7 @@ class ExperimentConfig:
         if not isinstance(cfg.grid, int) or cfg.grid < 2 * cfg.band + 2:
             problems.append(f"grid: need an integer >= 2*band+2 = {2 * cfg.band + 2}")
         if cfg.method not in METHODS:
-            problems.append(f"method: {cfg.method!r} not one of {METHODS}")
+            problems.append(f"method: {cfg.method!r} not one of {tuple(METHODS)}")
         if cfg.weight not in ("canonical", "height-decay"):
             problems.append(f"weight: {cfg.weight!r} not 'canonical' or 'height-decay'")
         if cfg.noise_kind not in ("random", "probe"):
@@ -213,30 +215,20 @@ class ExperimentConfig:
 
 
 def _reconstruct(g: TorusSinogram, cfg: ExperimentConfig, w, eps: float):
-    method = cfg.method
-    if method == "filtered":
-        return invert_filtered(g, w), {}
-    if method == "normalized":
-        return adjoint_normalized(g, w), {}
-    if method == "slice":
-        return reconstruct_slices(g), {}
-    if method == "sum":
-        rec = invert_sum(g.without_mean())
-        arr = rec.coeffs.copy()
-        arr[(g.K,) * g.n] += g.mean
-        return TorusField(g.n, g.K, arr), {}
-    r = float(cfg.reg["r"])
-    s = float(cfg.reg["s"])
-    alpha = cfg.reg.get("alpha")
-    if alpha is None:
-        mode = cfg.reg.get("schedule", "strategy")
-        delta = float(cfg.reg.get("delta", s))
-        alpha = alpha_schedule(max(eps, 1e-300), delta=delta, s=s, mode=mode)
-    return tikhonov_reconstruct(g, r, s, float(alpha)), {"r": r, "s": s, "alpha": float(alpha)}
+    reg = {}
+    if cfg.method == "tikhonov":
+        s = float(cfg.reg["s"])
+        alpha = cfg.reg.get("alpha")
+        if alpha is None:
+            mode = cfg.reg.get("schedule", "strategy")
+            delta = float(cfg.reg.get("delta", s))
+            alpha = alpha_schedule(max(eps, 1e-300), delta=delta, s=s, mode=mode)
+        reg = {"r": float(cfg.reg["r"]), "s": s, "alpha": float(alpha)}
+    return METHODS[cfg.method](g, w, reg), reg
 
 
 def _error_report(truth: TorusField, rec: TorusField, cfg: ExperimentConfig,
-                  extra_params: dict, elapsed: float) -> ReconstructionReport:
+                  extra_params: dict) -> ReconstructionReport:
     N = cfg.grid
     diff = rec - truth
     errors = {}
@@ -248,14 +240,13 @@ def _error_report(truth: TorusField, rec: TorusField, cfg: ExperimentConfig,
     errors["grid_linf"] = float(np.max(np.abs(tg - rg)))
     params = {"band": cfg.band, "grid": cfg.grid, "cover_radius": cfg.cover_radius,
               "weight": cfg.weight, "seed": cfg.seed, **extra_params}
-    return ReconstructionReport(cfg.method, params, errors, elapsed)
+    return ReconstructionReport(cfg.method, params, errors)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
     """forward -> (noise) -> reconstruction -> error report, one report per
     noise level (a single noiseless run when none are configured). Artifacts
     (CSV curves, JSON report, PGM images) land in cfg.output if set."""
-    t0 = time.perf_counter()
     ph = phantom(cfg.phantom_kind, cfg.phantom_params, cfg.band, cfg.grid)
     truth = ph.field
     cover = direction_cover(cfg.cover_radius)
@@ -269,6 +260,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
     reports = []
     rows = []
     for i, eps in enumerate(eps_list):
+        t0 = time.perf_counter()
         if eps > 0 and cfg.noise_kind == "random":
             g = add_noise(g0, eps, cfg.noise_t, derive_seed(cfg.seed, i))
         elif eps > 0:
@@ -276,8 +268,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
         else:
             g = g0
         rec, extra = _reconstruct(g, cfg, w, eps)
-        elapsed = time.perf_counter() - t0
-        rep = _error_report(truth, rec, cfg, {"eps": eps, **extra}, elapsed)
+        rep = _error_report(truth, rec, cfg, {"eps": eps, **extra})
+        rep.duration_s = time.perf_counter() - t0
         reports.append(rep)
         err0 = rep.errors.get("H0", rep.errors["grid_l2"])
         alpha = extra.get("alpha", 0.0)
@@ -373,7 +365,6 @@ def _check_slice_identity(rng):
                 return False, 1.0
         x = tuple(rng.random(2))
         quad = quadrature_line_integral(f, GeodesicSpec(x, v))
-        from .fields import evaluate_at
         mult = evaluate_at(out, np.array([x]))[0]
         worst = max(worst, abs(quad - mult))
     return worst < 1e-10, worst
@@ -405,11 +396,8 @@ def _check_sum_identity(rng):
     K = 5
     cover = direction_cover(K)
     f = random_field(2, K, rng, real=True)
-    g = forward_sinogram(f, cover)
-    rec = invert_sum(g.without_mean())
-    arr = rec.coeffs.copy()
-    arr[K, K] += g.mean
-    worst = float(np.max(np.abs(arr - f.coeffs)))
+    rec = reconstruct_sum(forward_sinogram(f, cover))
+    worst = float(np.max(np.abs(rec.coeffs - f.coeffs)))
     return worst < 1e-12, worst
 
 
@@ -440,7 +428,7 @@ def _check_noise_determinism(rng):
     a = add_noise(g, 0.25, 0.0, 1234)
     b = add_noise(g, 0.25, 0.0, 1234)
     same = a.mean == b.mean and all(
-        np.array_equal(a.slices[A].coeffs, b.slices[A].coeffs) for A in a.subspaces)
+        np.array_equal(a.vectors[A], b.vectors[A]) for A in a.subspaces)
     return same, 0.0 if same else 1.0
 
 

@@ -19,15 +19,21 @@ from .lattice import IntVec, RationalSubspace
 HERMITIAN_TOL = 1e-10
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array read-only; cached arrays are shared by every caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=32)
 def k_axes(n: int, K: int) -> tuple[np.ndarray, ...]:
-    return tuple(np.arange(-K, K + 1, dtype=np.int64) for _ in range(n))
+    return tuple(frozen(np.arange(-K, K + 1, dtype=np.int64)) for _ in range(n))
 
 
 @lru_cache(maxsize=32)
 def k_grids(n: int, K: int) -> tuple[np.ndarray, ...]:
     """Integer coordinate grids of shape (2K+1,)*n, one per axis."""
-    return tuple(np.meshgrid(*k_axes(n, K), indexing="ij"))
+    return tuple(frozen(g) for g in np.meshgrid(*k_axes(n, K), indexing="ij"))
 
 
 @lru_cache(maxsize=128)
@@ -36,10 +42,9 @@ def bracket_sq(n: int, K: int) -> np.ndarray:
     out = np.ones((2 * K + 1,) * n)
     for g in k_grids(n, K):
         out += g.astype(np.float64) ** 2
-    return out
+    return frozen(out)
 
 
-@lru_cache(maxsize=4096)
 def dot_mask(basis: tuple[IntVec, ...], K: int) -> np.ndarray:
     """Boolean band mask of frequencies orthogonal to every basis row."""
     n = len(basis[0])

@@ -18,14 +18,8 @@ from .errors import (
     NonzeroMean,
     SingularFilter,
 )
-from .fields import TorusField, evaluate_at, orthogonality_mask
-from .lattice import (
-    IntVec,
-    PrimitiveDirection,
-    frequency_band,
-    orthogonal_complement,
-    orthogonal_primitive,
-)
+from .fields import TorusField, evaluate_at
+from .lattice import IntVec, PrimitiveDirection, frequency_band, orthogonal_primitive
 from .sinogram import (
     TorusSinogram,
     WeightRule,
@@ -33,6 +27,8 @@ from .sinogram import (
     _slice_field_with_mean,
     as_subspace,
     plain_magnitude,
+    scatter,
+    weighted_scatter,
 )
 
 NONZERO_MEAN_RTOL = 1e-12
@@ -108,16 +104,7 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
     stored subspaces orthogonal to k; the k = 0 slot gets the shared mean
     against the summed squared zero-frequency weights."""
     _check_weight_defined(g, w)
-    out = np.zeros((2 * g.K + 1,) * g.n, dtype=np.complex128)
-    center = (g.K,) * g.n
-    w0_sum = 0.0
-    for A in g.subspaces:
-        mask = orthogonality_mask(A, g.K)
-        wa = np.nan_to_num(w.weight_array(A), nan=0.0)
-        out += np.where(mask, wa**2 * g.slices[A].coeffs, 0j)
-        w0_sum += float(wa[center]) ** 2
-    out[center] = w0_sum * g.mean
-    return TorusField(g.n, g.K, out)
+    return TorusField(g.n, g.K, weighted_scatter(g.subspaces, w, g.vectors.values(), g.mean))
 
 
 def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
@@ -129,12 +116,11 @@ def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
 def effective_normal_array(g: TorusSinogram, w: WeightRule) -> np.ndarray:
     """W(k) restricted to the subspaces actually stored in g; coincides with
     the rule's certified array when the data lives on the full family."""
-    out = np.zeros((2 * g.K + 1,) * g.n)
-    for A in g.subspaces:
-        mask = orthogonality_mask(A, g.K)
-        wa = np.nan_to_num(w.weight_array(A), nan=0.0)
-        out += np.where(mask, wa**2, 0.0)
-    return out
+    return weighted_scatter(g.subspaces, w)
+
+
+def _first_frequency(mask: np.ndarray, K: int) -> IntVec:
+    return tuple(int(i) - K for i in np.argwhere(mask)[0])
 
 
 def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
@@ -142,30 +128,17 @@ def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
     normal multiplier. Raises SingularFilter if W vanishes on the band."""
     W = effective_normal_array(g, w)
     if float(W.min()) <= 0.0:
-        k_bad = tuple(int(i) - g.K for i in np.argwhere(W == W.min())[0])
-        raise SingularFilter(f"normal multiplier vanishes at k={k_bad}")
-    back = adjoint(g, w)
-    return TorusField(g.n, g.K, back.coeffs / W)
+        raise SingularFilter(f"normal multiplier vanishes at k={_first_frequency(W <= 0.0, g.K)}")
+    return TorusField(g.n, g.K, adjoint(g, w).coeffs / W)
 
 
 def adjoint_normalized(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Adjoint computed with the normalized weight w / sqrt(W); composed with
-    the forward map it is the identity and preserves every Bessel norm."""
-    W = effective_normal_array(g, w)
-    if float(W.min()) <= 0.0:
-        k_bad = tuple(int(i) - g.K for i in np.argwhere(W == W.min())[0])
-        raise SingularFilter(f"normal multiplier vanishes at k={k_bad}")
-    _check_weight_defined(g, w)
-    out = np.zeros((2 * g.K + 1,) * g.n, dtype=np.complex128)
-    center = (g.K,) * g.n
-    w0_sum = 0.0
-    for A in g.subspaces:
-        mask = orthogonality_mask(A, g.K)
-        wa = np.nan_to_num(w.weight_array(A), nan=0.0)
-        out += np.where(mask, (wa**2 / W) * g.slices[A].coeffs, 0j)
-        w0_sum += float(wa[center]) ** 2
-    out[center] = (w0_sum / W[center]) * g.mean
-    return TorusField(g.n, g.K, out)
+    the forward map it is the identity and preserves every Bessel norm.
+
+    Its coefficient k is sum_A (w(k,A)^2 / W(k)) g^(k,A), the adjoint
+    divided by W: on the band it is the filtered inverse."""
+    return invert_filtered(g, w)
 
 
 def invert_sum(g: TorusSinogram) -> TorusField:
@@ -180,60 +153,11 @@ def invert_sum(g: TorusSinogram) -> TorusField:
     scale = max(1.0, plain_magnitude(g))
     if abs(g.mean) > NONZERO_MEAN_RTOL * scale:
         raise NonzeroMean(f"|mean| = {abs(g.mean):.3e} exceeds {NONZERO_MEAN_RTOL:.0e} x norm")
-    stored = set(g.subspaces)
-    for k in frequency_band(g.n, g.K, punctured=True):
-        if orthogonal_complement(k) not in stored:
-            raise IncompleteCover(f"family lacks the hyperplane orthogonal to k={k}")
-    out = np.zeros((2 * g.K + 1,) * g.n, dtype=np.complex128)
-    for A in g.subspaces:
-        out += g.slices[A].coeffs
-    return TorusField(g.n, g.K, out)
-
-
-def sum_pairing(g: TorusSinogram, weight_table: dict, h: TorusField) -> complex:
-    """Evaluate sum_A (F_{w(.,A)} g(., A), h) with unsquared weights; when
-    the weights sum to one over each orthogonality set this equals the
-    distributional pairing (f, h) for g in the range of the transform."""
-    if h.n != g.n or h.K != g.K:
-        raise DimensionMismatch("test function does not match the data band")
-    K = g.K
-    acc = 0j
-    for A in g.subspaces:
-        fa = _slice_field_with_mean(g, A).coeffs
-        warr = np.zeros_like(fa, dtype=float)
-        for (k, B), val in weight_table.items():
-            if B == A:
-                warr[tuple(int(x) + K for x in k)] = val
-        weighted = fa * warr
-        flipped = h.coeffs[(slice(None, None, -1),) * h.n]
-        acc += complex(np.sum(weighted * flipped))
-    return acc
-
-
-def field_pairing(f: TorusField, h: TorusField) -> complex:
-    """Distributional pairing (f, h) = sum_k f^(k) h^(-k)."""
-    if (f.n, f.K) != (h.n, h.K):
-        raise DimensionMismatch("fields on different bands")
-    flipped = h.coeffs[(slice(None, None, -1),) * h.n]
-    return complex(np.sum(f.coeffs * flipped))
-
-
-def equal_split_table(g: TorusSinogram) -> dict:
-    """Unsquared weights 1/|Omega_k| on the stored family: each band
-    frequency splits evenly over its orthogonal members."""
-    K = g.K
-    members = g.subspaces
-    masks = {A: orthogonality_mask(A, K) for A in members}
-    counts = np.zeros((2 * K + 1,) * g.n)
-    for A in members:
-        counts += masks[A]
-    table = {}
-    for A in members:
-        idx = np.argwhere(masks[A])
-        for i in idx:
-            k = tuple(int(x) - K for x in i)
-            table[(k, A)] = 1.0 / counts[tuple(i)]
-    return table
+    covered = scatter(g.n, g.K, g.subspaces, (np.ones(v.size) for v in g.vectors.values()), 1.0)
+    if float(covered.min()) == 0.0:
+        k = _first_frequency(covered == 0.0, g.K)
+        raise IncompleteCover(f"family lacks the hyperplane orthogonal to k={k}")
+    return TorusField(g.n, g.K, scatter(g.n, g.K, g.subspaces, g.vectors.values()))
 
 
 @dataclass

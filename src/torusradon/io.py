@@ -2,10 +2,12 @@
 
 TorusField: one JSON header line {K, n, real} followed by little-endian
 float64 (re, im) pairs in lexicographic frequency order. TorusSinogram: a
-directory with meta.json, mean.txt, and one field file per subspace named
-by its serialized basis. Images: 16-bit P5 PGM with the linear scaling
+directory with meta.json, mean.txt, and one dense field file per subspace
+named by its serialized basis; slices are densified on write and gathered
+onto their supports on read. Images: 16-bit P5 PGM with the linear scaling
 recorded in the header comment. All writers are pure functions of their
-inputs, so identical runs produce identical bytes.
+inputs, so identical runs produce identical bytes. The readers check what
+they parse and raise CorruptInput on malformed files.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CorruptInput, TorusRadonError
 from .fields import TorusField
 from .lattice import RationalSubspace
 from .sinogram import TorusSinogram
@@ -31,11 +34,25 @@ def write_field(f: TorusField, path) -> None:
 
 def read_field(path) -> TorusField:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
+        head = fh.readline()
         raw = fh.read()
-    n, K = int(header["n"]), int(header["K"])
+    try:
+        header = json.loads(head.decode("ascii"))
+        n, K, real = int(header["n"]), int(header["K"]), bool(header["real"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptInput(f"{path}: bad field header: {e!r}") from e
+    if n < 1 or K < 0:
+        raise CorruptInput(f"{path}: bad band n={n}, K={K}")
+    if len(raw) != 16 * (2 * K + 1) ** n:
+        raise CorruptInput(f"{path}: payload is {len(raw)} bytes, "
+                           f"want {16 * (2 * K + 1) ** n} for n={n}, K={K}")
     arr = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
-    return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real=bool(header["real"]))
+    if not np.all(np.isfinite(arr)):
+        raise CorruptInput(f"{path}: non-finite coefficients")
+    try:
+        return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real=real)
+    except ValueError as e:
+        raise CorruptInput(f"{path}: {e}") from e
 
 
 def _slice_filename(A: RationalSubspace) -> str:
@@ -55,19 +72,29 @@ def write_sinogram(g: TorusSinogram, directory) -> None:
     (d / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (d / "mean.txt").write_text(f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
     for A in g.subspaces:
-        write_field(g.slices[A], d / _slice_filename(A))
+        write_field(g.slice(A), d / _slice_filename(A))
 
 
 def read_sinogram(directory) -> TorusSinogram:
     d = Path(directory)
-    meta = json.loads((d / "meta.json").read_text())
-    re, im = (d / "mean.txt").read_text().split()
-    mean = complex(float(re), float(im))
-    slices = {}
-    for text in meta["subspaces"]:
-        A = RationalSubspace.parse(text)
-        slices[A] = read_field(d / _slice_filename(A))
-    return TorusSinogram(int(meta["n"]), int(meta["d"]), int(meta["K"]), mean, slices)
+    try:
+        meta = json.loads((d / "meta.json").read_text())
+        n, dim, K = int(meta["n"]), int(meta["d"]), int(meta["K"])
+        members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
+    except (ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
+        raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
+    try:
+        re, im = (d / "mean.txt").read_text().split()
+        mean = complex(float(re), float(im))
+    except ValueError as e:
+        raise CorruptInput(f"{d / 'mean.txt'}: want two numbers: {e}") from e
+    if not np.isfinite(mean):
+        raise CorruptInput(f"{d / 'mean.txt'}: non-finite mean")
+    slices = {A: read_field(d / _slice_filename(A)) for A in members}
+    try:
+        return TorusSinogram(n, dim, K, mean, slices)
+    except ValueError as e:
+        raise CorruptInput(f"{d}: {e}") from e
 
 
 def write_pgm(image: np.ndarray, path) -> None:

@@ -53,12 +53,13 @@ def _check_minimizer_params(r: float, s: float, alpha: float) -> None:
 
 def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> TorusField:
     """Closed-form minimizer of the Tikhonov functional in the planar
-    unweighted setting: smoothing of exponent s - r applied to the adjoint."""
+    unweighted setting: the weighted minimizer under the canonical rule,
+    where W = 1 on the band (each k != 0 has one orthogonal line), so the
+    adjoint is smoothed by exponent s - r."""
     _check_minimizer_params(r, s, alpha)
     if g.n != 2 or g.d != 1:
         raise ParamViolation("the closed-form minimizer is the n=2, d=1 unweighted setting")
-    w = canonical_weight(g.subspaces, g.K)
-    return post_process(adjoint(g, w), s - r, alpha)
+    return tikhonov_reconstruct_weighted(g, canonical_weight(g.subspaces, g.K), r, s, alpha)
 
 
 def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: float,

@@ -1,31 +1,32 @@
 """Transform-side data objects: sinograms on T^n x Gr(d,n) and the weight
 rules that define the data-space norms.
 
-A sinogram stores one band-limited field per subspace plus a single shared
-average; the k = 0 slot of every slice is owned by that scalar. A weight
-rule lives on an explicit finite subspace family (the working truncation of
-the Grassmannian) and certifies its constants on the band by exhaustive
-summation.
+The transform along a subspace A keeps exactly the coefficients with k
+orthogonal to A, so a slice lives on the lattice A^perp in the band. A
+sinogram stores one coefficient vector per subspace on `support(A, K)`,
+plus the single shared average that owns every k = 0 slot; data off A^perp
+cannot be represented. Forward maps gather into the vectors and every
+adjoint-type operator scatters out of them (`scatter`), so this module
+alone decides where slice data lives. Dense slices are built on request
+(`slice`, `slices`); on disk each slice stays one dense field file (io).
+
+A weight rule lives on an explicit finite subspace family (the working
+truncation of the Grassmannian) and certifies its constants on the band by
+exhaustive summation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateWeight, DimensionMismatch, WeightUndefined
-from .fields import (
-    TorusField,
-    bracket_sq,
-    grid_lp_norm,
-    orthogonality_mask,
-    to_samples,
-    zero_field,
-)
+from .fields import TorusField, bessel_norm, bracket_sq, frozen, orthogonality_mask
 from .lattice import (
     PrimitiveDirection,
     RationalSubspace,
@@ -46,73 +47,158 @@ def as_subspace(member: RationalSubspace | PrimitiveDirection | Sequence[int]) -
     return line(tuple(int(x) for x in member))
 
 
-@dataclass(frozen=True)
+# Room for a whole family (direction_cover(64) has 5,040 lines): a family
+# larger than the cache would rebuild every index on every pass.
+@lru_cache(maxsize=1 << 16)
+def support(A: RationalSubspace, K: int) -> np.ndarray:
+    """Read-only flat indices into the (2K+1)^n band of the frequencies
+    k != 0 orthogonal to A, ascending. The band is symmetric and k -> -k
+    reverses flat order, so entry i of a vector on this index pairs with
+    entry -1-i: v[::-1] is the k -> -k partner of v."""
+    idx = np.flatnonzero(orthogonality_mask(A, K))
+    return frozen(idx[idx != (2 * K + 1) ** A.n // 2])
+
+
+def gather(A: RationalSubspace, f: TorusField) -> np.ndarray:
+    """The coefficients of f on support(A, f.K). Raises ValueError if f has
+    a nonzero coefficient off A^perp; the k = 0 coefficient is dropped."""
+    if f.n != A.n:
+        raise DimensionMismatch(f"field on T^{f.n}, subspace in Q^{A.n}")
+    flat = f.coeffs.ravel()
+    v = flat[support(A, f.K)]
+    if np.count_nonzero(flat) - (flat[flat.size // 2] != 0) != np.count_nonzero(v):
+        raise ValueError(f"slice for {A.serialize()!r} has coefficients off A^perp, "
+                         "which no transform data can carry")
+    return v
+
+
+def scatter(n: int, K: int, members, vectors, center: complex = 0.0) -> np.ndarray:
+    """Dense band array whose entry k sums, over the members in the order
+    given, each member's vector entry at k; the k = 0 entry is `center`.
+    Real vectors give a real array."""
+    size = (2 * K + 1) ** n
+    idx = np.concatenate([np.zeros(0, np.int64), *(support(A, K) for A in members)])
+    vals = np.concatenate([np.zeros(0), *vectors])
+    out = np.bincount(idx, vals.real, size)
+    if np.iscomplexobj(vals) or np.iscomplexobj(center):
+        out = out.astype(np.complex128)
+        out.imag = np.bincount(idx, vals.imag, size)
+    out[size // 2] = center
+    return out.reshape((2 * K + 1,) * n)
+
+
+def _dense(n: int, K: int, A: RationalSubspace, values, center: complex = 0j) -> TorusField:
+    out = np.zeros((2 * K + 1) ** n, dtype=np.complex128)
+    out[support(A, K)] = values
+    out[out.size // 2] = center
+    return TorusField(n, K, out.reshape((2 * K + 1,) * n))
+
+
+class _DenseSlices(Mapping):
+    """A sinogram's slices as dense TorusFields, each built when accessed."""
+
+    def __init__(self, g: "TorusSinogram"):
+        self._g = g
+
+    def __getitem__(self, A):
+        return self._g.slice(A)
+
+    def __iter__(self):
+        return iter(self._g.vectors)
+
+    def __len__(self):
+        return len(self._g.vectors)
+
+
 class TorusSinogram:
-    """Transform data: per-subspace fields (frequencies k != 0 only) plus
-    the one shared average, stored once."""
+    """Transform data: for each subspace A of the family, the coefficient
+    vector on support(A, K), plus the one shared average.
 
-    n: int
-    d: int
-    K: int
-    mean: complex
-    slices: Mapping[RationalSubspace, TorusField]
+    The constructor takes dense slice fields and gathers them; it raises
+    ValueError on a nonzero coefficient off A^perp or at k = 0.
+    `from_vectors` takes the vectors themselves."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", complex(self.mean))
-        store = dict(self.slices)
-        center = (0,) * self.n
-        for A, f in store.items():
-            if A.n != self.n or A.d != self.d:
-                raise DimensionMismatch(f"slice subspace {A} does not match (n={self.n}, d={self.d})")
-            if f.n != self.n or f.K != self.K:
-                raise DimensionMismatch(f"slice field for {A} does not match (n={self.n}, K={self.K})")
-            if f.coeff(center) != 0:
+    def __init__(self, n: int, d: int, K: int, mean: complex,
+                 slices: Mapping[RationalSubspace, TorusField]):
+        vectors = {}
+        for A, f in slices.items():
+            if (f.n, f.K) != (n, K):
+                raise DimensionMismatch(f"slice field for {A} does not match (n={n}, K={K})")
+            if f.mean() != 0:
                 raise ValueError("slice fields must not carry a k=0 coefficient; the mean is shared")
-        object.__setattr__(self, "slices", store)
+            vectors[A] = gather(A, f)
+        self._set(n, d, K, mean, vectors)
+
+    @classmethod
+    def from_vectors(cls, n: int, d: int, K: int, mean: complex,
+                     vectors: Mapping[RationalSubspace, np.ndarray]) -> "TorusSinogram":
+        g = cls.__new__(cls)
+        g._set(n, d, K, mean, vectors)
+        return g
+
+    def _set(self, n, d, K, mean, vectors) -> None:
+        for A, v in vectors.items():
+            if (A.n, A.d) != (n, d) or np.shape(v) != support(A, K).shape:
+                raise DimensionMismatch(f"slice for {A} does not fit (n={n}, d={d}, K={K})")
+        self.n, self.d, self.K = n, d, K
+        self.mean = complex(mean)
+        self.vectors = {A: vectors[A] for A in sorted(vectors)}
 
     @property
     def subspaces(self) -> list[RationalSubspace]:
-        return sorted(self.slices)
+        return list(self.vectors)
 
     def slice(self, member) -> TorusField:
-        return self.slices[as_subspace(member)]
+        """Dense slice field of one member (zero at k = 0)."""
+        A = as_subspace(member)
+        return _dense(self.n, self.K, A, self.vectors[A])
 
-    def map_slices(self, fn) -> "TorusSinogram":
-        return TorusSinogram(self.n, self.d, self.K, self.mean,
-                             {A: fn(A, f) for A, f in self.slices.items()})
+    @property
+    def slices(self) -> Mapping[RationalSubspace, TorusField]:
+        """Read-only mapping subspace -> dense slice field, densified on
+        access and not cached."""
+        return _DenseSlices(self)
 
     def _check_compatible(self, other: "TorusSinogram") -> None:
         if (self.n, self.d, self.K) != (other.n, other.d, other.K):
             raise DimensionMismatch("sinograms have different (n, d, K)")
-        if set(self.slices) != set(other.slices):
+        if self.vectors.keys() != other.vectors.keys():
             raise DimensionMismatch("sinograms live on different subspace families")
+
+    def _new(self, mean: complex, vectors) -> "TorusSinogram":
+        return TorusSinogram.from_vectors(self.n, self.d, self.K, mean, vectors)
 
     def __add__(self, other: "TorusSinogram") -> "TorusSinogram":
         self._check_compatible(other)
-        return TorusSinogram(self.n, self.d, self.K, self.mean + other.mean,
-                             {A: f + other.slices[A] for A, f in self.slices.items()})
+        return self._new(self.mean + other.mean,
+                         {A: v + other.vectors[A] for A, v in self.vectors.items()})
 
     def __sub__(self, other: "TorusSinogram") -> "TorusSinogram":
         self._check_compatible(other)
-        return TorusSinogram(self.n, self.d, self.K, self.mean - other.mean,
-                             {A: f - other.slices[A] for A, f in self.slices.items()})
+        return self._new(self.mean - other.mean,
+                         {A: v - other.vectors[A] for A, v in self.vectors.items()})
 
     def __mul__(self, scalar: complex) -> "TorusSinogram":
         c = complex(scalar)
-        return TorusSinogram(self.n, self.d, self.K, self.mean * c,
-                             {A: f * c for A, f in self.slices.items()})
+        return self._new(self.mean * c, {A: v * c for A, v in self.vectors.items()})
 
     __rmul__ = __mul__
 
     def without_mean(self) -> "TorusSinogram":
-        return TorusSinogram(self.n, self.d, self.K, 0j, dict(self.slices))
+        return self._new(0j, self.vectors)
 
     def with_mean(self, mean: complex) -> "TorusSinogram":
-        return TorusSinogram(self.n, self.d, self.K, mean, dict(self.slices))
+        return self._new(mean, self.vectors)
 
 
 def zero_sinogram(n: int, d: int, K: int, family) -> TorusSinogram:
-    return TorusSinogram(n, d, K, 0j, {as_subspace(A): zero_field(n, K) for A in family})
+    members = [as_subspace(A) for A in family]
+    return TorusSinogram.from_vectors(
+        n, d, K, 0j, {A: np.zeros(support(A, K).size, np.complex128) for A in members})
+
+
+def _slice_field_with_mean(g: TorusSinogram, A: RationalSubspace) -> TorusField:
+    return _dense(g.n, g.K, A, g.vectors[A], g.mean)
 
 
 # --- weight rules -------------------------------------------------------------
@@ -143,44 +229,38 @@ class WeightRule:
     def _custom(self) -> dict:
         return dict(self.params) if self.kind == CUSTOM else {}
 
-    def weight_array(self, A: RationalSubspace) -> np.ndarray:
-        """w(. , A) over the whole band (NaN where undefined)."""
-        shape = (2 * self.K + 1,) * self.n
+    def _lookup(self, k: tuple, A: RationalSubspace) -> float:
+        """w(k, A), NaN where a custom table has no value."""
         if self.kind == CANONICAL:
-            out = np.ones(shape)
-            out[(self.K,) * self.n] = 1.0 / math.sqrt(len(self.family))
-            return out
-        if self.kind == HEIGHT_DECAY:
-            base = self.params[0] if self.params else 2.0
-            return np.full(shape, float(base) ** (-A.height))
-        out = np.full(shape, np.nan)
-        for (k, B), w in self._custom.items():
-            if B == A:
-                out[tuple(int(x) + self.K for x in k)] = w
-        return out
-
-    def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
-        kk = tuple(int(x) for x in k)
-        if self.kind == CANONICAL:
-            return 1.0 / math.sqrt(len(self.family)) if not any(kk) else 1.0
+            return 1.0 / math.sqrt(len(self.family)) if not any(k) else 1.0
         if self.kind == HEIGHT_DECAY:
             base = self.params[0] if self.params else 2.0
             return float(base) ** (-A.height)
-        try:
-            return self._custom[(kk, A)]
-        except KeyError:
+        return self._custom.get((k, A), math.nan)
+
+    def weights(self, A: RationalSubspace) -> np.ndarray:
+        """w(., A) on support(A, K), NaN where undefined."""
+        idx = support(A, self.K)
+        if self.kind != CUSTOM:  # the built-in kinds are constant off k = 0
+            return np.full(idx.size, self._lookup((1,) + (0,) * (self.n - 1), A))
+        ks = np.stack(np.unravel_index(idx, (2 * self.K + 1,) * self.n), axis=1) - self.K
+        return np.array([self._lookup(tuple(int(x) for x in k), A) for k in ks])
+
+    def zero_weight(self, A: RationalSubspace) -> float:
+        """w(0, A), NaN where undefined."""
+        return self._lookup((0,) * self.n, A)
+
+    def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
+        kk = tuple(int(x) for x in k)
+        w = self._lookup(kk, A)
+        if math.isnan(w):
             raise WeightUndefined(f"no weight value for k={kk}, A={A.serialize()!r}")
+        return w
 
     @cached_property
     def normal_array(self) -> np.ndarray:
         """W(k) = sum over the family's orthogonal members of w(k, A)^2."""
-        out = np.zeros((2 * self.K + 1,) * self.n)
-        for A in self.family:
-            mask = orthogonality_mask(A, self.K)
-            wa = self.weight_array(A)
-            contrib = np.where(mask, np.nan_to_num(wa, nan=0.0) ** 2, 0.0)
-            out += contrib
-        return out
+        return frozen(weighted_scatter(self.family, self))
 
     def normal_value(self, k: Sequence[int]) -> float:
         return float(self.normal_array[tuple(int(x) + self.K for x in k)])
@@ -192,11 +272,23 @@ class WeightRule:
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band;
         the implemented families are k-independent, so m_A = 0."""
-        wa = self.weight_array(A)
+        wa = np.append(self.weights(A), self.zero_weight(A))
         defined = wa[~np.isnan(wa)]
         if defined.size == 0:
             raise WeightUndefined(f"no weight values stored for {A.serialize()!r}")
         return float(defined.min()), 0.0
+
+
+def weighted_scatter(members, w: WeightRule, vectors=None, mean: complex = 1.0) -> np.ndarray:
+    """Sum over the members of w(k, A)^2 times each member's vector (ones
+    when vectors is None), with mean times the summed w(0, A)^2 at k = 0;
+    undefined weights count as zero. With data vectors this is the adjoint,
+    without them the normal multiplier W."""
+    w2 = [np.nan_to_num(w.weights(A)) ** 2 for A in members]
+    if vectors is not None:
+        w2 = [a * v for a, v in zip(w2, vectors)]
+    w0 = sum(np.nan_to_num(w.zero_weight(A)) ** 2 for A in members)
+    return scatter(w.n, w.K, members, w2, w0 * mean)
 
 
 def _certify(rule: WeightRule) -> WeightRule:
@@ -245,32 +337,20 @@ def canonical_weight(family, K: int) -> WeightRule:
     return weight_on_family(CANONICAL, family, K)
 
 
-def normalized_weight_sums(w: WeightRule) -> np.ndarray:
-    """Band array of sum_A wtilde(k, A)^2 with wtilde = w / sqrt(W); equal
-    to one wherever W(k) > 0."""
-    W = w.normal_array
-    return np.where(W > 0, W / np.where(W > 0, W, 1.0), 0.0)
-
-
 # --- norms and the moment constraint ------------------------------------------
-
-
-def _slice_field_with_mean(g: TorusSinogram, A: RationalSubspace) -> TorusField:
-    arr = g.slices[A].coeffs.copy()
-    arr[(g.K,) * g.n] = g.mean
-    return TorusField(g.n, g.K, arr)
 
 
 def _check_weight_defined(g: TorusSinogram, w: WeightRule) -> None:
     if w.kind != CUSTOM:
         return
-    for A in g.subspaces:
-        wa = w.weight_array(A)
-        arr = _slice_field_with_mean(g, A).coeffs
-        bad = np.isnan(wa) & (arr != 0)
-        if np.any(bad):
-            idx = tuple(int(i) - g.K for i in np.argwhere(bad)[0])
-            raise WeightUndefined(f"no weight value for k={idx}, A={A.serialize()!r}")
+    for A, v in g.vectors.items():
+        if g.mean != 0 and math.isnan(w.zero_weight(A)):
+            raise WeightUndefined(f"no weight value for k=0, A={A.serialize()!r}")
+        bad = np.flatnonzero(np.isnan(w.weights(A)) & (v != 0))
+        if bad.size:
+            flat = support(A, g.K)[bad[0]]
+            k = tuple(int(i) - g.K for i in np.unravel_index(flat, (2 * g.K + 1,) * g.n))
+            raise WeightUndefined(f"no weight value for k={k}, A={A.serialize()!r}")
 
 
 def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
@@ -281,23 +361,19 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     For p = l = 2 this is |mean|^2 W_0 + sum over k != 0 and orthogonal A of
     <k>^(2s) w(k,A)^2 |coeff|^2, which is the spec formula (the mean enters
     once because every slice shares it and the canonical rule normalizes
-    W_0 to one).
+    W_0 to one); it is generated by sinogram_inner.
     """
+    if p == 2 and l == 2:
+        return math.sqrt(sinogram_inner(g, g, s, w).real)
     if w is None:
         w = canonical_weight(g.subspaces, g.K)
     _check_weight_defined(g, w)
-    bs = bracket_sq(g.n, g.K)
+    bs = bracket_sq(g.n, g.K).ravel()
     per_slice = []
-    for A in g.subspaces:
-        wa = np.nan_to_num(w.weight_array(A), nan=0.0)
-        f = _slice_field_with_mean(g, A)
-        weighted = f.scaled_by(wa * bs ** (float(s) / 2.0))
-        if p == 2:
-            val = float(np.sqrt(np.sum(np.abs(weighted.coeffs) ** 2)))
-        else:
-            NN = N if N is not None else 2 * g.K + 2
-            val = grid_lp_norm(to_samples(weighted, NN), p)
-        per_slice.append(val)
+    for A, v in g.vectors.items():
+        vals = np.nan_to_num(w.weights(A)) * bs[support(A, g.K)] ** (float(s) / 2.0) * v
+        center = np.nan_to_num(w.zero_weight(A)) * g.mean
+        per_slice.append(bessel_norm(_dense(g.n, g.K, A, vals, center), 0.0, p, N))
     a = np.array(per_slice)
     if l == np.inf or l == "inf":
         return float(a.max()) if a.size else 0.0
@@ -313,13 +389,12 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
         w = canonical_weight(g.subspaces, g.K)
     _check_weight_defined(g, w)
     _check_weight_defined(h, w)
-    bs = bracket_sq(g.n, g.K)
+    bs = bracket_sq(g.n, g.K).ravel()
     acc = 0j
-    for A in g.subspaces:
-        wa = np.nan_to_num(w.weight_array(A), nan=0.0)
-        fa = _slice_field_with_mean(g, A).coeffs
-        fb = _slice_field_with_mean(h, A).coeffs
-        acc += complex(np.sum(bs ** float(s) * wa**2 * fa * np.conj(fb)))
+    for A, a in g.vectors.items():
+        w2 = np.nan_to_num(w.weights(A)) ** 2
+        acc += np.nan_to_num(w.zero_weight(A)) ** 2 * g.mean * np.conj(h.mean)
+        acc += complex(np.sum(bs[support(A, g.K)] ** float(s) * w2 * a * np.conj(h.vectors[A])))
     return acc
 
 
@@ -334,7 +409,7 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     if not store:
         raise ValueError("no slices given")
     some = next(iter(store))
-    n, K = some.n, next(iter(store.values())).K
+    n, K = some.n, store[some].K
     d = some.d if d is None else d
     zero = (0,) * n
     num = 0j
@@ -343,37 +418,14 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
         wA = 1.0 if w is None else w.weight(zero, A) ** 2
         num += wA * store[A].coeff(zero)
         den += wA
-    mean = num / den
-    center = (K,) * n
-    stripped = {}
-    for A, f in store.items():
-        arr = f.coeffs.copy()
-        arr[center] = 0
-        stripped[A] = TorusField(n, K, arr)
-    return TorusSinogram(n, d, K, mean, stripped)
-
-
-def range_defect(g: TorusSinogram) -> float:
-    """Largest coefficient magnitude violating the support rule (a slice
-    coefficient at k not orthogonal to its subspace)."""
-    worst = 0.0
-    for A in g.subspaces:
-        mask = orthogonality_mask(A, g.K)
-        off = np.abs(g.slices[A].coeffs)[~mask]
-        if off.size:
-            worst = max(worst, float(off.max()))
-    return worst
+    return TorusSinogram.from_vectors(n, d, K, num / den,
+                                      {A: gather(A, f) for A, f in store.items()})
 
 
 def plain_magnitude(g: TorusSinogram) -> float:
     """Unweighted coefficient magnitude sqrt(|mean|^2 + sum |coeff|^2);
     a weight-free scale for tolerances, valid for any (n, d)."""
     total = abs(g.mean) ** 2
-    for A in g.subspaces:
-        total += float(np.sum(np.abs(g.slices[A].coeffs) ** 2))
+    for v in g.vectors.values():
+        total += float(np.sum(np.abs(v) ** 2))
     return math.sqrt(total)
-
-
-def is_in_range(g: TorusSinogram, tol: float = 1e-12) -> bool:
-    scale = max(1.0, plain_magnitude(g))
-    return range_defect(g) <= tol * scale

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureTooCoarse
-from .fields import TorusField, evaluate_at, orthogonality_mask
+from .fields import TorusField, evaluate_at
 from .lattice import PrimitiveDirection, RationalSubspace
-from .sinogram import TorusSinogram, as_subspace
+from .sinogram import TorusSinogram, as_subspace, support
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,22 @@ class GeodesicSpec:
         return self.direction.basis
 
 
-def forward_direction(f: TorusField, v: PrimitiveDirection | Sequence[int]) -> TorusField:
-    """X-ray transform along v: keeps exactly the coefficients with k.v = 0."""
-    A = as_subspace(v)
-    if A.n != f.n:
-        raise DimensionMismatch(f"direction in Z^{A.n}, field on T^{f.n}")
-    mask = orthogonality_mask(A, f.K)
-    return TorusField(f.n, f.K, np.where(mask, f.coeffs, 0j), f.real)
-
-
-def forward_subspace(f: TorusField, A: RationalSubspace) -> TorusField:
-    """d-plane transform: keeps the coefficients orthogonal to every basis row."""
+def forward_subspace(f: TorusField,
+                     member: RationalSubspace | PrimitiveDirection | Sequence[int]) -> TorusField:
+    """d-plane transform along a subspace, or X-ray transform along a
+    direction: keeps exactly the coefficients orthogonal to every basis row."""
+    A = as_subspace(member)
     if A.n != f.n:
         raise DimensionMismatch(f"subspace in Q^{A.n}, field on T^{f.n}")
-    mask = orthogonality_mask(A, f.K)
-    return TorusField(f.n, f.K, np.where(mask, f.coeffs, 0j), f.real)
+    flat = f.coeffs.ravel()
+    out = np.zeros_like(flat)
+    kept = support(A, f.K)
+    out[kept] = flat[kept]
+    out[flat.size // 2] = flat[flat.size // 2]
+    return TorusField(f.n, f.K, out.reshape(f.coeffs.shape), f.real)
+
+
+forward_direction = forward_subspace
 
 
 def quadrature_threshold(f_K: int, rows: Sequence[Sequence[int]]) -> int:
@@ -91,22 +92,17 @@ def quadrature_line_integral(f: TorusField, spec: GeodesicSpec, N_q: int | None 
 
 
 def forward_sinogram(f: TorusField, family) -> TorusSinogram:
-    """Batched forward map into the data space: one slice per member with
-    the k = 0 component stripped, the shared average stored once."""
-    members = sorted(as_subspace(A) for A in family)
+    """Batched forward map into the data space: each member's slice gathered
+    onto its support, the shared average stored once."""
+    members = [as_subspace(A) for A in family]
     if not members:
         raise ValueError("family must be nonempty")
     d = members[0].d
-    if any(A.d != d for A in members):
-        raise DimensionMismatch("family mixes subspace dimensions")
-    center = (f.K,) * f.n
-    slices = {}
-    for A in members:
-        g = forward_subspace(f, A)
-        arr = g.coeffs.copy()
-        arr[center] = 0
-        slices[A] = TorusField(f.n, f.K, arr)
-    return TorusSinogram(f.n, d, f.K, f.mean(), slices)
+    if any((A.n, A.d) != (f.n, d) for A in members):
+        raise DimensionMismatch("family mixes subspace dimensions or does not match the field")
+    flat = f.coeffs.ravel()
+    return TorusSinogram.from_vectors(f.n, d, f.K, f.mean(),
+                                      {A: flat[support(A, f.K)] for A in members})
 
 
 def rescale_convention(value: complex, v: PrimitiveDirection | Sequence[int],

@@ -102,3 +102,30 @@ def test_output_root_env(tmp_path, monkeypatch):
     (tmp_path / "root").mkdir()
     assert run(["phantom", "--kind", "harmonic", "--band", "4", "--grid", "12"]) == 0
     assert (tmp_path / "root" / "phantom.tfield").exists()
+
+
+def _corrupt_probe(tmp_path, kind):
+    """A corrupt input file or directory, and the command that reads it."""
+    if kind == "sinogram without subspaces":
+        sino = tmp_path / "sino"
+        sino.mkdir()
+        (sino / "meta.json").write_text(json.dumps({"n": 2, "d": 1, "K": 4}))
+        (sino / "mean.txt").write_text("1 0\n")
+        return ["reconstruct", "--sinogram", sino, "--out", tmp_path / "r.tfield"]
+    header = json.dumps({"K": 4, "n": 2, "real": True}, sort_keys=True).encode() + b"\n"
+    values = np.zeros((9, 9), dtype="<c16")
+    values[4, 4] = 1.0
+    if kind == "nan field":
+        values[:] = np.nan
+    payload = values.tobytes()
+    if kind == "truncated field":
+        payload = payload[:-5]
+    path = tmp_path / "f.tfield"
+    path.write_bytes(header + payload)
+    return ["forward", "--field", path, "--out", tmp_path / "sino_out"]
+
+
+@pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces"])
+def test_corrupt_input_exit_code(tmp_path, capsys, kind):
+    assert run(_corrupt_probe(tmp_path, kind)) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from torusradon.experiments import (
 )
 from torusradon.fields import random_field
 from torusradon.lattice import direction_cover
-from torusradon.sinogram import canonical_weight, is_in_range, sinogram_norm
+from torusradon.sinogram import canonical_weight, sinogram_norm
 from torusradon.transforms import forward_sinogram
 
 
@@ -52,10 +53,13 @@ def test_add_noise_respects_range_and_determinism(rng):
     g, _ = make_data(3, rng)
     a = add_noise(g, 0.5, 0.0, 99)
     b = add_noise(g, 0.5, 0.0, 99)
-    assert is_in_range(a - g, tol=1e-14)
+    # data off A^perp cannot be represented; the noise on each vector is
+    # Hermitian, its mirror entry being the -k partner
+    for A, v in (a - g).vectors.items():
+        np.testing.assert_allclose(v[::-1], np.conj(v), rtol=0, atol=1e-15)
     assert a.mean == b.mean
     for A in a.subspaces:
-        assert np.array_equal(a.slices[A].coeffs, b.slices[A].coeffs)
+        assert np.array_equal(a.vectors[A], b.vectors[A])
     c = add_noise(g, 0.5, 0.0, 100)
     assert c.mean != a.mean
 
@@ -92,6 +96,20 @@ def test_run_experiment_filtered_exact(tmp_path):
     assert (tmp_path / "run" / "truth.pgm").exists()
     assert (tmp_path / "run" / "sweep.csv").exists()
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_report_durations_time_their_own_step():
+    cfg = ExperimentConfig.from_dict({
+        "phantom": {"kind": "disk", "radius": 0.25},
+        "band": 8, "grid": 24, "method": "filtered",
+        "noise": {"eps": [0.1, 0.01, 0.001], "t": 0.0},
+    })
+    start = time.perf_counter()
+    reports = run_experiment(cfg)
+    wall = time.perf_counter() - start
+    assert len(reports) == 3
+    assert all(r.duration_s > 0 for r in reports)
+    assert sum(r.duration_s for r in reports) <= wall
 
 
 def test_run_experiment_tikhonov_closed_form(tmp_path):

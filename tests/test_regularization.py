@@ -5,6 +5,7 @@ from torusradon.errors import ParamViolation
 from torusradon.fields import (
     TorusField,
     field_from_coeffs,
+    orthogonality_mask,
     random_field,
     sobolev_norm,
     unit_harmonic,
@@ -81,27 +82,24 @@ def test_objective_zero():
     assert tikhonov_objective(f, g, 0.0, 1.0, 0.5) == pytest.approx(0.0)
 
 
-def _random_data(K, rng, off_range=False):
+def _random_data(K, rng):
     cover = direction_cover(K)
     g = forward_sinogram(random_field(2, K, rng), cover)
     noisy = {}
     for A in g.subspaces:
         arr = g.slices[A].coeffs + 0.1 * (rng.standard_normal(g.slices[A].coeffs.shape)
                                           + 1j * rng.standard_normal(g.slices[A].coeffs.shape))
-        if not off_range:
-            from torusradon.fields import orthogonality_mask
-            arr = np.where(orthogonality_mask(A, K), arr, 0j)
+        arr = np.where(orthogonality_mask(A, K), arr, 0j)
         arr[K, K] = 0
         noisy[A] = TorusField(2, K, arr)
     return TorusSinogram(2, 1, K, g.mean + 0.05, noisy)
 
 
-@pytest.mark.parametrize("off_range", [False, True])
-def test_minimizer_beats_perturbations(off_range, rng):
+def test_minimizer_beats_perturbations(rng):
     K = 2
     r, s, alpha = 0.0, 1.0, 0.3
     for _ in range(5):
-        g = _random_data(K, rng, off_range=off_range)
+        g = _random_data(K, rng)
         f_star = tikhonov_reconstruct(g, r, s, alpha)
         base = tikhonov_objective(f_star, g, r, s, alpha)
         for _ in range(10):

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from torusradon.errors import DegenerateWeight, WeightUndefined
-from torusradon.fields import field_from_coeffs, random_field, sobolev_norm, unit_harmonic, zero_field
+from torusradon.fields import (
+    bracket_sq,
+    field_from_coeffs,
+    k_axes,
+    k_grids,
+    random_field,
+    sobolev_norm,
+    unit_harmonic,
+)
 from torusradon.lattice import (
     direction_cover,
     hyperplane_cover,
@@ -16,11 +24,9 @@ from torusradon.sinogram import (
     TorusSinogram,
     canonical_weight,
     enforce_moment_constraint,
-    is_in_range,
-    normalized_weight_sums,
-    range_defect,
     sinogram_inner,
     sinogram_norm,
+    support,
     weight_build,
     weight_on_family,
     zero_sinogram,
@@ -58,6 +64,13 @@ def test_weight_build_canonical_planar():
     assert w.c_w == pytest.approx(1.0)
     assert w.C_w == pytest.approx(1.0)
     assert w.W0 == pytest.approx(1.0, abs=1e-12)
+
+
+def normalized_weight_sums(w):
+    """Band array of sum_A wtilde(k, A)^2 with wtilde = w / sqrt(W); equal
+    to one wherever W(k) > 0."""
+    W = w.normal_array
+    return np.where(W > 0, W / np.where(W > 0, W, 1.0), 0.0)
 
 
 def test_normalized_weight_sums_to_one():
@@ -168,14 +181,59 @@ def test_moment_projection_is_norm_minimizing(rng):
         assert d_star <= dist(other) + 1e-15
 
 
-def test_range_defect_detects_off_range():
+def test_constructor_rejects_off_range_data():
+    # a slice lives on A^perp with k = 0 owned by the shared mean; the
+    # constructor gathers onto that support and refuses anything else
     K = 2
     A = line((1, 0))
-    bad = TorusSinogram(2, 1, K, 0j, {A: field_from_coeffs(2, K, {(1, 1): 2.0})})
-    assert range_defect(bad) == pytest.approx(2.0)
-    assert not is_in_range(bad)
+    for bad in ({(1, 1): 2.0}, {(0, 0): 1.0}, {(0, 1): 1.0, (2, 0): 1e-300}):
+        with pytest.raises(ValueError):
+            TorusSinogram(2, 1, K, 0j, {A: field_from_coeffs(2, K, bad)})
     good = TorusSinogram(2, 1, K, 0j, {A: field_from_coeffs(2, K, {(0, 1): 2.0})})
-    assert is_in_range(good)
+    assert good.slice(A).coeff((0, 1)) == 2.0
+    assert np.array_equal(good.vectors[A], [0, 0, 2.0, 0])
+
+
+def test_support_index_pairs_k_with_minus_k():
+    K = 3
+    for A in hyperplane_cover(K, 3)[:20] + line_cover(K, 3)[:20]:
+        idx = support(A, K)
+        assert np.all(np.diff(idx) > 0)
+        ks = np.stack(np.unravel_index(idx, (2 * K + 1,) * 3), axis=1) - K
+        assert np.array_equal(ks[::-1], -ks)
+        assert all(A.contains_frequency(k) and any(k) for k in ks)
+
+
+def test_forward_stores_only_usable_coefficients(rng):
+    # one value per band frequency k != 0: each has exactly one orthogonal line
+    K = 32
+    g = forward_sinogram(random_field(2, K, rng), direction_cover(K))
+    assert sum(v.size for v in g.vectors.values()) == 4224 == (2 * K + 1) ** 2 - 1
+
+
+def test_slices_are_dense_and_not_cached(rng):
+    K = 3
+    f = random_field(2, K, rng)
+    g = forward_sinogram(f, direction_cover(K))
+    A = g.subspaces[1]
+    first = g.slices[A]
+    assert first is not g.slices[A]
+    assert np.array_equal(first.coeffs, g.slice(A).coeffs)
+    assert first.coeff((0, 0)) == 0
+    assert set(g.slices) == set(g.subspaces) and len(g.slices) == len(g.subspaces)
+
+
+@pytest.mark.parametrize("cached", [
+    lambda: k_axes(2, 3)[0],
+    lambda: k_grids(2, 3)[1],
+    lambda: bracket_sq(2, 3),
+    lambda: support(line((1, 2)), 3),
+    lambda: canonical_weight(direction_cover(3), 3).normal_array,
+])
+def test_shared_arrays_are_read_only(cached):
+    arr = cached()
+    with pytest.raises(ValueError):
+        arr[...] = 0
 
 
 def test_sinogram_inner_generates_norm(rng):
