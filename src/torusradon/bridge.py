@@ -7,8 +7,16 @@ period-1 torus datum at offset tau is |v|^-1 times the sum of the Euclidean
 arc-length data over the strand offsets tau + j/|v| that meet the support.
 
 Offsets are stored on a uniform [0, 1) grid holding the 1-periodized
-profile; since the support is narrower than one period nothing is lost,
-and strand values are read off by trigonometric interpolation.
+profile, read between grid points through its trigonometric interpolant P.
+Slice coefficient m of direction v is the strand-sum quadrature of P's
+Fourier transform at frequency m|v| (the projection-slice theorem): the
+strand offsets of a profile grid with M_u points are the points qh,
+h = 1 / (M_u |v|), inside the support window [c_v - rho, c_v + rho], and
+the coefficient is h sum_q P(qh) exp(-2 pi i m|v| qh). Over the window
+this sum is geometric, so the bridge sums it exactly: one windowed
+Dirichlet kernel per Fourier mode of P. The window matters: it cuts off
+the interpolant's Gibbs tail outside the support, which an unwindowed
+Fourier-slice evaluation keeps.
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GeometryViolation, MissingAngle
-from .fields import TorusField, to_coefficients
+from .errors import (CorruptInput, DimensionMismatch, GeometryViolation, MissingAngle,
+                     TorusRadonError)
 from .lattice import PrimitiveDirection, line, primitive_reduce
-from .sinogram import TorusSinogram, enforce_moment_constraint
+from .sinogram import TorusSinogram, support
 
 
 @dataclass(frozen=True)
@@ -49,16 +57,21 @@ class EuclideanSinogram:
             raise GeometryViolation("support radius must be positive")
         if self.support_radius >= 0.5:
             raise GeometryViolation("support radius must be < 1/2 to fit one fundamental domain")
+        rows: dict[PrimitiveDirection, int] = {}
+        for i, v in enumerate(self.directions):
+            rows.setdefault(v, i)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def offsets(self) -> np.ndarray:
         return np.arange(self.n_offsets) / self.n_offsets
 
     def row(self, v: PrimitiveDirection) -> np.ndarray:
-        for d, r in zip(self.directions, self.values):
-            if d == v:
-                return r
-        raise MissingAngle(f"no Euclidean data for direction {v.v}")
+        """The data row of direction v (its first one, if listed twice)."""
+        try:
+            return self.values[self._rows[v]]
+        except KeyError:
+            raise MissingAngle(f"no Euclidean data for direction {v.v}") from None
 
 
 def _unit_normal_offset(v: PrimitiveDirection, point) -> float:
@@ -85,28 +98,41 @@ def disk_sinogram(directions, n_offsets: int, radius: float,
     return EuclideanSinogram(dirs, n_offsets, values, radius, tuple(center))
 
 
-def _trig_interpolate(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate the 1-periodic band-limited interpolant of uniform real
-    samples at arbitrary points (half-spectrum form; the Nyquist mode, when
-    present, is split symmetrically into a cosine)."""
-    M = samples.shape[0]
-    coeffs = np.fft.rfft(samples) / M
-    weights = np.full(coeffs.shape[0], 2.0)
-    weights[0] = 1.0
-    if M % 2 == 0:
-        weights[-1] = 1.0
-    freqs = np.arange(coeffs.shape[0])
-    phases = np.exp(2j * np.pi * np.outer(points, freqs))
-    return (phases @ (weights * coeffs)).real
+def _symmetric_spectrum(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, c_f) for the 1-periodic trigonometric interpolant of uniform real
+    samples, f = -floor(N/2) .. floor(N/2), with c_-f = conj(c_f); for even
+    N the Nyquist mode is split in half between f = +-N/2."""
+    N = samples.shape[0]
+    half = np.fft.rfft(samples) / N
+    if N % 2 == 0:
+        half[-1] /= 2.0
+    f = np.arange(1 - half.size, half.size)
+    return f, np.concatenate([np.conj(half[:0:-1]), half])
+
+
+def _windowed_transform(f, c, nu, h: float, q_lo: int, q_hi: int) -> np.ndarray:
+    """h * sum over q_lo <= q <= q_hi of P(qh) exp(-2 pi i nu qh) at each
+    frequency nu, for P(t) = sum_f c_f exp(2 pi i f t). The sum over q is
+    geometric, so each term is the Dirichlet kernel in a = (f - nu) h,
+    exp(i pi a (q_lo + q_hi)) sin(pi Q a) / sin(pi a), with its limit Q
+    where sin(pi a) = 0 (f = nu, which integer |v| allows)."""
+    Q = q_hi - q_lo + 1
+    a = (f[None, :] - nu[:, None]) * h
+    den = np.sin(np.pi * a)
+    ratio = np.divide(np.sin(np.pi * Q * a), den, out=np.full_like(den, float(Q)),
+                      where=den != 0)
+    return h * ((np.exp(1j * np.pi * (q_lo + q_hi) * a) * ratio) @ c)
 
 
 def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     """Resample Euclidean parallel-beam data onto torus transform data.
 
-    Per direction v: the one-variable torus profile along the integer
-    normal (-v2, v1) is assembled by the strand sum with spacing 1/|v| and
-    the |v|^-1 period-1 factor, then converted to slice coefficients. The
-    per-direction means are reconciled into the shared average afterwards.
+    Per direction v, slice coefficient m is the windowed strand-sum
+    quadrature g(m) = h sum_q P(qh) exp(-2 pi i m|v| qh) of the module
+    docstring, summed in closed form by `_windowed_transform` and written
+    straight onto the slice's support vector. The shared mean is the
+    equal-weight average of the per-direction m = 0 values, summed in
+    sorted subspace order.
     """
     if sino.support_radius >= 0.5:
         raise GeometryViolation("support radius must be < 1/2")
@@ -114,37 +140,31 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     dirs = [v if isinstance(v, PrimitiveDirection) else primitive_reduce(v) for v in family]
     if not dirs:
         raise ValueError("family must be nonempty")
-    raw = {}
+    vectors, means = {}, {}
     for v in dirs:
         if v.n != 2:
             raise DimensionMismatch("the bridge is a planar (n=2) operation")
-        data = sino.row(v)
-        speed = math.sqrt(v.v[0] ** 2 + v.v[1] ** 2)
-        normal = (-v.v[1], v.v[0])
+        A = line(v)
+        if A in vectors:
+            continue
+        f, c = _symmetric_spectrum(sino.row(v))
+        norm_sq = v.v[0] ** 2 + v.v[1] ** 2
+        speed = math.sqrt(norm_sq)
         c_v = _unit_normal_offset(v, sino.center)
         m_max = K // max(abs(x) for x in v.v)
-        # profile grid no coarser than the stored offsets, so downsampling
-        # adds no aliasing beyond the offset grid's own
-        M_u = max(2 * m_max + 2, sino.n_offsets)
-        u = np.arange(M_u) / M_u
-        tau = u / speed
-        j_lo = np.ceil((c_v - rho - tau) * speed).astype(int)
-        j_hi = np.floor((c_v + rho - tau) * speed).astype(int)
-        profile = np.zeros(M_u)
-        width = int((j_hi - j_lo).max()) + 1 if M_u else 0
-        if width > 0:
-            js = j_lo[:, None] + np.arange(width)[None, :]
-            valid = js <= j_hi[:, None]
-            offs = (tau[:, None] + js / speed) % 1.0
-            vals = _trig_interpolate(data, offs.ravel()).reshape(offs.shape)
-            profile = (vals * valid).sum(axis=1) / speed
-        prof_field = to_coefficients(profile, m_max)
-        arr = np.zeros((2 * K + 1,) * 2, dtype=np.complex128)
-        for m in range(-m_max, m_max + 1):
-            k = (m * normal[0], m * normal[1])
-            arr[k[0] + K, k[1] + K] = prof_field.coeff((m,))
-        raw[line(v)] = TorusField(2, K, arr)
-    return enforce_moment_constraint(raw, d=1)
+        # quadrature grid no coarser than the stored offsets, so it adds
+        # no aliasing beyond the offset grid's own
+        h = 1.0 / (max(2 * m_max + 2, sino.n_offsets) * speed)
+        q_lo, q_hi = math.ceil((c_v - rho) / h), math.floor((c_v + rho) / h)
+        g = _windowed_transform(f, c, np.arange(m_max + 1) * speed, h, q_lo, q_hi)
+        # the profile is real: g(-m) = conj(g(m)) and g(0) is real
+        means[A] = g[0].real
+        # k = m (-v2, v1) on the support; pick each entry's m from its k
+        idx = support(A, K)
+        m = ((idx // (2 * K + 1) - K) * -v.v[1] + (idx % (2 * K + 1) - K) * v.v[0]) // norm_sq
+        vectors[A] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
+    mean = sum(means[A] for A in sorted(means)) / len(means)
+    return TorusSinogram.from_vectors(2, 1, K, mean, vectors)
 
 
 # --- CSV exchange format -------------------------------------------------------
@@ -164,27 +184,40 @@ def sinogram_to_csv(sino: EuclideanSinogram) -> str:
 
 def sinogram_from_csv(text: str, support_radius: float,
                       center=(0.5, 0.5)) -> EuclideanSinogram:
-    lines_ = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines_ or lines_[0].strip() != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r}")
+    """Parse the CSV written by sinogram_to_csv. Raises CorruptInput on a
+    wrong header, a row without four fields, an angle that is not a
+    primitive integer direction, a number that is not finite, offsets off
+    the uniform [0, 1) grid, or directions with different offset counts."""
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows or rows[0][1].strip() != CSV_HEADER:
+        raise CorruptInput(f"expected header {CSV_HEADER!r}")
     grouped: dict[PrimitiveDirection, list[tuple[float, float]]] = {}
-    order: list[PrimitiveDirection] = []
-    for ln in lines_[1:]:
-        sx, sy, so, sv = ln.split(",")
-        v = PrimitiveDirection((int(sx), int(sy)))
-        if v not in grouped:
-            grouped[v] = []
-            order.append(v)
-        grouped[v].append((float(so), float(sv)))
-    counts = {len(rows) for rows in grouped.values()}
+    for i, ln in rows[1:]:
+        fields = ln.split(",")
+        if len(fields) != 4:
+            raise CorruptInput(f"line {i}: want 4 fields, got {len(fields)}")
+        try:
+            v = PrimitiveDirection((int(fields[0]), int(fields[1])))
+        except (ValueError, TorusRadonError) as e:
+            raise CorruptInput(f"line {i}: angle is not a primitive integer direction: {e}") from e
+        try:
+            offset, value = float(fields[2]), float(fields[3])
+        except ValueError as e:
+            raise CorruptInput(f"line {i}: {e}") from e
+        if not (math.isfinite(offset) and math.isfinite(value)):
+            raise CorruptInput(f"line {i}: non-finite number")
+        grouped.setdefault(v, []).append((offset, value))
+    if not grouped:
+        raise CorruptInput("no data rows")
+    counts = {len(pairs) for pairs in grouped.values()}
     if len(counts) != 1:
-        raise ValueError("directions carry different offset counts")
+        raise CorruptInput("directions carry different offset counts")
     M = counts.pop()
-    values = np.zeros((len(order), M))
-    for i, v in enumerate(order):
-        rows = sorted(grouped[v])
-        offs = np.array([o for o, _ in rows])
+    values = np.zeros((len(grouped), M))
+    for i, (v, pairs) in enumerate(grouped.items()):
+        pairs.sort()
+        offs = np.array([o for o, _ in pairs])
         if np.max(np.abs(offs - np.arange(M) / M)) > 1e-9:
-            raise ValueError(f"offsets for {v.v} are not the uniform [0,1) grid")
-        values[i] = [val for _, val in rows]
-    return EuclideanSinogram(tuple(order), M, values, support_radius, tuple(center))
+            raise CorruptInput(f"offsets for {v.v} are not the uniform [0,1) grid")
+        values[i] = [val for _, val in pairs]
+    return EuclideanSinogram(tuple(grouped), M, values, support_radius, tuple(center))

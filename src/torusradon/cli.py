@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bridge import bridge_ingest, disk_sinogram, sinogram_from_csv, sinogram_to_csv
-from .errors import TorusRadonError
+from .errors import CorruptInput, TorusRadonError
 from .experiments import METHODS, ExperimentConfig, run_experiment, selftest
 from .fields import to_samples
 from .io import output_root, read_field, read_sinogram, write_field, write_pgm, write_sinogram
@@ -98,7 +98,11 @@ def cmd_sweep(args) -> int:
 def cmd_bridge(args) -> int:
     cover = direction_cover(args.cover)
     if args.csv:
-        sino = sinogram_from_csv(Path(args.csv).read_text(), args.radius)
+        try:
+            text = Path(args.csv).read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise CorruptInput(f"{args.csv}: cannot read: {e}") from e
+        sino = sinogram_from_csv(text, args.radius)
     else:
         sino = disk_sinogram(cover, args.offsets, args.radius)
         if args.emit_csv:

@@ -7,7 +7,7 @@ named by its serialized basis; slices are densified on write and gathered
 onto their supports on read. Images: 16-bit P5 PGM with the linear scaling
 recorded in the header comment. All writers are pure functions of their
 inputs, so identical runs produce identical bytes. The readers check what
-they parse and raise CorruptInput on malformed files.
+they parse and raise CorruptInput on malformed or unreadable files.
 """
 
 from __future__ import annotations
@@ -33,9 +33,12 @@ def write_field(f: TorusField, path) -> None:
 
 
 def read_field(path) -> TorusField:
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            raw = fh.read()
+    except OSError as e:
+        raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
     try:
         header = json.loads(head.decode("ascii"))
         n, K, real = int(header["n"]), int(header["K"]), bool(header["real"])
@@ -81,11 +84,13 @@ def read_sinogram(directory) -> TorusSinogram:
         meta = json.loads((d / "meta.json").read_text())
         n, dim, K = int(meta["n"]), int(meta["d"]), int(meta["K"])
         members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
-    except (ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
         raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
     try:
         re, im = (d / "mean.txt").read_text().split()
         mean = complex(float(re), float(im))
+    except OSError as e:
+        raise CorruptInput(f"{d / 'mean.txt'}: cannot read: {e.strerror}") from e
     except ValueError as e:
         raise CorruptInput(f"{d / 'mean.txt'}: want two numbers: {e}") from e
     if not np.isfinite(mean):

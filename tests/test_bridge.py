@@ -1,14 +1,20 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusradon.bridge import (
+    CSV_HEADER,
     EuclideanSinogram,
     bridge_ingest,
     disk_sinogram,
     sinogram_from_csv,
     sinogram_to_csv,
 )
-from torusradon.errors import GeometryViolation, MissingAngle
+from torusradon.errors import CorruptInput, GeometryViolation, MissingAngle
 from torusradon.fields import sobolev_norm
 from torusradon.lattice import direction_cover, line, primitive_reduce
 from torusradon.phantoms import phantom
@@ -149,3 +155,119 @@ def test_full_bridge_small_pipeline():
     rec_grid = to_samples(rec, N).real
     rel = np.linalg.norm(rec_grid - truth_grid) / np.linalg.norm(truth_grid)
     assert rel < 0.05
+
+
+def strand_sum_oracle(sino, family, K):
+    """The strand loop that bridge_ingest sums in closed form, kept as its
+    independent check: the profile at u / M_u is |v|^-1 times the
+    trigonometric interpolant summed over the strand offsets in the support
+    window, then transformed. Returns {line: coefficients for m = -m_max..m_max}."""
+    def interpolate(samples, points):
+        M = samples.shape[0]
+        coeffs = np.fft.rfft(samples) / M
+        weights = np.full(coeffs.shape[0], 2.0)
+        weights[0] = 1.0
+        if M % 2 == 0:
+            weights[-1] = 1.0
+        phases = np.exp(2j * np.pi * np.outer(points, np.arange(coeffs.shape[0])))
+        return (phases @ (weights * coeffs)).real
+
+    rho, out = sino.support_radius, {}
+    for v in family:
+        speed = math.sqrt(v.v[0] ** 2 + v.v[1] ** 2)
+        c_v = (-v.v[1] * sino.center[0] + v.v[0] * sino.center[1]) / speed
+        m_max = K // max(abs(x) for x in v.v)
+        M_u = max(2 * m_max + 2, sino.n_offsets)
+        tau = np.arange(M_u) / M_u / speed
+        j_lo = np.ceil((c_v - rho - tau) * speed).astype(int)
+        j_hi = np.floor((c_v + rho - tau) * speed).astype(int)
+        js = j_lo[:, None] + np.arange((j_hi - j_lo).max() + 1)
+        vals = interpolate(sino.row(v), ((tau[:, None] + js / speed) % 1.0).ravel())
+        profile = (vals.reshape(js.shape) * (js <= j_hi[:, None])).sum(axis=1) / speed
+        out[line(v)] = (np.fft.fft(profile) / M_u)[np.arange(-m_max, m_max + 1)]
+    return out
+
+
+def oracle_defect(K, n_offsets, center, skip=()):
+    """Largest |closed form - strand loop| over every slice coefficient and
+    the shared mean, on direction_cover(K) for a disk of radius 0.2."""
+    cover = [v for v in direction_cover(K) if v.v not in skip]
+    sino = disk_sinogram(cover, n_offsets, 0.2, center)
+    g = bridge_ingest(sino, cover, K)
+    want = strand_sum_oracle(sino, cover, K)
+    zero = {A: coeffs[coeffs.size // 2] for A, coeffs in want.items()}
+    worst = abs(g.mean - sum(zero[A] for A in sorted(zero)) / len(zero))
+    for A, expected in want.items():
+        v1, v2 = A.basis[0]
+        ms = np.arange(expected.size) - expected.size // 2
+        got = g.slice(A).coeffs[K - ms * v2, K + ms * v1]
+        worst = max(worst, float(np.max(np.abs(got - expected)[ms != 0])))
+    return worst
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.57, 0.44)])
+def test_closed_form_matches_strand_loop(center):
+    assert oracle_defect(16, 256, center) < 1e-13
+
+
+def test_closed_form_matches_strand_loop_on_cover_32():
+    # (7, 24) is left out: |v| = 25, so at the default centre (c_v +- rho)/h
+    # is an exact integer, an endpoint sample of the window is kept or
+    # dropped by rounding, and the two codes differ there by 1.7e-5 (3.7e-6
+    # with 256 offsets). 64 offsets keep the loop's run time to ~2 s.
+    assert oracle_defect(32, 64, (0.5, 0.5), skip=[(7, 24)]) < 1e-13
+
+
+def test_ingest_peak_memory():
+    cover = direction_cover(16)
+    sino = disk_sinogram(cover, 256, 0.2)
+    bridge_ingest(sino, cover, 16)  # fills the support-index cache
+    tracemalloc.start()
+    try:
+        bridge_ingest(sino, cover, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cover) == 320
+    assert peak < 2e6  # the result holds 1,088 values
+
+
+def test_row_lookup_first_occurrence_wins():
+    v, w = primitive_reduce((1, 0)), primitive_reduce((0, 1))
+    values = np.arange(12.0).reshape(3, 4)
+    sino = EuclideanSinogram((v, w, v), 4, values, 0.2)
+    assert np.array_equal(sino.row(v), values[0])
+    assert np.array_equal(sino.row(w), values[1])
+    with pytest.raises(MissingAngle):
+        sino.row(primitive_reduce((1, 1)))
+
+
+CSV_TEXT = sinogram_to_csv(disk_sinogram(direction_cover(2), 8, 0.25))
+ROW = "1,0,0,0.5"
+
+
+@pytest.mark.parametrize("text", [
+    "angle_vx,angle_vy,value\n" + ROW,                     # header
+    CSV_HEADER + "\n1,0,0.5",                              # field count
+    CSV_HEADER + "\n1.5,0,0,0.5",                          # angle not an integer
+    CSV_HEADER + "\n2,0,0,0.5",                            # angle not primitive
+    CSV_HEADER + "\n1,0,0,nan",                            # value not finite
+    CSV_HEADER + "\n1,0,inf,0.5",                          # offset not finite
+    CSV_HEADER + "\n1,0,0,0.5\n1,0,0.3,0.5",               # grid not uniform
+    CSV_HEADER + "\n1,0,0,1\n1,0,0.5,1\n0,1,0,1",          # offset counts differ
+    CSV_HEADER + "\n",                                    # no rows
+    "",
+])
+def test_csv_rejects_corrupt_text(text):
+    with pytest.raises(CorruptInput):
+        sinogram_from_csv(text, 0.25)
+
+
+@given(st.integers(0, len(CSV_TEXT)))
+@settings(max_examples=200)
+def test_csv_truncation_parses_or_raises_corrupt_input(cut):
+    try:
+        sino = sinogram_from_csv(CSV_TEXT[:cut], 0.25)
+    except CorruptInput:
+        return
+    assert np.all(np.isfinite(sino.values))

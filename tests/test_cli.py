@@ -106,12 +106,30 @@ def test_output_root_env(tmp_path, monkeypatch):
 
 def _corrupt_probe(tmp_path, kind):
     """A corrupt input file or directory, and the command that reads it."""
+    sino = tmp_path / "sino"
+    reconstruct = ["reconstruct", "--sinogram", sino, "--out", tmp_path / "r.tfield"]
     if kind == "sinogram without subspaces":
-        sino = tmp_path / "sino"
         sino.mkdir()
         (sino / "meta.json").write_text(json.dumps({"n": 2, "d": 1, "K": 4}))
         (sino / "mean.txt").write_text("1 0\n")
-        return ["reconstruct", "--sinogram", sino, "--out", tmp_path / "r.tfield"]
+        return reconstruct
+    if kind == "missing sinogram directory":
+        return reconstruct
+    if kind == "sinogram missing a slice file":
+        assert run(["bridge", "--cover", "2", "--band", "2", "--offsets", "16",
+                    "--out", sino]) == 0
+        next(sino.glob("slice_*.tfield")).unlink()
+        return reconstruct
+    if kind.startswith("csv"):
+        csv = tmp_path / "euclid.csv"
+        common = ["--cover", "1", "--band", "1", "--offsets", "8"]
+        if kind != "csv missing":
+            assert run(["bridge", *common, "--emit-csv", csv, "--out", tmp_path / "b0"]) == 0
+            lines = csv.read_text().splitlines()
+            row = lines[1].split(",")
+            lines[1] = ",".join(row[:3] if kind == "csv with three fields" else row[:3] + ["nan"])
+            csv.write_text("\n".join(lines) + "\n")
+        return ["bridge", "--csv", csv, *common, "--out", tmp_path / "bridged"]
     header = json.dumps({"K": 4, "n": 2, "real": True}, sort_keys=True).encode() + b"\n"
     values = np.zeros((9, 9), dtype="<c16")
     values[4, 4] = 1.0
@@ -125,7 +143,9 @@ def _corrupt_probe(tmp_path, kind):
     return ["forward", "--field", path, "--out", tmp_path / "sino_out"]
 
 
-@pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces"])
+@pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces",
+                                  "missing sinogram directory", "sinogram missing a slice file",
+                                  "csv with three fields", "csv with nan", "csv missing"])
 def test_corrupt_input_exit_code(tmp_path, capsys, kind):
     assert run(_corrupt_probe(tmp_path, kind)) == 2
     assert "error:" in capsys.readouterr().err
