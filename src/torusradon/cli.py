@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bridge import bridge_ingest, disk_sinogram, sinogram_from_csv, sinogram_to_csv
-from .errors import CorruptInput, TorusRadonError
+from .errors import ConfigInvalid, CorruptInput, TorusRadonError
 from .experiments import METHODS, ExperimentConfig, run_experiment, selftest
 from .fields import to_samples
 from .io import output_root, read_field, read_sinogram, write_field, write_pgm, write_sinogram
@@ -78,7 +78,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigInvalid(f"{args.config}: cannot read: {e}") from e
+    raw = ExperimentConfig.json_object(text)
     for key in ("seed", "band", "grid", "method", "output"):
         val = getattr(args, key, None)
         if val is not None:

@@ -206,12 +206,20 @@ class ExperimentConfig:
         return cfg
 
     @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
+    def json_object(text: str) -> dict:
+        """The JSON object in a config's text; ConfigInvalid if the text is
+        not JSON or holds another JSON value."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigInvalid(f"config is not valid JSON: {e}") from e
-        return ExperimentConfig.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigInvalid(f"config must be a JSON object, got {type(raw).__name__}")
+        return raw
+
+    @staticmethod
+    def from_json(text: str) -> "ExperimentConfig":
+        return ExperimentConfig.from_dict(ExperimentConfig.json_object(text))
 
 
 def _reconstruct(g: TorusSinogram, cfg: ExperimentConfig, w, eps: float):

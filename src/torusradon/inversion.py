@@ -1,6 +1,7 @@
-"""Inversion paths: axis-integral slice reconstruction, adjoint and normal
-operators, filtered and normalized-weight inversion, and the filter-free
-hyperplane summation formula.
+"""Inversion paths: axis-integral slice reconstruction (one periodic
+midpoint quadrature per stored line), adjoint and normal operators,
+filtered and normalized-weight inversion, and the filter-free hyperplane
+summation formula.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from .errors import (
     SingularFilter,
 )
 from .fields import TorusField, evaluate_at
-from .lattice import IntVec, PrimitiveDirection, frequency_band, orthogonal_primitive
+from .lattice import IntVec, PrimitiveDirection, RationalSubspace
 from .sinogram import (
     TorusSinogram,
     WeightRule,
     _check_weight_defined,
-    _slice_field_with_mean,
-    as_subspace,
     plain_magnitude,
     scatter,
+    support,
     weighted_scatter,
 )
 
@@ -43,6 +43,18 @@ def _default_axis(k: IntVec, v: PrimitiveDirection) -> int:
     if abs(k[0]) > abs(k[1]):
         return 0
     return 1
+
+
+def _quadrature_nodes(K: int, v: PrimitiveDirection, N_q: int | None) -> np.ndarray:
+    """Midpoint nodes (j + 1/2)/N_q of the axis quadrature for slices along
+    v. The rule is exact on the band once N_q > 2K(|v_1| + |v_2|); the
+    default is the smallest such N_q, and at least 2K + 1."""
+    threshold = 2 * K * sum(abs(x) for x in v.v)
+    if N_q is None:
+        N_q = max(threshold, 2 * K) + 1
+    if N_q <= threshold:
+        raise ValueError(f"N_q={N_q} <= threshold {threshold}")
+    return (np.arange(N_q) + 0.5) / N_q
 
 
 def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirection,
@@ -66,37 +78,51 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
         raise AxisDegenerate(f"axis {axis} formula needs k[{axis}] != 0, got k={kk}")
     if not any(kk) and v.v[1 - axis] == 0:
         raise AxisDegenerate(f"k = 0 along axis {axis} needs v[{1 - axis}] != 0, got v={v.v}")
-    threshold = 2 * g_v.K * sum(abs(x) for x in v.v)
-    if N_q is None:
-        N_q = max(threshold, 2 * g_v.K) + 1
-    if N_q <= threshold:
-        raise ValueError(f"N_q={N_q} <= threshold {threshold}")
-    t = (np.arange(N_q) + 0.5) / N_q
-    pts = np.zeros((N_q, 2))
+    t = _quadrature_nodes(g_v.K, v, N_q)
+    pts = np.zeros((t.size, 2))
     pts[:, axis] = t
     vals = evaluate_at(g_v, pts)
     phase = np.exp(-2j * np.pi * kk[axis] * t)
     return complex(np.mean(vals * phase))
 
 
+def _line_phases(A: RationalSubspace, K: int, N_q: int | None, zero: bool) -> np.ndarray:
+    """Phases e^{2 pi i k_axis t_j} of the frequencies k on support(A, K)
+    (columns) at the quadrature nodes t_j for slices along A (rows). The
+    axis is the one the rule picks for k = 0 if `zero`, else the one for
+    the nonzero k: these are multiples of one primitive vector, so the rule
+    picks the same axis for all of them."""
+    v = PrimitiveDirection(A.basis[0])
+    ks = np.column_stack(np.unravel_index(support(A, K), (2 * K + 1,) * 2)) - K
+    axis = _default_axis((0, 0) if zero else tuple(ks[-1]), v)
+    return np.exp(2j * np.pi * np.outer(_quadrature_nodes(K, v, N_q), ks[:, axis]))
+
+
 def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
-    """Full-field reconstruction through the axis integrals, one coefficient
-    at a time, reading each frequency off its orthogonal direction's slice."""
+    """Full-field reconstruction through the axis integrals: the quadrature
+    of `slice_reconstruct_coeff`, run once per stored line. The slice plus
+    the shared mean is sampled on the nodes of one axis, and every
+    coefficient on the line is read off those samples; k = 0 is the average
+    along the first line's valid axis. Raises IncompleteCover if a band
+    frequency has no stored orthogonal line."""
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     K = g.K
-    arr = np.zeros((2 * K + 1,) * 2, dtype=np.complex128)
-    stored = {A: _slice_field_with_mean(g, A) for A in g.subspaces}
-    for k in frequency_band(2, K, punctured=True):
-        A = as_subspace(orthogonal_primitive(k))
-        if A not in stored:
-            raise IncompleteCover(f"no slice orthogonal to k={k}")
-        v = PrimitiveDirection(A.basis[0])
-        arr[k[0] + K, k[1] + K] = slice_reconstruct_coeff(stored[A], k, v, N_q=N_q)
+    out = np.zeros((2 * K + 1) ** 2, dtype=np.complex128)
+    covered = np.zeros(out.size, dtype=bool)
+    covered[out.size // 2] = True
+    for A, c in g.vectors.items():
+        if c.size:
+            idx = support(A, K)
+            E = _line_phases(A, K, N_q, zero=False)
+            out[idx] = E.conj().T @ (E @ c + g.mean) / E.shape[0]
+            covered[idx] = True
+    if not covered.all():
+        k = _first_frequency(~covered.reshape((2 * K + 1,) * 2), K)
+        raise IncompleteCover(f"no slice orthogonal to k={k}")
     first = g.subspaces[0]
-    v0 = PrimitiveDirection(first.basis[0])
-    arr[K, K] = slice_reconstruct_coeff(stored[first], (0, 0), v0, N_q=N_q)
-    return TorusField(2, K, arr)
+    out[out.size // 2] = np.mean(_line_phases(first, K, N_q, zero=True) @ g.vectors[first] + g.mean)
+    return TorusField(2, K, out.reshape((2 * K + 1,) * 2))
 
 
 def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:

@@ -197,10 +197,6 @@ def zero_sinogram(n: int, d: int, K: int, family) -> TorusSinogram:
         n, d, K, 0j, {A: np.zeros(support(A, K).size, np.complex128) for A in members})
 
 
-def _slice_field_with_mean(g: TorusSinogram, A: RationalSubspace) -> TorusField:
-    return _dense(g.n, g.K, A, g.vectors[A], g.mean)
-
-
 # --- weight rules -------------------------------------------------------------
 
 

@@ -120,6 +120,11 @@ def _corrupt_probe(tmp_path, kind):
                     "--out", sino]) == 0
         next(sino.glob("slice_*.tfield")).unlink()
         return reconstruct
+    if kind.startswith("config"):
+        cfg = tmp_path / "cfg.json"
+        if kind != "config missing":
+            cfg.write_text("{bad" if kind == "config not json" else "[1]")
+        return ["sweep", "--config", cfg, "--output", tmp_path / "sweep"]
     if kind.startswith("csv"):
         csv = tmp_path / "euclid.csv"
         common = ["--cover", "1", "--band", "1", "--offsets", "8"]
@@ -145,7 +150,8 @@ def _corrupt_probe(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces",
                                   "missing sinogram directory", "sinogram missing a slice file",
-                                  "csv with three fields", "csv with nan", "csv missing"])
+                                  "csv with three fields", "csv with nan", "csv missing",
+                                  "config missing", "config not json", "config not an object"])
 def test_corrupt_input_exit_code(tmp_path, capsys, kind):
     assert run(_corrupt_probe(tmp_path, kind)) == 2
     assert "error:" in capsys.readouterr().err

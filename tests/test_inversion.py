@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from torusradon.inversion import (
     slice_reconstruct_coeff,
 )
 from torusradon.lattice import (
+    PrimitiveDirection,
     direction_cover,
     frequency_band,
     hyperplane_cover,
@@ -113,6 +117,84 @@ def test_slice_path_agrees_with_filtered_path_on_noisy_data(rng):
     a = reconstruct_slices(noisy)
     b = invert_filtered(noisy, w)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
+
+
+def slices_oracle(g, N_q=None):
+    """The per-frequency loop reconstruct_slices replaced: for each band
+    frequency k, the dense slice of the line orthogonal to k, with the mean
+    at k = 0, and one slice_reconstruct_coeff quadrature; k = 0 from the
+    first stored line."""
+    K = g.K
+    arr = np.zeros((2 * K + 1,) * 2, dtype=np.complex128)
+
+    def with_mean(A):
+        coeffs = g.slice(A).coeffs.copy()
+        coeffs[K, K] = g.mean
+        return TorusField(2, K, coeffs)
+
+    dense = {}
+    for k in frequency_band(2, K, punctured=True):
+        A = line(orthogonal_primitive(k))
+        if A not in g.vectors:
+            raise IncompleteCover(f"no slice orthogonal to k={k}")
+        if A not in dense:
+            dense[A] = with_mean(A)
+        arr[k[0] + K, k[1] + K] = slice_reconstruct_coeff(dense[A], k, PrimitiveDirection(A.basis[0]),
+                                                          N_q=N_q)
+    first = g.subspaces[0]
+    arr[K, K] = slice_reconstruct_coeff(with_mean(first), (0, 0), PrimitiveDirection(first.basis[0]),
+                                        N_q=N_q)
+    return TorusField(2, K, arr)
+
+
+def test_reconstruct_slices_matches_per_frequency_oracle(rng):
+    from torusradon.bridge import bridge_ingest, disk_sinogram
+    from torusradon.experiments import add_noise
+
+    K = 16
+    f, g, _ = planar_setup(K, rng)
+    cover = direction_cover(K)
+    bridged = bridge_ingest(disk_sinogram(cover, 256, 0.2), cover, K)
+    for data in (add_noise(g, 0.3, 0.0, 2024), bridged):
+        got = reconstruct_slices(data).coeffs
+        assert np.max(np.abs(got - slices_oracle(data).coeffs)) < 1e-13
+
+
+def test_reconstruct_slices_incomplete_cover(rng):
+    K = 4
+    f, g, _ = planar_setup(K, rng)
+    partial = TorusSinogram.from_vectors(
+        2, 1, K, g.mean, {A: v for A, v in g.vectors.items() if A != line((1, 2))})
+    # the first frequency orthogonal to (1, 2), in lexicographic order
+    with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")):
+        reconstruct_slices(partial)
+    with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")):
+        slices_oracle(partial)
+
+
+def test_reconstruct_slices_quadrature_size(rng):
+    K = 4
+    f, g, _ = planar_setup(K, rng)
+    threshold = max(2 * K * sum(abs(x) for x in A.basis[0]) for A in g.subspaces)
+    with pytest.raises(ValueError, match="threshold"):
+        reconstruct_slices(g, N_q=threshold)
+    default = reconstruct_slices(g).coeffs
+    for N_q in (threshold + 1, 3 * threshold + 7):
+        assert np.max(np.abs(reconstruct_slices(g, N_q=N_q).coeffs - default)) < 1e-12
+
+
+def test_reconstruct_slices_peak_memory(rng):
+    K = 16
+    f, g, _ = planar_setup(K, rng)
+    reconstruct_slices(g)  # fills the support-index cache
+    tracemalloc.start()
+    try:
+        reconstruct_slices(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.subspaces) == 320
+    assert peak < 1e6  # no dense slice: the result holds 1,089 values
 
 
 def test_adjoint_single_harmonic_identity():
