@@ -39,6 +39,7 @@ from .sinogram import (
     HEIGHT_DECAY,
     TorusSinogram,
     canonical_weight,
+    layout,
     sinogram_norm,
     support,
     weight_on_family,
@@ -69,20 +70,20 @@ def derive_seed(master: int, index: int) -> int:
 def add_noise(g: TorusSinogram, eps: float, t: float, seed: int) -> TorusSinogram:
     """Add pseudo-random data-space noise of exact H^t data norm eps.
 
-    The noise is drawn on each slice's coefficient vector, so it respects
-    the support rule, and on the shared average. It is Hermitian (the -k
-    partner of a vector entry is its mirror entry), so real data stays
-    real. Deterministic in the seed."""
+    The noise is one draw on the sinogram's flat values, so it respects the
+    support rule, then one on the shared average. It is Hermitian (the -k
+    partner of each entry is its mirror entry in the layout), so real data
+    stays real. Deterministic in the seed."""
     if eps < 0:
         raise ParamViolation("eps must be nonnegative")
     if eps == 0:
         return g
     rng = np.random.default_rng(seed)
-    vectors = {}
-    for A, v in g.vectors.items():
-        raw = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
-        vectors[A] = (raw + np.conj(raw[::-1])) / 2.0
-    noise = TorusSinogram.from_vectors(g.n, g.d, g.K, complex(rng.standard_normal()), vectors)
+    real, imag = rng.standard_normal((2, g.values.size))
+    raw = real + 1j * imag
+    mirror = layout(g.members, g.K)[2]
+    noise = TorusSinogram.from_values(g.n, g.d, g.K, complex(rng.standard_normal()), g.members,
+                                      (raw + np.conj(raw[mirror])) / 2.0)
     scale = eps / sinogram_norm(noise, t, _norm_weight(g))
     return g + scale * noise
 
@@ -105,11 +106,12 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
     A = line(orthogonal_primitive(k))
     if A not in g.vectors:
         raise ConfigInvalid(f"family lacks the direction orthogonal to probe frequency {k}")
-    idx = support(A, g.K)
-    at = np.searchsorted(idx, np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
-    vectors = {B: np.zeros_like(v) for B, v in g.vectors.items()}
-    vectors[A][[at, idx.size - 1 - at]] = 1.0
-    noise = TorusSinogram.from_vectors(g.n, g.d, g.K, 0j, vectors)
+    _, offsets, mirror = layout(g.members, g.K)
+    at = offsets[g.members.index(A)] + np.searchsorted(
+        support(A, g.K), np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
+    values = np.zeros(g.values.size, np.complex128)
+    values[[at, mirror[at]]] = 1.0
+    noise = TorusSinogram.from_values(g.n, g.d, g.K, 0j, g.members, values)
     scale = eps / sinogram_norm(noise, t, _norm_weight(g))
     return g + scale * noise
 
@@ -135,6 +137,44 @@ METHODS = {
 }
 
 
+def _finite(v) -> bool:
+    """A JSON number that fits a finite float; a bool is not a number here."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+# Config fields, and those of its noise and reg objects: (check, valid value).
+# `type(v) is int` refuses a bool; `in` on a tuple of strings never hashes v.
+_NUMBER = (_finite, "a finite number")
+_INT = (lambda v: type(v) is int, "an integer")
+_POSITIVE = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_FIELDS = {
+    "phantom": (lambda v: isinstance(v, dict) and isinstance(v.get("kind"), str),
+                "an object with a string 'kind'"),
+    "band": _POSITIVE, "grid": _INT, "seed": _INT, "noise": _OBJECT, "reg": _OBJECT,
+    "cover_radius": (lambda v: v is None or _POSITIVE[0](v), "a positive integer"),
+    "weight": (lambda v: v in ("canonical", "height-decay"), "'canonical' or 'height-decay'"),
+    "method": (lambda v: v in tuple(METHODS), f"one of {tuple(METHODS)}"),
+    "output": (lambda v: v is None or isinstance(v, str), "a string"),
+    "error_norms": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                    "a list of finite numbers"),
+}
+_NOISE = {
+    "eps": (lambda v: isinstance(v, list) and all(_finite(e) and e >= 0 for e in v),
+            "a list of finite numbers >= 0"),
+    "t": _NUMBER,
+    "kind": (lambda v: v in ("random", "probe"), "'random' or 'probe'"),
+}
+_REG = {
+    "r": _NUMBER, "s": _NUMBER, "delta": _NUMBER,
+    "alpha": (lambda v: v is None or _finite(v), "a finite number"),
+    "schedule": (lambda v: v in ("strategy", "optimal"), "'strategy' or 'optimal'"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     phantom_kind: str = "harmonic"
@@ -156,49 +196,29 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         problems = []
+        for prefix, fields, given in (("", _FIELDS, raw), ("noise.", _NOISE, raw.get("noise")),
+                                      ("reg.", _REG, raw.get("reg"))):
+            for key, val in given.items() if isinstance(given, dict) else ():
+                if key not in fields:
+                    problems.append(f"{prefix}{key}: unknown field")
+                elif not fields[key][0](val):
+                    problems.append(f"{prefix}{key}: need {fields[key][1]}, got {val!r}")
+        if problems:
+            raise ConfigInvalid("; ".join(problems))
         cfg = ExperimentConfig()
-        known = {
-            "phantom": dict, "band": int, "grid": int, "cover_radius": int,
-            "weight": str, "method": str, "reg": dict, "noise": dict,
-            "seed": int, "output": str, "error_norms": list,
-        }
-        for key in raw:
-            if key not in known:
-                problems.append(f"{key}: unknown field")
-        ph = raw.get("phantom", {})
-        if ph:
-            if not isinstance(ph, dict) or "kind" not in ph:
-                problems.append("phantom: must be an object with a 'kind'")
-            else:
-                cfg.phantom_kind = ph["kind"]
-                cfg.phantom_params = {k: v for k, v in ph.items() if k != "kind"}
-        for key, attr in [("band", "band"), ("grid", "grid"), ("seed", "seed"),
-                          ("cover_radius", "cover_radius"), ("weight", "weight"),
-                          ("method", "method"), ("output", "output"),
-                          ("error_norms", "error_norms"), ("reg", "reg")]:
-            if key in raw:
-                setattr(cfg, attr, raw[key])
+        if "phantom" in raw:
+            cfg.phantom_kind = raw["phantom"]["kind"]
+            cfg.phantom_params = {k: v for k, v in raw["phantom"].items() if k != "kind"}
+        for key in raw.keys() - {"phantom", "noise"}:  # the rest are attributes by name
+            setattr(cfg, key, raw[key])
         noise = raw.get("noise", {})
-        if noise:
-            cfg.noise_eps = list(noise.get("eps", []))
-            cfg.noise_t = float(noise.get("t", 0.0))
-            cfg.noise_kind = noise.get("kind", "random")
-        if not isinstance(cfg.band, int) or cfg.band < 1:
-            problems.append("band: need a positive integer")
-        if not isinstance(cfg.grid, int) or cfg.grid < 2 * cfg.band + 2:
+        cfg.noise_eps, cfg.noise_t = list(noise.get("eps", [])), float(noise.get("t", 0.0))
+        cfg.noise_kind = noise.get("kind", "random")
+        if cfg.grid < 2 * cfg.band + 2:
             problems.append(f"grid: need an integer >= 2*band+2 = {2 * cfg.band + 2}")
-        if cfg.method not in METHODS:
-            problems.append(f"method: {cfg.method!r} not one of {tuple(METHODS)}")
-        if cfg.weight not in ("canonical", "height-decay"):
-            problems.append(f"weight: {cfg.weight!r} not 'canonical' or 'height-decay'")
-        if cfg.noise_kind not in ("random", "probe"):
-            problems.append(f"noise.kind: {cfg.noise_kind!r} not 'random' or 'probe'")
-        if any(e < 0 for e in cfg.noise_eps):
-            problems.append("noise.eps: entries must be nonnegative")
         if cfg.method == "tikhonov":
-            for fld in ("r", "s"):
-                if fld not in cfg.reg:
-                    problems.append(f"reg.{fld}: required for the tikhonov method")
+            problems += [f"reg.{f}: required for the tikhonov method"
+                         for f in "rs" if f not in cfg.reg]
         if problems:
             raise ConfigInvalid("; ".join(problems))
         if cfg.cover_radius is None:
@@ -239,9 +259,7 @@ def _error_report(truth: TorusField, rec: TorusField, cfg: ExperimentConfig,
                   extra_params: dict) -> ReconstructionReport:
     N = cfg.grid
     diff = rec - truth
-    errors = {}
-    for s in cfg.error_norms:
-        errors[f"H{float(s):g}"] = sobolev_norm(diff, float(s))
+    errors = {f"H{float(s):g}": sobolev_norm(diff, float(s)) for s in cfg.error_norms}
     tg = to_samples(truth, N).real
     rg = to_samples(rec, N).real
     errors["grid_l2"] = float(np.sqrt(np.mean((tg - rg) ** 2)))
@@ -258,10 +276,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
     ph = phantom(cfg.phantom_kind, cfg.phantom_params, cfg.band, cfg.grid)
     truth = ph.field
     cover = direction_cover(cfg.cover_radius)
-    if cfg.weight == "canonical":
-        w = canonical_weight(cover, cfg.band)
-    else:
-        w = weight_on_family(HEIGHT_DECAY, cover, cfg.band)
+    w = (canonical_weight(cover, cfg.band) if cfg.weight == "canonical"
+         else weight_on_family(HEIGHT_DECAY, cover, cfg.band))
     g0 = forward_sinogram(truth, cover)
     eps_list = cfg.noise_eps if cfg.noise_eps else [0.0]
     outdir = Path(cfg.output) if cfg.output else None
@@ -435,8 +451,7 @@ def _check_noise_determinism(rng):
     g = forward_sinogram(random_field(2, K, rng, real=True), cover)
     a = add_noise(g, 0.25, 0.0, 1234)
     b = add_noise(g, 0.25, 0.0, 1234)
-    same = a.mean == b.mean and all(
-        np.array_equal(a.vectors[A], b.vectors[A]) for A in a.subspaces)
+    same = a.mean == b.mean and np.array_equal(a.values, b.values)
     return same, 0.0 if same else 1.0
 
 

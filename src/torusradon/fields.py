@@ -39,10 +39,7 @@ def k_grids(n: int, K: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=128)
 def bracket_sq(n: int, K: int) -> np.ndarray:
     """<k>^2 = 1 + |k|^2 over the band, float64."""
-    out = np.ones((2 * K + 1,) * n)
-    for g in k_grids(n, K):
-        out += g.astype(np.float64) ** 2
-    return frozen(out)
+    return frozen(1.0 + sum(g.astype(np.float64) ** 2 for g in k_grids(n, K)))
 
 
 def dot_mask(basis: tuple[IntVec, ...], K: int) -> np.ndarray:

@@ -130,7 +130,7 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
     stored subspaces orthogonal to k; the k = 0 slot gets the shared mean
     against the summed squared zero-frequency weights."""
     _check_weight_defined(g, w)
-    return TorusField(g.n, g.K, weighted_scatter(g.subspaces, w, g.vectors.values(), g.mean))
+    return TorusField(g.n, g.K, weighted_scatter(g.members, w, g.values, g.mean))
 
 
 def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
@@ -139,20 +139,16 @@ def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
     return w.normal_value(k)
 
 
-def effective_normal_array(g: TorusSinogram, w: WeightRule) -> np.ndarray:
-    """W(k) restricted to the subspaces actually stored in g; coincides with
-    the rule's certified array when the data lives on the full family."""
-    return weighted_scatter(g.subspaces, w)
-
-
 def _first_frequency(mask: np.ndarray, K: int) -> IntVec:
     return tuple(int(i) - K for i in np.argwhere(mask)[0])
 
 
 def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Exact left inverse on range data: adjoint followed by division by the
-    normal multiplier. Raises SingularFilter if W vanishes on the band."""
-    W = effective_normal_array(g, w)
+    normal multiplier over the members stored in g (the rule's certified W
+    when g lives on its whole family). Raises SingularFilter if W vanishes
+    on the band."""
+    W = weighted_scatter(g.members, w)
     if float(W.min()) <= 0.0:
         raise SingularFilter(f"normal multiplier vanishes at k={_first_frequency(W <= 0.0, g.K)}")
     return TorusField(g.n, g.K, adjoint(g, w).coeffs / W)
@@ -179,11 +175,11 @@ def invert_sum(g: TorusSinogram) -> TorusField:
     scale = max(1.0, plain_magnitude(g))
     if abs(g.mean) > NONZERO_MEAN_RTOL * scale:
         raise NonzeroMean(f"|mean| = {abs(g.mean):.3e} exceeds {NONZERO_MEAN_RTOL:.0e} x norm")
-    covered = scatter(g.n, g.K, g.subspaces, (np.ones(v.size) for v in g.vectors.values()), 1.0)
+    covered = scatter(g.n, g.K, g.members, np.ones(g.values.size), 1.0)
     if float(covered.min()) == 0.0:
         k = _first_frequency(covered == 0.0, g.K)
         raise IncompleteCover(f"family lacks the hyperplane orthogonal to k={k}")
-    return TorusField(g.n, g.K, scatter(g.n, g.K, g.subspaces, g.vectors.values()))
+    return TorusField(g.n, g.K, scatter(g.n, g.K, g.members, g.values))
 
 
 @dataclass

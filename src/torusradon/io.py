@@ -121,17 +121,24 @@ def write_pgm(image: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> tuple[np.ndarray, float, float]:
-    """Read back a P5 written by write_pgm: (scaled array, min, max)."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
+    """Read back a P5 written by write_pgm: (scaled array, min, max).
+    Raises CorruptInput on a malformed, truncated or unreadable file."""
+    try:
+        magic, comment, size, maxval, data = Path(path).read_bytes().split(b"\n", 4)
         if magic != b"P5":
             raise ValueError("not a P5 PGM")
-        comment = fh.readline().decode("ascii")
-        parts = dict(tok.split("=") for tok in comment.replace("#", "").split() if "=" in tok)
+        parts = dict(tok.split("=") for tok in comment.decode("ascii").replace("#", "").split()
+                     if "=" in tok)
         lo, hi = float(parts["min"]), float(parts["max"])
-        w, h = (int(t) for t in fh.readline().split())
-        maxval = int(fh.readline())
-        raw = np.frombuffer(fh.read(), dtype=">u2").reshape(h, w)
+        w, h = (int(t) for t in size.split())
+        maxval = int(maxval)
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < maxval < 65536):
+            raise ValueError(f"bad scale min={lo}, max={hi} or maxval={maxval}")
+        raw = np.frombuffer(data, dtype=">u2").reshape(h, w)
+    except OSError as e:
+        raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
+    except (ValueError, KeyError, UnicodeDecodeError) as e:
+        raise CorruptInput(f"{path}: bad PGM: {e!r}") from e
     img = raw.astype(np.float64) / maxval * (hi - lo) + lo if hi > lo else np.full((h, w), lo)
     return img, lo, hi
 

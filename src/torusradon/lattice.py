@@ -39,10 +39,7 @@ class PrimitiveDirection:
     def __post_init__(self):
         if not any(self.v):
             raise ZeroVector("primitive direction must be nonzero")
-        g = 0
-        for x in self.v:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*self.v) != 1:
             raise ValueError(f"entries not coprime: {self.v}")
         if self.v != _canonical_sign(self.v):
             raise ValueError(f"sign not canonical: {self.v}")
@@ -67,9 +64,7 @@ def primitive_reduce(v: Sequence[int]) -> PrimitiveDirection:
     vec = _as_intvec(v)
     if not any(vec):
         raise ZeroVector("cannot reduce the zero vector")
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     return PrimitiveDirection(_canonical_sign(tuple(x // g for x in vec)))
 
 
@@ -88,23 +83,9 @@ def enumerate_directions(n: int, H: int) -> list[PrimitiveDirection]:
     lexicographically."""
     if H < 1:
         raise ValueError("H must be >= 1")
-    out = []
-    for v in itertools.product(range(-H, H + 1), repeat=n):
-        if not any(v):
-            continue
-        for x in v:
-            if x != 0:
-                first = x
-                break
-        if first < 0:
-            continue
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g == 1:
-            out.append(PrimitiveDirection(v))
-    out.sort()
-    return out
+    # v > 0 lexicographically iff its first nonzero entry is positive
+    return sorted(PrimitiveDirection(v) for v in itertools.product(range(-H, H + 1), repeat=n)
+                  if v > (0,) * n and gcd(*v) == 1)
 
 
 # --- exact row operations -------------------------------------------------
@@ -153,9 +134,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
     m = len(mats)
     if m == 0:
         return row_hnf([[1 if j == i else 0 for j in range(n)] for i in range(n)], n)
-    aug = []
-    for i in range(n):
-        aug.append([mats[r][i] for r in range(m)] + [1 if j == i else 0 for j in range(n)])
+    aug = [[mats[r][i] for r in range(m)] + [int(j == i) for j in range(n)] for i in range(n)]
     h = row_hnf(aug, m + n)
     ker = [r[m:] for r in h if not any(r[:m])]
     return row_hnf(ker, n)
@@ -298,31 +277,16 @@ def _enumerate_grassmannian_cached(d: int, n: int, H: int) -> tuple[RationalSubs
         return tuple(line(v) for v in enumerate_directions(n, H))
     out = []
     for pivcols in itertools.combinations(range(n), d):
-        free_positions = []
-        reduced_positions = []
-        for i in range(d):
-            for c in range(pivcols[i] + 1, n):
-                if c in pivcols:
-                    m = pivcols.index(c)
-                    if m > i:
-                        reduced_positions.append((i, c, m))
-                else:
-                    free_positions.append((i, c))
         for pivots in itertools.product(range(1, H + 1), repeat=d):
-            red_ranges = [range(pivots[m]) for (_, _, m) in reduced_positions]
-            for red in itertools.product(*red_ranges):
-                base = [[0] * n for _ in range(d)]
-                for i in range(d):
-                    base[i][pivcols[i]] = pivots[i]
-                for (i, c, _), val in zip(reduced_positions, red):
-                    base[i][c] = val
-                for free in itertools.product(range(-H, H + 1), repeat=len(free_positions)):
-                    mat = [row[:] for row in base]
-                    for (i, c), val in zip(free_positions, free):
-                        mat[i][c] = val
-                    basis = tuple(tuple(r) for r in mat)
-                    if _is_saturated(basis, n):
-                        out.append(RationalSubspace(n=n, d=d, basis=basis))
+            # entry (i, c): row i's pivot, zero left of it, reduced into [0, p)
+            # above a later row's pivot p, free in [-H, H] elsewhere
+            ranges = [(pivots[i],) if c == pivcols[i] else (0,) if c < pivcols[i]
+                      else range(pivots[pivcols.index(c)]) if c in pivcols else range(-H, H + 1)
+                      for i in range(d) for c in range(n)]
+            for flat in itertools.product(*ranges):
+                basis = tuple(flat[i * n:(i + 1) * n] for i in range(d))
+                if _is_saturated(basis, n):
+                    out.append(RationalSubspace(n=n, d=d, basis=basis))
     out.sort()
     return tuple(out)
 
@@ -344,10 +308,7 @@ def omega_k(k: Sequence[int], d: int, n: int, H: int) -> list[RationalSubspace]:
 
 def frequency_band(n: int, K: int, punctured: bool = False) -> list[IntVec]:
     """Integer frequencies with sup-norm at most K, lexicographic order."""
-    out = list(itertools.product(range(-K, K + 1), repeat=n))
-    if punctured:
-        out = [k for k in out if any(k)]
-    return out
+    return [k for k in itertools.product(range(-K, K + 1), repeat=n) if any(k) or not punctured]
 
 
 def direction_cover(R: int, n: int = 2) -> list[PrimitiveDirection]:
@@ -363,24 +324,15 @@ def direction_cover(R: int, n: int = 2) -> list[PrimitiveDirection]:
         raise ValueError("R must be >= 0")
     if R == 0:
         return [PrimitiveDirection((1, 0))]
-    lines = enumerate_directions(2, R)
-    scored = []
-    for ell in lines:
-        count = 2 * (R // max(abs(x) for x in ell.v))
-        v = orthogonal_primitive(ell.v)
-        scored.append((-count, v))
-    scored.sort()
+    scored = sorted((-2 * (R // max(abs(x) for x in ell.v)), orthogonal_primitive(ell.v))
+                    for ell in enumerate_directions(2, R))
     return [v for _, v in scored]
 
 
 def hyperplane_cover(K: int, n: int) -> list[RationalSubspace]:
     """All hyperplanes k-perp for 0 < |k|_inf <= K, deduplicated and sorted.
     The minimal family on which the full-band hyperplane sum inverts."""
-    seen = {}
-    for v in enumerate_directions(n, K):
-        A = orthogonal_complement(v.v)
-        seen[A] = None
-    return sorted(seen)
+    return sorted({orthogonal_complement(v.v) for v in enumerate_directions(n, K)})
 
 
 def orthogonal_line(k: Sequence[int]) -> RationalSubspace:
@@ -405,7 +357,4 @@ def line_cover(K: int, n: int) -> list[RationalSubspace]:
     frequency 0 < |k|_inf <= K. For n = 2 this is the direction cover."""
     if n == 2:
         return [line(v) for v in direction_cover(K, 2)]
-    out = {}
-    for k in frequency_band(n, K, punctured=True):
-        out[orthogonal_line(k)] = None
-    return sorted(out)
+    return sorted({orthogonal_line(k) for k in frequency_band(n, K, punctured=True)})

@@ -88,9 +88,13 @@ _KINDS = {"harmonic": _harmonic, "disk": _disk, "multi-bump": _multi_bump}
 
 
 def phantom(kind: str, params: dict, K: int, N: int) -> Phantom:
-    """Build a real band-limited phantom at band K from an N x N grid."""
+    """Build a real band-limited phantom at band K from an N x N grid;
+    malformed parameters (wrong types or shapes) raise BadParams."""
     if kind not in _KINDS:
         raise BadParams(f"unknown phantom kind {kind!r}; choose from {sorted(_KINDS)}")
     if N < 2 * K + 2:
         raise BadParams(f"grid N={N} too coarse for band K={K}")
-    return _KINDS[kind](params, K, N)
+    try:
+        return _KINDS[kind](params, K, N)
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as e:
+        raise BadParams(f"malformed {kind} phantom parameters: {e!r}") from e

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
 from .fields import TorusField, bracket_sq, sobolev_norm
-from .inversion import adjoint, effective_normal_array
-from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm
+from .inversion import adjoint
+from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm, weighted_scatter
 from .transforms import forward_sinogram
 
 
@@ -67,7 +67,7 @@ def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: 
     """Weighted d-plane analogue (experimental, beyond the planar theory):
     per-coefficient minimizer adjoint / (W + alpha <k>^(2(s-r)))."""
     _check_minimizer_params(r, s, alpha)
-    W = effective_normal_array(g, w)
+    W = weighted_scatter(g.members, w)
     back = adjoint(g, w)
     denom = W + alpha * bracket_sq(g.n, g.K) ** float(s - r)
     return TorusField(g.n, g.K, back.coeffs / denom)

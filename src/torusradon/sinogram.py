@@ -3,16 +3,21 @@ rules that define the data-space norms.
 
 The transform along a subspace A keeps exactly the coefficients with k
 orthogonal to A, so a slice lives on the lattice A^perp in the band. A
-sinogram stores one coefficient vector per subspace on `support(A, K)`,
-plus the single shared average that owns every k = 0 slot; data off A^perp
-cannot be represented. Forward maps gather into the vectors and every
-adjoint-type operator scatters out of them (`scatter`), so this module
-alone decides where slice data lives. Dense slices are built on request
-(`slice`, `slices`); on disk each slice stays one dense field file (io).
+sinogram stores all its slices as one flat complex array `values`, laid out
+by `layout(members, K)`: the members' `support(A, K)` indices concatenated
+in sorted member order, each member starting at its offset. The single
+shared average owns every k = 0 slot; data off A^perp cannot be
+represented. Forward maps gather into `values` and every adjoint-type
+operator scatters out of it in one bincount (`scatter`), so this module
+alone decides where slice data lives. `vectors[A]` are views of `values`;
+dense slices are built on request (`slice`, `slices`); on disk each slice
+stays one dense field file (io).
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and certifies its constants on the band by
-exhaustive summation.
+exhaustive summation. On any layout its squared weights are one flat array
+plus one w(0, A)^2 per member (`WeightRule.squared`), so every operator on
+transform data is a single numpy expression over the family.
 """
 
 from __future__ import annotations
@@ -59,6 +64,19 @@ def support(A: RationalSubspace, K: int) -> np.ndarray:
     return frozen(idx[idx != (2 * K + 1) ** A.n // 2])
 
 
+@lru_cache(maxsize=64)
+def layout(members: tuple, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (index, offsets, mirror) of the flat layout of a sorted
+    member tuple. index concatenates the members' support(A, K); member i
+    owns entries offsets[i]:offsets[i+1]; entry mirror[j] holds the k -> -k
+    partner of entry j (each member's block reversed)."""
+    sizes = [support(A, K).size for A in members]
+    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    index = np.concatenate([np.zeros(0, np.int64), *(support(A, K) for A in members)])
+    ends = np.repeat(offsets[:-1] + offsets[1:] - 1, sizes)
+    return frozen(index), frozen(offsets), frozen(ends - np.arange(index.size))
+
+
 def gather(A: RationalSubspace, f: TorusField) -> np.ndarray:
     """The coefficients of f on support(A, f.K). Raises ValueError if f has
     a nonzero coefficient off A^perp; the k = 0 coefficient is dropped."""
@@ -72,17 +90,16 @@ def gather(A: RationalSubspace, f: TorusField) -> np.ndarray:
     return v
 
 
-def scatter(n: int, K: int, members, vectors, center: complex = 0.0) -> np.ndarray:
-    """Dense band array whose entry k sums, over the members in the order
-    given, each member's vector entry at k; the k = 0 entry is `center`.
-    Real vectors give a real array."""
+def scatter(n: int, K: int, members, values: np.ndarray, center: complex = 0.0) -> np.ndarray:
+    """Dense band array whose entry k sums the entries of the flat values on
+    layout(members, K) that sit at k; the k = 0 entry is `center`. Real
+    values give a real array."""
     size = (2 * K + 1) ** n
-    idx = np.concatenate([np.zeros(0, np.int64), *(support(A, K) for A in members)])
-    vals = np.concatenate([np.zeros(0), *vectors])
-    out = np.bincount(idx, vals.real, size)
-    if np.iscomplexobj(vals) or np.iscomplexobj(center):
+    idx = layout(members, K)[0]
+    out = np.bincount(idx, values.real, size)
+    if np.iscomplexobj(values) or np.iscomplexobj(center):
         out = out.astype(np.complex128)
-        out.imag = np.bincount(idx, vals.imag, size)
+        out.imag = np.bincount(idx, values.imag, size)
     out[size // 2] = center
     return out.reshape((2 * K + 1,) * n)
 
@@ -92,6 +109,15 @@ def _dense(n: int, K: int, A: RationalSubspace, values, center: complex = 0j) ->
     out[support(A, K)] = values
     out[out.size // 2] = center
     return TorusField(n, K, out.reshape((2 * K + 1,) * n))
+
+
+def _flatten(n: int, d: int, K: int, vectors: Mapping[RationalSubspace, np.ndarray]):
+    """(sorted members, their vectors concatenated in that order)."""
+    for A, v in vectors.items():
+        if (A.n, A.d) != (n, d) or np.shape(v) != support(A, K).shape:
+            raise DimensionMismatch(f"slice for {A} does not fit (n={n}, d={d}, K={K})")
+    members = tuple(sorted(vectors))
+    return members, np.concatenate([np.zeros(0, np.complex128), *(vectors[A] for A in members)])
 
 
 class _DenseSlices(Mapping):
@@ -104,19 +130,21 @@ class _DenseSlices(Mapping):
         return self._g.slice(A)
 
     def __iter__(self):
-        return iter(self._g.vectors)
+        return iter(self._g.members)
 
     def __len__(self):
-        return len(self._g.vectors)
+        return len(self._g.members)
 
 
 class TorusSinogram:
-    """Transform data: for each subspace A of the family, the coefficient
-    vector on support(A, K), plus the one shared average.
+    """Transform data: one read-only complex array `values` on
+    layout(members, K), which holds each member's coefficient vector on
+    support(A, K), plus the one shared average.
 
     The constructor takes dense slice fields and gathers them; it raises
     ValueError on a nonzero coefficient off A^perp or at k = 0.
-    `from_vectors` takes the vectors themselves."""
+    `from_vectors` takes the per-member vectors, `from_values` the flat
+    array itself."""
 
     def __init__(self, n: int, d: int, K: int, mean: complex,
                  slices: Mapping[RationalSubspace, TorusField]):
@@ -127,26 +155,42 @@ class TorusSinogram:
             if f.mean() != 0:
                 raise ValueError("slice fields must not carry a k=0 coefficient; the mean is shared")
             vectors[A] = gather(A, f)
-        self._set(n, d, K, mean, vectors)
+        self._set(n, d, K, mean, *_flatten(n, d, K, vectors))
 
     @classmethod
     def from_vectors(cls, n: int, d: int, K: int, mean: complex,
                      vectors: Mapping[RationalSubspace, np.ndarray]) -> "TorusSinogram":
-        g = cls.__new__(cls)
-        g._set(n, d, K, mean, vectors)
-        return g
+        return cls.__new__(cls)._set(n, d, K, mean, *_flatten(n, d, K, vectors))
 
-    def _set(self, n, d, K, mean, vectors) -> None:
-        for A, v in vectors.items():
-            if (A.n, A.d) != (n, d) or np.shape(v) != support(A, K).shape:
-                raise DimensionMismatch(f"slice for {A} does not fit (n={n}, d={d}, K={K})")
-        self.n, self.d, self.K = n, d, K
-        self.mean = complex(mean)
-        self.vectors = {A: vectors[A] for A in sorted(vectors)}
+    @classmethod
+    def from_values(cls, n: int, d: int, K: int, mean: complex,
+                    members: tuple[RationalSubspace, ...], values) -> "TorusSinogram":
+        """The sinogram whose flat array on layout(members, K) is a copy of
+        values; members must be sorted and distinct."""
+        members = tuple(members)
+        if any((A.n, A.d) != (n, d) for A in members) or any(
+                a >= b for a, b in zip(members, members[1:])):
+            raise DimensionMismatch(f"members must be distinct, sorted and fit (n={n}, d={d})")
+        if np.shape(values) != layout(members, K)[0].shape:
+            raise DimensionMismatch(f"{np.shape(values)} values do not fit the layout at K={K}")
+        return cls.__new__(cls)._set(n, d, K, mean, members, np.array(values, np.complex128))
+
+    def _set(self, n, d, K, mean, members, values) -> "TorusSinogram":
+        """Store the layout and values (read-only from here on, not copied)."""
+        self.n, self.d, self.K, self.members = n, d, K, members
+        self.mean, self.values = complex(mean), frozen(values)
+        return self
+
+    @cached_property
+    def vectors(self) -> dict[RationalSubspace, np.ndarray]:
+        """Member -> its coefficient vector, a read-only view of `values`;
+        built once per sinogram."""
+        off = layout(self.members, self.K)[1].tolist()
+        return {A: self.values[a:b] for A, a, b in zip(self.members, off, off[1:])}
 
     @property
     def subspaces(self) -> list[RationalSubspace]:
-        return list(self.vectors)
+        return list(self.members)
 
     def slice(self, member) -> TorusField:
         """Dense slice field of one member (zero at k = 0)."""
@@ -162,39 +206,37 @@ class TorusSinogram:
     def _check_compatible(self, other: "TorusSinogram") -> None:
         if (self.n, self.d, self.K) != (other.n, other.d, other.K):
             raise DimensionMismatch("sinograms have different (n, d, K)")
-        if self.vectors.keys() != other.vectors.keys():
+        if self.members != other.members:
             raise DimensionMismatch("sinograms live on different subspace families")
 
-    def _new(self, mean: complex, vectors) -> "TorusSinogram":
-        return TorusSinogram.from_vectors(self.n, self.d, self.K, mean, vectors)
+    def _new(self, mean: complex, values: np.ndarray) -> "TorusSinogram":
+        return TorusSinogram.__new__(TorusSinogram)._set(self.n, self.d, self.K, mean,
+                                                         self.members, values)
 
     def __add__(self, other: "TorusSinogram") -> "TorusSinogram":
         self._check_compatible(other)
-        return self._new(self.mean + other.mean,
-                         {A: v + other.vectors[A] for A, v in self.vectors.items()})
+        return self._new(self.mean + other.mean, self.values + other.values)
 
     def __sub__(self, other: "TorusSinogram") -> "TorusSinogram":
         self._check_compatible(other)
-        return self._new(self.mean - other.mean,
-                         {A: v - other.vectors[A] for A, v in self.vectors.items()})
+        return self._new(self.mean - other.mean, self.values - other.values)
 
     def __mul__(self, scalar: complex) -> "TorusSinogram":
         c = complex(scalar)
-        return self._new(self.mean * c, {A: v * c for A, v in self.vectors.items()})
+        return self._new(self.mean * c, self.values * c)
 
     __rmul__ = __mul__
 
     def without_mean(self) -> "TorusSinogram":
-        return self._new(0j, self.vectors)
+        return self._new(0j, self.values)
 
     def with_mean(self, mean: complex) -> "TorusSinogram":
-        return self._new(mean, self.vectors)
+        return self._new(mean, self.values)
 
 
 def zero_sinogram(n: int, d: int, K: int, family) -> TorusSinogram:
-    members = [as_subspace(A) for A in family]
-    return TorusSinogram.from_vectors(
-        n, d, K, 0j, {A: np.zeros(support(A, K).size, np.complex128) for A in members})
+    members = tuple(sorted({as_subspace(A) for A in family}))
+    return TorusSinogram.from_values(n, d, K, 0j, members, np.zeros(layout(members, K)[0].size))
 
 
 # --- weight rules -------------------------------------------------------------
@@ -234,17 +276,20 @@ class WeightRule:
             return float(base) ** (-A.height)
         return self._custom.get((k, A), math.nan)
 
-    def weights(self, A: RationalSubspace) -> np.ndarray:
-        """w(., A) on support(A, K), NaN where undefined."""
-        idx = support(A, self.K)
+    @lru_cache(maxsize=64)
+    def squared(self, members: tuple[RationalSubspace, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (w(k, A)^2 as one flat array on layout(members, K),
+        w(0, A)^2 per member), NaN where undefined; cached per (rule, members)."""
+        index, offsets, _ = layout(members, self.K)
+        zero = np.array([self._lookup((0,) * self.n, A) for A in members]) ** 2
         if self.kind != CUSTOM:  # the built-in kinds are constant off k = 0
-            return np.full(idx.size, self._lookup((1,) + (0,) * (self.n - 1), A))
-        ks = np.stack(np.unravel_index(idx, (2 * self.K + 1,) * self.n), axis=1) - self.K
-        return np.array([self._lookup(tuple(int(x) for x in k), A) for k in ks])
-
-    def zero_weight(self, A: RationalSubspace) -> float:
-        """w(0, A), NaN where undefined."""
-        return self._lookup((0,) * self.n, A)
+            k1 = (1,) + (0,) * (self.n - 1)
+            w = np.repeat([self._lookup(k1, A) for A in members], np.diff(offsets))
+        else:
+            ks = np.column_stack(np.unravel_index(index, (2 * self.K + 1,) * self.n)) - self.K
+            owners = [A for A, m in zip(members, np.diff(offsets).tolist()) for _ in range(m)]
+            w = np.array([self._lookup(tuple(k), A) for k, A in zip(ks.tolist(), owners)])
+        return frozen(np.asarray(w, np.float64) ** 2), frozen(zero)
 
     def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
         kk = tuple(int(x) for x in k)
@@ -268,23 +313,22 @@ class WeightRule:
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band;
         the implemented families are k-independent, so m_A = 0."""
-        wa = np.append(self.weights(A), self.zero_weight(A))
+        wa = np.sqrt(np.concatenate(self.squared((A,))))
         defined = wa[~np.isnan(wa)]
         if defined.size == 0:
             raise WeightUndefined(f"no weight values stored for {A.serialize()!r}")
         return float(defined.min()), 0.0
 
 
-def weighted_scatter(members, w: WeightRule, vectors=None, mean: complex = 1.0) -> np.ndarray:
-    """Sum over the members of w(k, A)^2 times each member's vector (ones
-    when vectors is None), with mean times the summed w(0, A)^2 at k = 0;
-    undefined weights count as zero. With data vectors this is the adjoint,
-    without them the normal multiplier W."""
-    w2 = [np.nan_to_num(w.weights(A)) ** 2 for A in members]
-    if vectors is not None:
-        w2 = [a * v for a, v in zip(w2, vectors)]
-    w0 = sum(np.nan_to_num(w.zero_weight(A)) ** 2 for A in members)
-    return scatter(w.n, w.K, members, w2, w0 * mean)
+def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex = 1.0) -> np.ndarray:
+    """Sum over the members of w(k, A)^2 times the flat values on
+    layout(members, K) (ones when values is None), with mean times the
+    summed w(0, A)^2 at k = 0; undefined weights count as zero. With data
+    values this is the adjoint, without them the normal multiplier W."""
+    w2, w0 = w.squared(members)
+    w2 = np.nan_to_num(w2)
+    return scatter(w.n, w.K, members, w2 if values is None else w2 * values,
+                   np.nan_to_num(w0).sum() * mean)
 
 
 def _certify(rule: WeightRule) -> WeightRule:
@@ -337,16 +381,20 @@ def canonical_weight(family, K: int) -> WeightRule:
 
 
 def _check_weight_defined(g: TorusSinogram, w: WeightRule) -> None:
+    """Raise WeightUndefined at the first member, and within it k = 0 first
+    and then ascending k, where g holds data and w has no value."""
     if w.kind != CUSTOM:
         return
-    for A, v in g.vectors.items():
-        if g.mean != 0 and math.isnan(w.zero_weight(A)):
-            raise WeightUndefined(f"no weight value for k=0, A={A.serialize()!r}")
-        bad = np.flatnonzero(np.isnan(w.weights(A)) & (v != 0))
-        if bad.size:
-            flat = support(A, g.K)[bad[0]]
-            k = tuple(int(i) - g.K for i in np.unravel_index(flat, (2 * g.K + 1,) * g.n))
-            raise WeightUndefined(f"no weight value for k={k}, A={A.serialize()!r}")
+    w2, w0 = w.squared(g.members)
+    index, offsets, _ = layout(g.members, g.K)
+    bad = np.flatnonzero(np.isnan(w2) & (g.values != 0))
+    at = int(np.searchsorted(offsets, bad[0], "right")) - 1 if bad.size else len(g.members)
+    zero = np.flatnonzero(np.isnan(w0)) if g.mean != 0 else []
+    if len(zero) and zero[0] <= at:
+        raise WeightUndefined(f"no weight value for k=0, A={g.members[zero[0]].serialize()!r}")
+    if bad.size:
+        k = tuple(int(i) - g.K for i in np.unravel_index(index[bad[0]], (2 * g.K + 1,) * g.n))
+        raise WeightUndefined(f"no weight value for k={k}, A={g.members[at].serialize()!r}")
 
 
 def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
@@ -364,13 +412,11 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     if w is None:
         w = canonical_weight(g.subspaces, g.K)
     _check_weight_defined(g, w)
-    bs = bracket_sq(g.n, g.K).ravel()
-    per_slice = []
-    for A, v in g.vectors.items():
-        vals = np.nan_to_num(w.weights(A)) * bs[support(A, g.K)] ** (float(s) / 2.0) * v
-        center = np.nan_to_num(w.zero_weight(A)) * g.mean
-        per_slice.append(bessel_norm(_dense(g.n, g.K, A, vals, center), 0.0, p, N))
-    a = np.array(per_slice)
+    wk, w0 = (np.sqrt(np.nan_to_num(a)) for a in w.squared(g.members))
+    index, offsets, _ = layout(g.members, g.K)
+    vals = wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0) * g.values
+    a = np.array([bessel_norm(_dense(g.n, g.K, A, vals[lo:hi], c * g.mean), 0.0, p, N)
+                  for A, lo, hi, c in zip(g.members, offsets, offsets[1:], w0)])
     if l == np.inf or l == "inf":
         return float(a.max()) if a.size else 0.0
     l = float(l)
@@ -385,13 +431,10 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
         w = canonical_weight(g.subspaces, g.K)
     _check_weight_defined(g, w)
     _check_weight_defined(h, w)
-    bs = bracket_sq(g.n, g.K).ravel()
-    acc = 0j
-    for A, a in g.vectors.items():
-        w2 = np.nan_to_num(w.weights(A)) ** 2
-        acc += np.nan_to_num(w.zero_weight(A)) ** 2 * g.mean * np.conj(h.mean)
-        acc += complex(np.sum(bs[support(A, g.K)] ** float(s) * w2 * a * np.conj(h.vectors[A])))
-    return acc
+    w2, w0 = w.squared(g.members)
+    bs = bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s)
+    return complex(np.nan_to_num(w0).sum() * g.mean * np.conj(h.mean)
+                   + np.sum(bs * np.nan_to_num(w2) * g.values * np.conj(h.values)))
 
 
 def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
@@ -404,24 +447,16 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     store = {as_subspace(A): f for A, f in raw.items()}
     if not store:
         raise ValueError("no slices given")
-    some = next(iter(store))
-    n, K = some.n, store[some].K
-    d = some.d if d is None else d
-    zero = (0,) * n
-    num = 0j
-    den = 0.0
-    for A in sorted(store):
-        wA = 1.0 if w is None else w.weight(zero, A) ** 2
-        num += wA * store[A].coeff(zero)
-        den += wA
-    return TorusSinogram.from_vectors(n, d, K, num / den,
+    members = sorted(store)
+    zero = (0,) * members[0].n
+    wA = np.array([1.0 if w is None else w.weight(zero, A) ** 2 for A in members])
+    mean = np.dot(wA, [store[A].coeff(zero) for A in members]) / wA.sum()
+    return TorusSinogram.from_vectors(members[0].n, members[0].d if d is None else d,
+                                      store[members[0]].K, mean,
                                       {A: gather(A, f) for A, f in store.items()})
 
 
 def plain_magnitude(g: TorusSinogram) -> float:
     """Unweighted coefficient magnitude sqrt(|mean|^2 + sum |coeff|^2);
     a weight-free scale for tolerances, valid for any (n, d)."""
-    total = abs(g.mean) ** 2
-    for v in g.vectors.values():
-        total += float(np.sum(np.abs(v) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(abs(g.mean) ** 2 + float(np.vdot(g.values, g.values).real))

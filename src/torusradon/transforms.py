@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, QuadratureTooCoarse
 from .fields import TorusField, evaluate_at
 from .lattice import PrimitiveDirection, RationalSubspace
-from .sinogram import TorusSinogram, as_subspace, support
+from .sinogram import TorusSinogram, as_subspace, layout, support
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,14 @@ def quadrature_line_integral(f: TorusField, spec: GeodesicSpec, N_q: int | None 
 
 
 def forward_sinogram(f: TorusField, family) -> TorusSinogram:
-    """Batched forward map into the data space: each member's slice gathered
-    onto its support, the shared average stored once."""
-    members = [as_subspace(A) for A in family]
+    """Batched forward map into the data space: one gather on the family's
+    layout, the shared average stored once. DimensionMismatch if the family
+    mixes subspace dimensions or does not match the field."""
+    members = tuple(sorted({as_subspace(A) for A in family}))
     if not members:
         raise ValueError("family must be nonempty")
-    d = members[0].d
-    if any((A.n, A.d) != (f.n, d) for A in members):
-        raise DimensionMismatch("family mixes subspace dimensions or does not match the field")
-    flat = f.coeffs.ravel()
-    return TorusSinogram.from_vectors(f.n, d, f.K, f.mean(),
-                                      {A: flat[support(A, f.K)] for A in members})
+    return TorusSinogram.from_values(f.n, members[0].d, f.K, f.mean(), members,
+                                     f.coeffs.ravel()[layout(members, f.K)[0]])
 
 
 def rescale_convention(value: complex, v: PrimitiveDirection | Sequence[int],

@@ -120,6 +120,13 @@ def _corrupt_probe(tmp_path, kind):
                     "--out", sino]) == 0
         next(sino.glob("slice_*.tfield")).unlink()
         return reconstruct
+    if kind in BAD_PHANTOM_PARAMS:
+        return ["phantom", "--kind", "harmonic", "--params", BAD_PHANTOM_PARAMS[kind],
+                "--band", "4", "--grid", "12", "--out", tmp_path / "p.tfield"]
+    if kind in BAD_CONFIGS:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BAD_CONFIGS[kind]))
+        return ["sweep", "--config", cfg, "--output", tmp_path / "sweep"]
     if kind.startswith("config"):
         cfg = tmp_path / "cfg.json"
         if kind != "config missing":
@@ -148,10 +155,32 @@ def _corrupt_probe(tmp_path, kind):
     return ["forward", "--field", path, "--out", tmp_path / "sino_out"]
 
 
+# Sweep configs that a check by type alone lets through: each ends in a
+# traceback, or runs (a NaN noise level as a noiseless sweep, a bool band as
+# band 1).
+BAD_CONFIGS = {
+    "config eps not a number": {"noise": {"eps": "abc"}},
+    "config noise a list": {"noise": [1]},
+    "config reg not a number": {"method": "tikhonov", "reg": {"r": "x", "s": 1}},
+    "config error norm a string": {"error_norms": ["a"]},
+    "config eps nan": {"noise": {"eps": [float("nan")]}},
+    "config band a bool": {"band": True, "grid": 16, "phantom": {"kind": "disk", "radius": 0.2}},
+    "config harmonic frequency of length one": {
+        "phantom": {"kind": "harmonic", "frequencies": [[1]], "amplitudes": [1.0]},
+        "band": 4, "grid": 12},
+}
+BAD_PHANTOM_PARAMS = {
+    "phantom params not json": "{bad",
+    "phantom params not an object": "[1]",
+    "phantom harmonic frequency of length one": '{"frequencies": [[1]], "amplitudes": [1.0]}',
+}
+
+
 @pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces",
                                   "missing sinogram directory", "sinogram missing a slice file",
                                   "csv with three fields", "csv with nan", "csv missing",
-                                  "config missing", "config not json", "config not an object"])
+                                  "config missing", "config not json", "config not an object",
+                                  *BAD_CONFIGS, *BAD_PHANTOM_PARAMS])
 def test_corrupt_input_exit_code(tmp_path, capsys, kind):
     assert run(_corrupt_probe(tmp_path, kind)) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torusradon.errors import CorruptInput
 from torusradon.fields import random_field
 from torusradon.io import (
     read_field,
@@ -81,3 +84,39 @@ def test_write_csv(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, "a,b", [(1.0, 2.5), (3.0, -0.125)])
     assert p.read_text() == "a,b\n1,2.5\n3,-0.125\n"
+
+
+PGM_IMAGE = np.arange(16.0).reshape(4, 4) / 7.0
+
+
+@given(cut=st.integers(0, 200))
+@settings(max_examples=200)
+def test_pgm_truncation_parses_or_raises_corrupt_input(tmp_path_factory, cut):
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    write_pgm(PGM_IMAGE, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut])
+    try:
+        img, lo, hi = read_pgm(path)
+    except CorruptInput:
+        assert cut < len(data)
+        return
+    assert cut >= len(data) and np.allclose(img, PGM_IMAGE, atol=(hi - lo) / 65535)
+
+
+@pytest.mark.parametrize("data", [
+    b"P6\n# linear scale min=0 max=1\n1 1\n65535\n\x00\x00",   # magic
+    b"P5\n# linear scale min=0\n1 1\n65535\n\x00\x00",         # max missing
+    b"P5\n# linear scale min=0 max=nan\n1 1\n65535\n\x00\x00", # max not finite
+    b"P5\n# linear scale min=0 max=1\n1 1\n0\n\x00\x00",       # maxval zero
+    b"P5\n# linear scale min=0 max=1\n1\n65535\n\x00\x00",     # one dimension
+    b"P5\n# linear scale min=0 max=1\n1 1\n65535\n\x00",        # odd payload
+    b"P5\n# \xff\n1 1\n65535\n\x00\x00",                        # not ascii
+])
+def test_pgm_rejects_corrupt_bytes(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(CorruptInput):
+        read_pgm(path)
+    with pytest.raises(CorruptInput):
+        read_pgm(tmp_path / "missing.pgm")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,15 @@ from torusradon.sinogram import (
     CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
+    _check_weight_defined,
     canonical_weight,
     enforce_moment_constraint,
+    layout,
+    plain_magnitude,
     sinogram_inner,
     sinogram_norm,
     support,
+    weighted_scatter,
     weight_build,
     weight_on_family,
     zero_sinogram,
@@ -271,3 +277,161 @@ def test_line_cover_norms_n3(rng):
     f = random_field(3, K, rng)
     g = forward_sinogram(f, fam)
     assert sinogram_norm(g, 0.0, w) > 0
+
+
+# --- the flat layout against the per-member loops it replaced ------------------
+
+
+def oracle_weights(w, A):
+    """w(., A) on support(A, K) and w(0, A), NaN where undefined, looked up
+    one pair at a time."""
+    def get(k):
+        try:
+            return w.weight(k, A)
+        except WeightUndefined:
+            return math.nan
+    ks = np.stack(np.unravel_index(support(A, w.K), (2 * w.K + 1,) * w.n), axis=1) - w.K
+    return np.array([get(k) for k in ks]), get((0,) * w.n)
+
+
+def weighted_scatter_oracle(g, w, with_data):
+    """Per-member loop: sum of w^2 times each member's vector (ones without
+    data) at its frequencies, the summed w(0, A)^2 times the mean at k = 0."""
+    out = np.zeros((2 * g.K + 1) ** g.n, dtype=np.complex128)
+    w0 = 0.0
+    for A, v in g.vectors.items():
+        wk, wz = oracle_weights(w, A)
+        out[support(A, g.K)] += np.nan_to_num(wk) ** 2 * (v if with_data else 1.0)
+        w0 += np.nan_to_num(wz) ** 2
+    out[out.size // 2] = w0 * (g.mean if with_data else 1.0)
+    return out.reshape((2 * g.K + 1,) * g.n)
+
+
+def sinogram_inner_oracle(g, h, s, w):
+    bs = bracket_sq(g.n, g.K).ravel()
+    acc = 0j
+    for A, a in g.vectors.items():
+        wk, wz = oracle_weights(w, A)
+        acc += np.nan_to_num(wz) ** 2 * g.mean * np.conj(h.mean)
+        acc += complex(np.sum(bs[support(A, g.K)] ** float(s) * np.nan_to_num(wk) ** 2
+                              * a * np.conj(h.vectors[A])))
+    return acc
+
+
+def plain_magnitude_oracle(g):
+    return math.sqrt(abs(g.mean) ** 2 + sum(float(np.sum(np.abs(v) ** 2))
+                                            for v in g.vectors.values()))
+
+
+def first_undefined_oracle(g, w):
+    """The message naming the first (k, A), in member order with k = 0
+    first, where g holds data and w has no value; None if there is none."""
+    for A, v in g.vectors.items():
+        wk, wz = oracle_weights(w, A)
+        if g.mean != 0 and math.isnan(wz):
+            return f"no weight value for k=0, A={A.serialize()!r}"
+        bad = np.flatnonzero(np.isnan(wk) & (v != 0))
+        if bad.size:
+            flat = support(A, g.K)[bad[0]]
+            k = tuple(int(i) - g.K for i in np.unravel_index(flat, (2 * g.K + 1,) * g.n))
+            return f"no weight value for k={k}, A={A.serialize()!r}"
+    return None
+
+
+def holey_table_rule(family, K, rng, skip):
+    """Custom-table rule with a random positive value on every (k, A) of
+    the family's band, k = 0 included, except where skip(k, j) holds for
+    member j."""
+    table = []
+    for j, A in enumerate(family):
+        ks = [(0,) * A.n] + [tuple(int(x) - K for x in np.unravel_index(i, (2 * K + 1,) * A.n))
+                             for i in support(A, K)]
+        table += [((k, A), float(rng.uniform(0.5, 2.0))) for k in ks if not skip(k, j)]
+    return weight_on_family(CUSTOM, family, K, params=tuple(table), certify=False)
+
+
+def flat_layout_cases(rng):
+    """(label, sinogram, rule): a custom table with NaN holes, height-decay
+    on line_cover(2, 3), and sinograms on strict subsets of the family."""
+    K = 3
+    cover = [line(v) for v in direction_cover(K)]
+    holey = holey_table_rule(cover, K, rng, lambda k, j: (3 * j + sum(k)) % 7 == 2)
+    g = forward_sinogram(random_field(2, K, rng), cover).with_mean(0.7 - 0.2j)
+    lines3 = line_cover(2, 3)
+    yield "custom table with holes", g, holey
+    yield "height-decay lines in T^3", forward_sinogram(random_field(3, 2, rng), lines3), \
+        weight_on_family(HEIGHT_DECAY, lines3, 2)
+    yield "subset of a height-decay family", forward_sinogram(random_field(3, 2, rng), lines3[::3]), \
+        weight_on_family(HEIGHT_DECAY, lines3, 2)
+    yield "subset of a holey table", forward_sinogram(random_field(2, K, rng), cover[1::2]), holey
+    yield "subset of the canonical rule", forward_sinogram(random_field(2, K, rng), cover[::2]), \
+        canonical_weight(cover, K)
+
+
+def close(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-14 * max(1.0, np.max(np.abs(b)))
+
+
+def test_weighted_scatter_matches_member_loop(rng):
+    for label, g, w in flat_layout_cases(rng):
+        assert close(weighted_scatter(g.members, w, g.values, g.mean),
+                     weighted_scatter_oracle(g, w, True)), label
+        assert close(weighted_scatter(g.members, w), weighted_scatter_oracle(g, w, False).real), label
+
+
+def test_inner_and_magnitude_match_member_loop(rng):
+    for label, g, w in flat_layout_cases(rng):
+        h = g * (0.3 + 1.1j) + g.with_mean(0.2)
+        if first_undefined_oracle(g, w) is not None:
+            # keep only the pairs the table defines, so the products exist
+            defined = {A: np.where(np.isnan(oracle_weights(w, A)[0]), 0, v)
+                       for A, v in g.vectors.items()}
+            g = TorusSinogram.from_vectors(g.n, g.d, g.K, 0j, defined)
+            h = g * (0.3 + 1.1j)
+        for s in (-1.0, 0.0, 1.5):
+            assert close(sinogram_inner(g, h, s, w), sinogram_inner_oracle(g, h, s, w)), label
+        assert close(plain_magnitude(g), plain_magnitude_oracle(g)), label
+
+
+def test_check_weight_defined_names_the_first_undefined_pair(rng):
+    K = 2
+    cover = [line(v) for v in direction_cover(K)]
+    f = random_field(2, K, rng)
+    named = set()
+    for skip in (lambda k, j: j == 2 and any(k) or j == 5 and not any(k),  # k != 0 member first
+                 lambda k, j: j == 3,                                       # k = 0 before k != 0
+                 lambda k, j: j == 4 and not any(k) or j == 6 and any(k),  # k = 0 member first
+                 lambda k, j: False):
+        w = holey_table_rule(cover, K, rng, skip)
+        for mean in (0j, 1.5):
+            g = forward_sinogram(f, cover).with_mean(mean)
+            want = first_undefined_oracle(g, w)
+            named.add(want)
+            if want is None:
+                _check_weight_defined(g, w)
+                continue
+            with pytest.raises(WeightUndefined) as ei:
+                _check_weight_defined(g, w)
+            assert str(ei.value) == want
+    assert len(named) == 6
+
+
+def test_mirror_index_reverses_each_member_block(rng):
+    for label, g, _ in flat_layout_cases(rng):
+        index, offsets, mirror = layout(g.members, g.K)
+        flat = np.arange(index.size)
+        assert np.array_equal(flat[mirror],
+                              np.concatenate([flat[a:b][::-1] for a, b in zip(offsets, offsets[1:])]))
+        assert np.array_equal(g.values[mirror],
+                              np.concatenate([v[::-1] for v in g.vectors.values()])), label
+
+
+def test_vectors_are_views_of_values_built_once(rng):
+    K = 3
+    g = forward_sinogram(random_field(2, K, rng), direction_cover(K))
+    assert g.vectors is g.vectors
+    assert all(np.shares_memory(v, g.values) for v in g.vectors.values() if v.size)
+    with pytest.raises(ValueError):
+        g.values[0] = 1.0
+    with pytest.raises(ValueError):
+        g.vectors[g.members[0]][0] = 1.0
