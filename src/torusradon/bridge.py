@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (CorruptInput, DimensionMismatch, GeometryViolation, MissingAngle,
                      TorusRadonError)
-from .lattice import PrimitiveDirection, line, primitive_reduce
-from .sinogram import TorusSinogram, support
+from .lattice import PrimitiveDirection, direction_of, primitive_reduce
+from .sinogram import TorusSinogram, canonical_family, support
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,14 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     if sino.support_radius >= 0.5:
         raise GeometryViolation("support radius must be < 1/2")
     rho = sino.support_radius
-    dirs = [v if isinstance(v, PrimitiveDirection) else primitive_reduce(v) for v in family]
-    if not dirs:
+    members = canonical_family(family)
+    if not members:
         raise ValueError("family must be nonempty")
-    vectors, means = {}, {}
-    for v in dirs:
-        if v.n != 2:
-            raise DimensionMismatch("the bridge is a planar (n=2) operation")
-        A = line(v)
-        if A in vectors:
-            continue
+    if (members[0].n, members[0].d) != (2, 1):
+        raise DimensionMismatch("the bridge is a planar (n=2) line operation")
+    vectors, means = {}, []
+    for A in members:
+        v = direction_of(A)
         f, c = _symmetric_spectrum(sino.row(v))
         norm_sq = v.v[0] ** 2 + v.v[1] ** 2
         speed = math.sqrt(norm_sq)
@@ -158,12 +156,12 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         q_lo, q_hi = math.ceil((c_v - rho) / h), math.floor((c_v + rho) / h)
         g = _windowed_transform(f, c, np.arange(m_max + 1) * speed, h, q_lo, q_hi)
         # the profile is real: g(-m) = conj(g(m)) and g(0) is real
-        means[A] = g[0].real
+        means.append(g[0].real)
         # k = m (-v2, v1) on the support; pick each entry's m from its k
         idx = support(A, K)
         m = ((idx // (2 * K + 1) - K) * -v.v[1] + (idx % (2 * K + 1) - K) * v.v[0]) // norm_sq
         vectors[A] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
-    mean = sum(means[A] for A in sorted(means)) / len(means)
+    mean = sum(means) / len(means)
     return TorusSinogram.from_vectors(2, 1, K, mean, vectors)
 
 

@@ -36,7 +36,7 @@ def _out_path(arg: str | None, default_name: str) -> Path:
 
 
 def cmd_phantom(args) -> int:
-    params = ExperimentConfig.json_object(args.params) if args.params else {}
+    params = ExperimentConfig.json_object(args.params, "--params") if args.params else {}
     if args.kind == "harmonic" and not params:
         params = {"frequencies": [[1, 2]], "amplitudes": [1.0]}
     if args.kind == "disk" and "radius" not in params:

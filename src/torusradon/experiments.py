@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid, ParamViolation
+from .errors import BadParams, ConfigInvalid, ParamViolation
 from .fields import TorusField, evaluate_at, random_field, sobolev_norm, to_samples, unit_harmonic
 from .inversion import (
     ReconstructionReport,
@@ -29,6 +29,7 @@ from .io import write_csv, write_pgm
 from .lattice import direction_cover, line, orthogonal_primitive
 from .phantoms import phantom
 from .regularization import (
+    _check_minimizer_params,
     alpha_schedule,
     error_bound,
     strategy_constant,
@@ -93,7 +94,7 @@ def _norm_weight(g: TorusSinogram):
     hyperplane data, height-decay otherwise; never certified, a norm is all
     that is needed here."""
     kind = "canonical-singleton" if g.d == g.n - 1 else HEIGHT_DECAY
-    return weight_on_family(kind, g.subspaces, g.K, certify=False)
+    return weight_on_family(kind, g.members, g.K, certify=False)
 
 
 def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram:
@@ -130,8 +131,8 @@ def reconstruct_sum(g: TorusSinogram) -> TorusField:
 # for the canonical rule on g's family) and reg the tikhonov r, s and alpha.
 METHODS = {
     "slice": lambda g, w, reg: reconstruct_slices(g),
-    "filtered": lambda g, w, reg: invert_filtered(g, w or canonical_weight(g.subspaces, g.K)),
-    "normalized": lambda g, w, reg: adjoint_normalized(g, w or canonical_weight(g.subspaces, g.K)),
+    "filtered": lambda g, w, reg: invert_filtered(g, w or canonical_weight(g.members, g.K)),
+    "normalized": lambda g, w, reg: adjoint_normalized(g, w or canonical_weight(g.members, g.K)),
     "sum": lambda g, w, reg: reconstruct_sum(g),
     "tikhonov": lambda g, w, reg: tikhonov_reconstruct(g, reg["r"], reg["s"], reg["alpha"]),
 }
@@ -216,9 +217,16 @@ class ExperimentConfig:
         cfg.noise_kind = noise.get("kind", "random")
         if cfg.grid < 2 * cfg.band + 2:
             problems.append(f"grid: need an integer >= 2*band+2 = {2 * cfg.band + 2}")
+        if cfg.cover_radius is not None and cfg.cover_radius < cfg.band:
+            problems.append(f"cover_radius: need an integer >= band = {cfg.band}")
         if cfg.method == "tikhonov":
             problems += [f"reg.{f}: required for the tikhonov method"
                          for f in "rs" if f not in cfg.reg]
+        try:  # a schedule's alpha is positive at every eps once it is at eps = 0
+            if cfg.method == "tikhonov" and not problems:
+                _reg_params(cfg, 0.0)
+        except ParamViolation as e:
+            problems.append(f"reg: {e}")
         if problems:
             raise ConfigInvalid("; ".join(problems))
         if cfg.cover_radius is None:
@@ -226,15 +234,15 @@ class ExperimentConfig:
         return cfg
 
     @staticmethod
-    def json_object(text: str) -> dict:
-        """The JSON object in a config's text; ConfigInvalid if the text is
-        not JSON or holds another JSON value."""
+    def json_object(text: str, source: str = "config") -> dict:
+        """The JSON object in the text of `source` (named in the error);
+        ConfigInvalid if the text is not JSON or holds another JSON value."""
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ConfigInvalid(f"config is not valid JSON: {e}") from e
+            raise ConfigInvalid(f"{source} is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
-            raise ConfigInvalid(f"config must be a JSON object, got {type(raw).__name__}")
+            raise ConfigInvalid(f"{source} must be a JSON object, got {type(raw).__name__}")
         return raw
 
     @staticmethod
@@ -242,17 +250,18 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(ExperimentConfig.json_object(text))
 
 
-def _reconstruct(g: TorusSinogram, cfg: ExperimentConfig, w, eps: float):
-    reg = {}
-    if cfg.method == "tikhonov":
-        s = float(cfg.reg["s"])
-        alpha = cfg.reg.get("alpha")
-        if alpha is None:
-            mode = cfg.reg.get("schedule", "strategy")
-            delta = float(cfg.reg.get("delta", s))
-            alpha = alpha_schedule(max(eps, 1e-300), delta=delta, s=s, mode=mode)
-        reg = {"r": float(cfg.reg["r"]), "s": s, "alpha": float(alpha)}
-    return METHODS[cfg.method](g, w, reg), reg
+def _reg_params(cfg: ExperimentConfig, eps: float) -> dict:
+    """The tikhonov r, s and alpha at one noise level; ParamViolation if
+    they break the closed form's hypotheses."""
+    s = float(cfg.reg["s"])
+    alpha = cfg.reg.get("alpha")
+    if alpha is None:
+        mode = cfg.reg.get("schedule", "strategy")
+        delta = float(cfg.reg.get("delta", s))
+        alpha = alpha_schedule(max(eps, 1e-300), delta=delta, s=s, mode=mode)
+    reg = {"r": float(cfg.reg["r"]), "s": s, "alpha": float(alpha)}
+    _check_minimizer_params(**reg)
+    return reg
 
 
 def _error_report(truth: TorusField, rec: TorusField, cfg: ExperimentConfig,
@@ -273,8 +282,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
     """forward -> (noise) -> reconstruction -> error report, one report per
     noise level (a single noiseless run when none are configured). Artifacts
     (CSV curves, JSON report, PGM images) land in cfg.output if set."""
-    ph = phantom(cfg.phantom_kind, cfg.phantom_params, cfg.band, cfg.grid)
-    truth = ph.field
+    try:
+        truth = phantom(cfg.phantom_kind, cfg.phantom_params, cfg.band, cfg.grid).field
+    except BadParams as e:
+        raise ConfigInvalid(f"phantom: {e}") from e
     cover = direction_cover(cfg.cover_radius)
     w = (canonical_weight(cover, cfg.band) if cfg.weight == "canonical"
          else weight_on_family(HEIGHT_DECAY, cover, cfg.band))
@@ -291,7 +302,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
             g = probe_noise(g0, eps, cfg.noise_t, (0, 1))
         else:
             g = g0
-        rec, extra = _reconstruct(g, cfg, w, eps)
+        extra = _reg_params(cfg, eps) if cfg.method == "tikhonov" else {}
+        rec = METHODS[cfg.method](g, w, extra)
         rep = _error_report(truth, rec, cfg, {"eps": eps, **extra})
         rep.duration_s = time.perf_counter() - t0
         reports.append(rep)

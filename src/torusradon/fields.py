@@ -60,9 +60,12 @@ def orthogonality_mask(A: RationalSubspace, K: int) -> np.ndarray:
     return dot_mask(A.basis, K)
 
 
-def _hermitian_defect(coeffs: np.ndarray) -> float:
+def is_hermitian(coeffs: np.ndarray) -> bool:
+    """coeff(-k) == conj(coeff(k)) up to HERMITIAN_TOL x max(1, max |coeff|);
+    on a flat band array too, since k -> -k reverses flat order."""
     flipped = coeffs[(slice(None, None, -1),) * coeffs.ndim]
-    return float(np.max(np.abs(coeffs - np.conj(flipped))))
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    return float(np.max(np.abs(coeffs - np.conj(flipped)))) <= HERMITIAN_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,8 @@ class TorusField:
         if arr.shape != (2 * self.K + 1,) * self.n:
             raise ValueError(f"coefficient array shape {arr.shape} does not match band K={self.K}")
         object.__setattr__(self, "coeffs", arr)
-        if self.real:
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            if _hermitian_defect(arr) > HERMITIAN_TOL * scale:
-                raise ValueError("field flagged real but coefficients are not Hermitian")
+        if self.real and not is_hermitian(arr):
+            raise ValueError("field flagged real but coefficients are not Hermitian")
 
     def coeff(self, k: Sequence[int]) -> complex:
         idx = tuple(int(x) + self.K for x in k)

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptInput, TorusRadonError
-from .fields import TorusField
+from .fields import TorusField, is_hermitian
 from .lattice import RationalSubspace
-from .sinogram import TorusSinogram
+from .sinogram import TorusSinogram, canonical_family, layout, support
 
 
 def write_field(f: TorusField, path) -> None:
@@ -32,7 +32,9 @@ def write_field(f: TorusField, path) -> None:
         fh.write(flat.tobytes())
 
 
-def read_field(path) -> TorusField:
+def _read_payload(path) -> tuple[int, int, bool, np.ndarray]:
+    """(n, K, real, flat coefficients) of a field file, checked for its
+    header, payload length, finite values and, if flagged real, symmetry."""
     try:
         with open(path, "rb") as fh:
             head = fh.readline()
@@ -52,10 +54,14 @@ def read_field(path) -> TorusField:
     arr = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     if not np.all(np.isfinite(arr)):
         raise CorruptInput(f"{path}: non-finite coefficients")
-    try:
-        return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real=real)
-    except ValueError as e:
-        raise CorruptInput(f"{path}: {e}") from e
+    if real and not is_hermitian(arr):
+        raise CorruptInput(f"{path}: flagged real but coefficients are not Hermitian")
+    return n, K, real, arr
+
+
+def read_field(path) -> TorusField:
+    n, K, real, arr = _read_payload(path)
+    return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real=real)
 
 
 def _slice_filename(A: RationalSubspace) -> str:
@@ -79,6 +85,9 @@ def write_sinogram(g: TorusSinogram, directory) -> None:
 
 
 def read_sinogram(directory) -> TorusSinogram:
+    """Each slice file is checked as it is read (as a field file, then for
+    the band in meta.json and zeros at k = 0 and off A^perp) and gathered
+    straight onto the sinogram's layout."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
@@ -86,6 +95,8 @@ def read_sinogram(directory) -> TorusSinogram:
         members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
     except (OSError, ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
         raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
+    if K < 0 or len(set(members)) != len(members) or any((A.n, A.d) != (n, dim) for A in members):
+        raise CorruptInput(f"{d / 'meta.json'}: need K >= 0 and distinct (n={n}, d={dim}) subspaces")
     try:
         re, im = (d / "mean.txt").read_text().split()
         mean = complex(float(re), float(im))
@@ -95,11 +106,18 @@ def read_sinogram(directory) -> TorusSinogram:
         raise CorruptInput(f"{d / 'mean.txt'}: want two numbers: {e}") from e
     if not np.isfinite(mean):
         raise CorruptInput(f"{d / 'mean.txt'}: non-finite mean")
-    slices = {A: read_field(d / _slice_filename(A)) for A in members}
-    try:
-        return TorusSinogram(n, dim, K, mean, slices)
-    except ValueError as e:
-        raise CorruptInput(f"{d}: {e}") from e
+    members = canonical_family(members)
+    offsets = layout(members, K)[1].tolist()
+    values = np.empty(offsets[-1], np.complex128)
+    for A, lo, hi in zip(members, offsets, offsets[1:]):
+        path = d / _slice_filename(A)
+        sn, sK, _, arr = _read_payload(path)
+        if (sn, sK) != (n, K):
+            raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
+        values[lo:hi] = arr[support(A, K)]
+        if np.count_nonzero(arr) != np.count_nonzero(values[lo:hi]):
+            raise CorruptInput(f"{path}: coefficients at k = 0 or off A^perp")
+    return TorusSinogram.from_values(n, dim, K, mean, members, values)
 
 
 def write_pgm(image: np.ndarray, path) -> None:

@@ -196,6 +196,10 @@ class RationalSubspace:
             raise ValueError("basis is not in Hermite normal form")
         if not _is_saturated(self.basis, self.n):
             raise ValueError("basis lattice is not saturated")
+        object.__setattr__(self, "_hash", hash((self.n, self.d, self.basis)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def height(self) -> int:
@@ -221,10 +225,16 @@ class RationalSubspace:
 
 def line(v: PrimitiveDirection | Sequence[int]) -> RationalSubspace:
     """The rational line spanned by a direction (its HNF basis is the
-    canonical primitive vector itself)."""
-    if not isinstance(v, PrimitiveDirection):
-        v = primitive_reduce(v)
-    return RationalSubspace(n=v.n, d=1, basis=(v.v,))
+    canonical primitive vector itself); one shared value per direction."""
+    return _line(v if isinstance(v, PrimitiveDirection) else primitive_reduce(v))
+
+
+@lru_cache(maxsize=1 << 16)  # room for a whole family, as for sinogram.support
+def _line(v: PrimitiveDirection) -> RationalSubspace:
+    # v's own checks are those of a one-row HNF basis of a saturated lattice
+    A = object.__new__(RationalSubspace)
+    A.__dict__.update(n=v.n, d=1, basis=(v.v,), _hash=hash((v.n, 1, (v.v,))))
+    return A
 
 
 def direction_of(A: RationalSubspace) -> PrimitiveDirection:

@@ -59,7 +59,7 @@ def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> 
     _check_minimizer_params(r, s, alpha)
     if g.n != 2 or g.d != 1:
         raise ParamViolation("the closed-form minimizer is the n=2, d=1 unweighted setting")
-    return tikhonov_reconstruct_weighted(g, canonical_weight(g.subspaces, g.K), r, s, alpha)
+    return tikhonov_reconstruct_weighted(g, canonical_weight(g.members, g.K), r, s, alpha)
 
 
 def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: float,
@@ -80,8 +80,8 @@ def tikhonov_objective(f: TorusField, g: TorusSinogram, r: float, s: float,
     _check_minimizer_params(r, s, alpha)
     if f.n != g.n:
         raise DimensionMismatch("field and data dimensions differ")
-    w = canonical_weight(g.subspaces, g.K)
-    misfit = sinogram_norm(forward_sinogram(f, g.subspaces) - g, r, w)
+    w = canonical_weight(g.members, g.K)
+    misfit = sinogram_norm(forward_sinogram(f, g.members) - g, r, w)
     return misfit**2 + alpha * sobolev_norm(f, s) ** 2
 
 

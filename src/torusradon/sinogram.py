@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -45,11 +45,37 @@ CUSTOM = "custom-table"
 
 
 def as_subspace(member: RationalSubspace | PrimitiveDirection | Sequence[int]) -> RationalSubspace:
-    if isinstance(member, RationalSubspace):
-        return member
-    if isinstance(member, PrimitiveDirection):
-        return line(member)
-    return line(tuple(int(x) for x in member))
+    return member if isinstance(member, RationalSubspace) else line(member)
+
+
+class _Family(tuple):
+    """A canonical family, hashed once when built: the caches keyed by it
+    (layout, squared, the canonical rule) then cost O(1) per lookup."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def canonical_family(family) -> tuple[RationalSubspace, ...]:
+    """The sorted, distinct subspaces of a family of subspaces, directions
+    or integer vectors, built once per family and then shared.
+    DimensionMismatch if the members differ in (n, d)."""
+    if type(family) is _Family:
+        return family
+    members = tuple(family)
+    try:
+        return _canonical_family(members)
+    except TypeError:  # unhashable members (lists of ints) skip the cache
+        return _canonical_family.__wrapped__(members)
+
+
+@lru_cache(maxsize=64)
+def _canonical_family(members: tuple) -> tuple[RationalSubspace, ...]:
+    fam = _Family(sorted({as_subspace(A) for A in members}))
+    if fam and (fam[0].n, fam[0].d) != (fam[-1].n, fam[-1].d):  # sorted by (n, d) first
+        raise DimensionMismatch("family members differ in (n, d)")
+    fam._hash = tuple.__hash__(fam)
+    return fam
 
 
 # Room for a whole family (direction_cover(64) has 5,040 lines): a family
@@ -116,7 +142,7 @@ def _flatten(n: int, d: int, K: int, vectors: Mapping[RationalSubspace, np.ndarr
     for A, v in vectors.items():
         if (A.n, A.d) != (n, d) or np.shape(v) != support(A, K).shape:
             raise DimensionMismatch(f"slice for {A} does not fit (n={n}, d={d}, K={K})")
-    members = tuple(sorted(vectors))
+    members = canonical_family(vectors)
     return members, np.concatenate([np.zeros(0, np.complex128), *(vectors[A] for A in members)])
 
 
@@ -167,13 +193,12 @@ class TorusSinogram:
                     members: tuple[RationalSubspace, ...], values) -> "TorusSinogram":
         """The sinogram whose flat array on layout(members, K) is a copy of
         values; members must be sorted and distinct."""
-        members = tuple(members)
-        if any((A.n, A.d) != (n, d) for A in members) or any(
-                a >= b for a, b in zip(members, members[1:])):
+        fam = canonical_family(members)
+        if fam != tuple(members) or (fam and (fam[0].n, fam[0].d) != (n, d)):
             raise DimensionMismatch(f"members must be distinct, sorted and fit (n={n}, d={d})")
-        if np.shape(values) != layout(members, K)[0].shape:
+        if np.shape(values) != layout(fam, K)[0].shape:
             raise DimensionMismatch(f"{np.shape(values)} values do not fit the layout at K={K}")
-        return cls.__new__(cls)._set(n, d, K, mean, members, np.array(values, np.complex128))
+        return cls.__new__(cls)._set(n, d, K, mean, fam, np.array(values, np.complex128))
 
     def _set(self, n, d, K, mean, members, values) -> "TorusSinogram":
         """Store the layout and values (read-only from here on, not copied)."""
@@ -235,7 +260,7 @@ class TorusSinogram:
 
 
 def zero_sinogram(n: int, d: int, K: int, family) -> TorusSinogram:
-    members = tuple(sorted({as_subspace(A) for A in family}))
+    members = canonical_family(family)
     return TorusSinogram.from_values(n, d, K, 0j, members, np.zeros(layout(members, K)[0].size))
 
 
@@ -351,7 +376,7 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
     scans the band for the constants and rejects vanishing ones. Custom
     tables meant only for pairings need not generate a norm, so they may
     skip it."""
-    fam = tuple(sorted(as_subspace(A) for A in family))
+    fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
     n = fam[0].n if n is None else n
@@ -373,8 +398,12 @@ def weight_build(kind: str, params: tuple, d: int, n: int, H: int, K: int) -> We
 
 
 def canonical_weight(family, K: int) -> WeightRule:
-    """The unweighted data-space rule (w = 1 off the mean)."""
-    return weight_on_family(CANONICAL, family, K)
+    """The unweighted data-space rule (w = 1 off the mean), certified once
+    and shared by every caller with the same members and K."""
+    return _canonical_rule(canonical_family(family), K)
+
+
+_canonical_rule = lru_cache(maxsize=16)(partial(weight_on_family, CANONICAL))
 
 
 # --- norms and the moment constraint ------------------------------------------
@@ -410,7 +439,7 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     if p == 2 and l == 2:
         return math.sqrt(sinogram_inner(g, g, s, w).real)
     if w is None:
-        w = canonical_weight(g.subspaces, g.K)
+        w = canonical_weight(g.members, g.K)
     _check_weight_defined(g, w)
     wk, w0 = (np.sqrt(np.nan_to_num(a)) for a in w.squared(g.members))
     index, offsets, _ = layout(g.members, g.K)
@@ -428,7 +457,7 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
     """The p = l = 2 weighted inner product; generates sinogram_norm."""
     g._check_compatible(h)
     if w is None:
-        w = canonical_weight(g.subspaces, g.K)
+        w = canonical_weight(g.members, g.K)
     _check_weight_defined(g, w)
     _check_weight_defined(h, w)
     w2, w0 = w.squared(g.members)

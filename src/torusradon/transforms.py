@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, QuadratureTooCoarse
 from .fields import TorusField, evaluate_at
 from .lattice import PrimitiveDirection, RationalSubspace
-from .sinogram import TorusSinogram, as_subspace, layout, support
+from .sinogram import TorusSinogram, as_subspace, canonical_family, layout, support
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,11 @@ def forward_sinogram(f: TorusField, family) -> TorusSinogram:
     """Batched forward map into the data space: one gather on the family's
     layout, the shared average stored once. DimensionMismatch if the family
     mixes subspace dimensions or does not match the field."""
-    members = tuple(sorted({as_subspace(A) for A in family}))
+    members = canonical_family(family)
     if not members:
         raise ValueError("family must be nonempty")
+    if members[0].n != f.n:
+        raise DimensionMismatch(f"subspaces in Q^{members[0].n}, field on T^{f.n}")
     return TorusSinogram.from_values(f.n, members[0].d, f.K, f.mean(), members,
                                      f.coeffs.ravel()[layout(members, f.K)[0]])
 

@@ -115,10 +115,21 @@ def _corrupt_probe(tmp_path, kind):
         return reconstruct
     if kind == "missing sinogram directory":
         return reconstruct
-    if kind == "sinogram missing a slice file":
+    if kind.startswith("sinogram "):
         assert run(["bridge", "--cover", "2", "--band", "2", "--offsets", "16",
                     "--out", sino]) == 0
-        next(sino.glob("slice_*.tfield")).unlink()
+        meta = json.loads((sino / "meta.json").read_text())
+        first = sorted(sino.glob("slice_*.tfield"))[0]
+        if kind == "sinogram missing a slice file":
+            first.unlink()
+        elif kind == "sinogram slice band differs from meta":
+            header = json.dumps({"K": 1, "n": 2, "real": False}, sort_keys=True).encode()
+            first.write_bytes(header + b"\n" + np.zeros(9, "<c16").tobytes())
+        elif kind == "sinogram meta d differs from its subspaces":
+            meta["d"] = 2
+        elif kind == "sinogram listing a subspace twice":
+            meta["subspaces"].append(meta["subspaces"][0])
+        (sino / "meta.json").write_text(json.dumps(meta))
         return reconstruct
     if kind in BAD_PHANTOM_PARAMS:
         return ["phantom", "--kind", "harmonic", "--params", BAD_PHANTOM_PARAMS[kind],
@@ -178,9 +189,25 @@ BAD_PHANTOM_PARAMS = {
 
 @pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces",
                                   "missing sinogram directory", "sinogram missing a slice file",
+                                  "sinogram slice band differs from meta",
+                                  "sinogram meta d differs from its subspaces",
+                                  "sinogram listing a subspace twice",
                                   "csv with three fields", "csv with nan", "csv missing",
                                   "config missing", "config not json", "config not an object",
                                   *BAD_CONFIGS, *BAD_PHANTOM_PARAMS])
 def test_corrupt_input_exit_code(tmp_path, capsys, kind):
     assert run(_corrupt_probe(tmp_path, kind)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_params_error_names_its_source(tmp_path, capsys):
+    argv = ["phantom", "--kind", "harmonic", "--band", "4", "--grid", "12",
+            "--out", tmp_path / "p.tfield"]
+    assert run([*argv, "--params", "{bad"]) == 2
+    assert "error: --params is not valid JSON" in capsys.readouterr().err
+    assert run([*argv, "--params", "[1]"]) == 2
+    assert "error: --params must be a JSON object" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text("{bad")
+    assert run(["sweep", "--config", config, "--output", tmp_path / "sweep"]) == 2
+    assert "error: config is not valid JSON" in capsys.readouterr().err

@@ -3,7 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torusradon.cli import main
 from torusradon.errors import ConfigInvalid
 from torusradon.experiments import (
     ExperimentConfig,
@@ -82,6 +85,25 @@ def test_config_validation_errors():
         ExperimentConfig.from_json("{not json")
     with pytest.raises(ConfigInvalid):
         ExperimentConfig.from_dict({"method": "tikhonov"})
+
+
+@pytest.mark.parametrize("raw", [
+    {"band": 4, "grid": 16, "cover_radius": 3},
+    {"method": "tikhonov", "reg": {"r": 1.0, "s": 0.5}},
+    {"method": "tikhonov", "reg": {"r": 0.0, "s": 1.0, "alpha": 0.0}},
+    {"method": "tikhonov", "reg": {"r": -1.0, "s": -0.5, "schedule": "optimal"}},
+    {"method": "tikhonov", "reg": {"r": 0.0, "s": 1.0, "delta": -1.0, "schedule": "optimal"}},
+])
+def test_config_that_cannot_run_is_invalid(raw):
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_phantom_the_kind_rejects_is_config_invalid():
+    cfg = ExperimentConfig.from_dict({"phantom": {"kind": "disk", "radius": 0.7},
+                                      "band": 2, "grid": 8})
+    with pytest.raises(ConfigInvalid, match="phantom"):
+        run_experiment(cfg)
 
 
 def test_run_experiment_filtered_exact(tmp_path):
@@ -180,3 +202,73 @@ def test_selftest_passes(tmp_path):
     assert ok, results
     assert (tmp_path / "st" / "selftest_report.json").exists()
     assert (tmp_path / "st" / "demo_sweep" / "sweep.csv").exists()
+
+
+# Small sweep configs: a valid config, then up to two fields replaced by a
+# value of the wrong type or range. Band and grid stay small, so a config
+# that runs takes milliseconds.
+_SMALL = st.floats(-2, 2)
+_PHANTOMS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("harmonic"),
+                           "frequencies": st.lists(st.lists(st.integers(-3, 3), min_size=2,
+                                                            max_size=2), min_size=1, max_size=2),
+                           "amplitudes": st.lists(_SMALL, min_size=1, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("disk"), "radius": st.floats(0.05, 0.45),
+                           "center": st.lists(st.floats(0.3, 0.7), min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("multi-bump"), "bumps": st.lists(
+        st.fixed_dictionaries({"center": st.lists(st.floats(0, 1), min_size=2, max_size=2),
+                               "width": st.floats(0.03, 0.2), "amplitude": _SMALL}),
+        max_size=2)}),
+)
+_BAD = {
+    "band": st.sampled_from([0, -1, True, 2.5, "2", 40]),
+    "grid": st.sampled_from([0, 3, 1.5, None]),
+    "cover_radius": st.sampled_from([0, 1, "3", False]),
+    "weight": st.sampled_from(["flat", None]),
+    "method": st.sampled_from(["fbp", 1]),
+    "seed": st.sampled_from([-1.5, "x", None]),
+    "error_norms": st.sampled_from([["a"], [float("nan")], 1.0]),
+    "phantom": st.sampled_from([{"kind": "blob"}, {"kind": "disk", "radius": 0.7}, [],
+                                {"kind": "harmonic", "frequencies": [[1]], "amplitudes": [1]},
+                                {"kind": "multi-bump", "bumps": [{"width": -1}]}]),
+    "noise": st.sampled_from([{"eps": [-0.1]}, {"eps": "abc"}, {"t": float("inf")},
+                              {"kind": "white"}, [1], {"sigma": 1}]),
+    "reg": st.sampled_from([{"r": "x", "s": 1}, {"r": 1, "s": 0}, {"r": 0, "s": 1, "alpha": 0},
+                            {"r": 0, "s": -1, "schedule": "optimal"}, {"s": 1}, []]),
+    "extra": st.just(1),
+}
+
+
+@st.composite
+def _sweep_configs(draw):
+    band = draw(st.integers(1, 3))
+    raw = {
+        "band": band, "grid": draw(st.integers(2 * band + 2, 10)), "phantom": draw(_PHANTOMS),
+        "method": draw(st.sampled_from(["slice", "filtered", "normalized", "sum", "tikhonov"])),
+        "weight": draw(st.sampled_from(["canonical", "height-decay"])),
+        "cover_radius": draw(st.one_of(st.none(), st.integers(band, 4))),
+        "seed": draw(st.integers(0, 2**32)),
+        "error_norms": draw(st.lists(_SMALL, max_size=2)),
+        "noise": {"eps": draw(st.lists(st.floats(0, 0.5), max_size=2)), "t": draw(_SMALL),
+                  "kind": draw(st.sampled_from(["random", "probe"]))},
+        "reg": {"r": draw(st.floats(-1, 1)), "s": draw(st.floats(1, 2)),
+                "delta": draw(st.floats(0, 2)),
+                "alpha": draw(st.one_of(st.none(), st.floats(1e-3, 1))),
+                "schedule": draw(st.sampled_from(["strategy", "optimal"]))},
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(_BAD)), max_size=2)):
+        raw[key] = draw(_BAD[key])
+    return raw
+
+
+@given(raw=_sweep_configs())
+@settings(max_examples=100)
+def test_random_sweep_config_runs_or_is_config_invalid(tmp_path_factory, raw):
+    """A sweep config either runs or is refused with ConfigInvalid, never
+    another error; `torusradon sweep` then exits 2."""
+    try:
+        run_experiment(ExperimentConfig.from_dict(raw))
+    except ConfigInvalid:
+        path = tmp_path_factory.mktemp("sweep") / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(path), "--output", str(path.parent / "out")]) == 2

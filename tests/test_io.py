@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusradon.errors import CorruptInput
-from torusradon.fields import random_field
+from torusradon.fields import TorusField, random_field
 from torusradon.io import (
+    _slice_filename,
     read_field,
     read_pgm,
     read_sinogram,
@@ -14,7 +17,7 @@ from torusradon.io import (
     write_pgm,
     write_sinogram,
 )
-from torusradon.lattice import direction_cover
+from torusradon.lattice import RationalSubspace, direction_cover
 from torusradon.transforms import forward_sinogram
 
 
@@ -120,3 +123,52 @@ def test_pgm_rejects_corrupt_bytes(tmp_path, data):
         read_pgm(path)
     with pytest.raises(CorruptInput):
         read_pgm(tmp_path / "missing.pgm")
+
+
+def _corrupt_sinogram(d, fault):
+    """Write a small sinogram to d, then break it by `fault`."""
+    write_sinogram(forward_sinogram(random_field(2, 3, np.random.default_rng(5)), direction_cover(3)), d)
+    meta = json.loads((d / "meta.json").read_text())
+    first = d / _slice_filename(RationalSubspace.parse(meta["subspaces"][0]))
+    if fault == "slice band differs from meta":
+        write_field(random_field(2, 2, np.random.default_rng(6)), first)
+    elif fault == "meta d differs from its subspaces":
+        meta["d"] = 2
+    elif fault == "duplicate subspaces in meta":
+        meta["subspaces"].append(meta["subspaces"][0])
+    elif fault == "slice off A-perp":
+        f = read_field(first)
+        f.coeffs[0, 0] = 1.0
+        write_field(f, first)
+    elif fault == "slice at k = 0":
+        f = read_field(first)
+        f.coeffs[3, 3] = 1.0
+        write_field(f, first)
+    elif fault == "slice flagged real, not Hermitian":
+        f = read_field(first)
+        header = json.dumps({"K": 3, "n": 2, "real": True}, sort_keys=True).encode()
+        first.write_bytes(header + b"\n" + (f.coeffs * 1j + 1e-3).astype("<c16").tobytes())
+    (d / "meta.json").write_text(json.dumps(meta))
+
+
+SINOGRAM_FAULTS = ["slice band differs from meta", "meta d differs from its subspaces",
+                   "duplicate subspaces in meta", "slice off A-perp", "slice at k = 0",
+                   "slice flagged real, not Hermitian"]
+
+
+@pytest.mark.parametrize("fault", SINOGRAM_FAULTS)
+def test_read_sinogram_raises_corrupt_input(tmp_path, fault):
+    _corrupt_sinogram(tmp_path / "sino", fault)
+    with pytest.raises(CorruptInput):
+        read_sinogram(tmp_path / "sino")
+
+
+def test_read_sinogram_reads_slices_flagged_real(tmp_path, rng):
+    K = 3
+    g = forward_sinogram(random_field(2, K, rng, real=True), direction_cover(K))
+    write_sinogram(g, tmp_path / "sino")
+    for A in g.members:
+        write_field(TorusField(2, K, g.slice(A).coeffs, real=True),
+                    tmp_path / "sino" / _slice_filename(A))
+    back = read_sinogram(tmp_path / "sino")
+    assert back.members == g.members and np.array_equal(back.values, g.values)

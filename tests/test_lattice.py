@@ -239,3 +239,20 @@ def test_row_hnf_canonical_form():
     h = row_hnf([(2, 4, 6), (1, 1, 1)], 3)
     # echelon, positive pivots, above-pivot entries reduced
     assert h == [(1, 1, 1), (0, 2, 4)]
+
+
+def test_line_of_a_direction_equals_the_checked_subspace():
+    """line(v) skips the HNF and saturation checks for a direction; it must
+    still be the value the checked constructor builds, hash included."""
+    for v in [*direction_cover(32), *enumerate_directions(3, 4)]:
+        A = line(v)
+        checked = RationalSubspace(v.n, 1, (v.v,))
+        assert A == checked and hash(A) == hash(checked)
+        assert line(v) is A and line(list(v.v)) is A and line(tuple(-x for x in v.v)) is A
+
+
+def test_subspace_hash_is_by_value():
+    A = canonicalize_subspace([(1, 0, -1), (0, 1, -1)], 2)
+    B = RationalSubspace.parse(A.serialize())
+    assert A == B and A is not B and hash(A) == hash(B) == hash((3, 2, A.basis))
+    assert len({A, B, line((1, 2)), line((1, 2))}) == 2

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from torusradon.errors import DegenerateWeight, WeightUndefined
+from torusradon.errors import DegenerateWeight, DimensionMismatch, WeightUndefined
 from torusradon.fields import (
     bracket_sq,
     field_from_coeffs,
@@ -21,6 +22,7 @@ from torusradon.lattice import (
     orthogonal_complement,
 )
 from torusradon.sinogram import (
+    CANONICAL,
     CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
@@ -435,3 +437,42 @@ def test_vectors_are_views_of_values_built_once(rng):
         g.values[0] = 1.0
     with pytest.raises(ValueError):
         g.vectors[g.members[0]][0] = 1.0
+
+
+def test_canonical_rule_is_shared_and_read_only():
+    K = 4
+    cover = direction_cover(K)
+    w = canonical_weight(cover, K)
+    assert canonical_weight(list(reversed(cover)), K) is w
+    assert canonical_weight([line(v) for v in cover], K) is w
+    assert canonical_weight(cover, K - 1) is not w
+    for arr in (w.normal_array, *w.squared(w.family)):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.C_w = 2.0
+
+
+def test_weight_on_family_drops_duplicate_members():
+    K = 4
+    cover = direction_cover(K)
+    assert canonical_weight(cover + cover[:1], K).C_w == pytest.approx(1.0)
+    for kind in (CANONICAL, HEIGHT_DECAY):
+        once = weight_on_family(kind, cover, K)
+        twice = weight_on_family(kind, cover + cover[::2], K)
+        assert twice.family == once.family and len(twice.family) == len(cover)
+        assert np.array_equal(twice.normal_array, once.normal_array)
+        assert (twice.c_w, twice.C_w) == (once.c_w, once.C_w)
+
+
+def test_from_values_takes_only_a_canonical_family():
+    K = 2
+    members = tuple(sorted(line(v) for v in direction_cover(K)))
+    size = layout(members, K)[0].size
+    g = TorusSinogram.from_values(2, 1, K, 0j, members, np.ones(size))
+    assert g.members == members
+    for bad in (members[::-1], members + members[:1], members[1:] + members[:1]):
+        with pytest.raises(DimensionMismatch):
+            TorusSinogram.from_values(2, 1, K, 0j, bad, np.ones(layout(bad, K)[0].size))
+    with pytest.raises(DimensionMismatch):
+        TorusSinogram.from_values(2, 2, K, 0j, members, np.ones(size))

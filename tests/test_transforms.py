@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,30 @@ def test_dimension_mismatch():
         forward_direction(zero_field(3, 2), (1, 0))
     with pytest.raises(DimensionMismatch):
         quadrature_line_integral(zero_field(3, 2), GeodesicSpec((0.0, 0.0), primitive_reduce((1, 1))))
+
+
+def test_forward_sinogram_depends_only_on_the_family_as_a_set(rng):
+    """Order, duplicates and the members' type do not change the result;
+    unhashable members (lists of ints) take the cache-free path."""
+    K = 6
+    cover = direction_cover(K)
+    f = random_field(2, K, rng)
+    shuffled = list(cover)
+    random.Random(3).shuffle(shuffled)
+    ref = forward_sinogram(f, cover)
+    for family in (shuffled, cover + cover[::3], [line(v) for v in cover], tuple(cover),
+                   [list(v.v) for v in reversed(cover)], iter(cover)):
+        g = forward_sinogram(f, family)
+        assert g.members == ref.members and np.array_equal(g.values, ref.values)
+        assert g.mean == ref.mean
+    assert forward_sinogram(f, cover).members is ref.members  # built once per family
+
+
+def test_forward_sinogram_rejects_mixed_or_mismatched_families():
+    f = zero_field(2, 2)
+    with pytest.raises(DimensionMismatch):
+        forward_sinogram(f, [(1, 0), (1, 0, 0)])
+    with pytest.raises(DimensionMismatch):
+        forward_sinogram(f, [(1, 0, 0)])
+    with pytest.raises(ValueError):
+        forward_sinogram(f, [])
