@@ -3,8 +3,6 @@
 config machinery so the same run is reproducible through the CLI."""
 
 import argparse
-import json
-from pathlib import Path
 
 from torusradon.experiments import METHODS, ExperimentConfig, run_experiment
 
@@ -31,7 +29,7 @@ def main():
     args = ap.parse_args()
     raw = dict(DEFAULT)
     if args.config:
-        raw.update(json.loads(Path(args.config).read_text()))
+        raw.update(ExperimentConfig.json_file(args.config))
     if args.method:
         raw["method"] = args.method
     raw["output"] = args.out

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (CorruptInput, DimensionMismatch, GeometryViolation, MissingAngle,
                      TorusRadonError)
 from .lattice import PrimitiveDirection, direction_of, primitive_reduce
-from .sinogram import TorusSinogram, canonical_family, support
+from .sinogram import TorusSinogram, canonical_family, layout
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,9 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     Per direction v, slice coefficient m is the windowed strand-sum
     quadrature g(m) = h sum_q P(qh) exp(-2 pi i m|v| qh) of the module
     docstring, summed in closed form by `_windowed_transform` and written
-    straight onto the slice's support vector. The shared mean is the
-    equal-weight average of the per-direction m = 0 values, summed in
-    sorted subspace order.
+    straight into the slice's block of the family's flat layout. The shared
+    mean is the equal-weight average of the per-direction m = 0 values,
+    summed in sorted subspace order.
     """
     if sino.support_radius >= 0.5:
         raise GeometryViolation("support radius must be < 1/2")
@@ -142,8 +142,9 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         raise ValueError("family must be nonempty")
     if (members[0].n, members[0].d) != (2, 1):
         raise DimensionMismatch("the bridge is a planar (n=2) line operation")
-    vectors, means = {}, []
-    for A in members:
+    index, offsets, _ = layout(members, K)
+    values, means = np.empty(index.size, np.complex128), []
+    for A, lo, hi in zip(members, offsets.tolist(), offsets[1:].tolist()):
         v = direction_of(A)
         f, c = _symmetric_spectrum(sino.row(v))
         norm_sq = v.v[0] ** 2 + v.v[1] ** 2
@@ -158,11 +159,11 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         # the profile is real: g(-m) = conj(g(m)) and g(0) is real
         means.append(g[0].real)
         # k = m (-v2, v1) on the support; pick each entry's m from its k
-        idx = support(A, K)
+        idx = index[lo:hi]
         m = ((idx // (2 * K + 1) - K) * -v.v[1] + (idx % (2 * K + 1) - K) * v.v[0]) // norm_sq
-        vectors[A] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
+        values[lo:hi] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
     mean = sum(means) / len(means)
-    return TorusSinogram.from_vectors(2, 1, K, mean, vectors)
+    return TorusSinogram.from_values(2, 1, K, mean, members, values)
 
 
 # --- CSV exchange format -------------------------------------------------------

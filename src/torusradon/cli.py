@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bridge import bridge_ingest, disk_sinogram, sinogram_from_csv, sinogram_to_csv
-from .errors import ConfigInvalid, CorruptInput, TorusRadonError
+from .errors import CorruptInput, TorusRadonError
 from .experiments import METHODS, ExperimentConfig, run_experiment, selftest
 from .fields import to_samples
 from .io import output_root, read_field, read_sinogram, write_field, write_pgm, write_sinogram
@@ -78,18 +78,14 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigInvalid(f"{args.config}: cannot read: {e}") from e
-    raw = ExperimentConfig.json_object(text)
+    raw = ExperimentConfig.json_file(args.config)
     for key in ("seed", "band", "grid", "method", "output"):
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
     if raw.get("output") is None:
         raw["output"] = str(output_root() / "sweep")
-    cfg = ExperimentConfig.from_json(json.dumps(raw))
+    cfg = ExperimentConfig.from_dict(raw)
     reports = run_experiment(cfg)
     for rep in reports:
         eps = rep.parameters.get("eps", 0.0)

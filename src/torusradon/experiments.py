@@ -42,7 +42,6 @@ from .sinogram import (
     canonical_weight,
     layout,
     sinogram_norm,
-    support,
     weight_on_family,
 )
 from .transforms import GeodesicSpec, forward_direction, forward_sinogram, quadrature_line_integral
@@ -104,12 +103,12 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
     if eps <= 0:
         raise ParamViolation("probe needs eps > 0")
     k = tuple(int(x) for x in k_star)
-    A = line(orthogonal_primitive(k))
-    if A not in g.vectors:
+    block = g.blocks.get(line(orthogonal_primitive(k)))
+    if block is None:
         raise ConfigInvalid(f"family lacks the direction orthogonal to probe frequency {k}")
-    _, offsets, mirror = layout(g.members, g.K)
-    at = offsets[g.members.index(A)] + np.searchsorted(
-        support(A, g.K), np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
+    index, _, mirror = layout(g.members, g.K)
+    at = block.start + np.searchsorted(
+        index[block], np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
     values = np.zeros(g.values.size, np.complex128)
     values[[at, mirror[at]]] = 1.0
     noise = TorusSinogram.from_values(g.n, g.d, g.K, 0j, g.members, values)
@@ -246,6 +245,15 @@ class ExperimentConfig:
         return raw
 
     @staticmethod
+    def json_file(path) -> dict:
+        """json_object of the text of a file; ConfigInvalid if it cannot be read."""
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigInvalid(f"{path}: cannot read: {e}") from e
+        return ExperimentConfig.json_object(text)
+
+    @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(ExperimentConfig.json_object(text))
 
@@ -327,14 +335,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
         outdir.mkdir(parents=True, exist_ok=True)
         write_pgm(to_samples(truth, cfg.grid).real, outdir / "truth.pgm")
         write_csv(outdir / "sweep.csv", "eps,alpha,err_Hr,bound,ratio", rows)
-        payload = [json.loads(r.to_json()) for r in reports]
+        payload = [r.payload for r in reports]
         (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         (outdir / "errors.csv").write_text(reports[-1].errors_csv())
     return reports
 
 
 def convergence_rate_experiment(eps_list, delta: float, s: float, K: int = 16,
-                                seed: int = 7, r: float = 0.0) -> tuple[float, list]:
+                                r: float = 0.0) -> tuple[float, list]:
     """Measured log-log slope of reconstruction error vs noise level under
     the optimal schedule, using the saturation-aligned probe.
 

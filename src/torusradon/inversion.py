@@ -25,9 +25,9 @@ from .sinogram import (
     TorusSinogram,
     WeightRule,
     _check_weight_defined,
+    layout,
     plain_magnitude,
     scatter,
-    support,
     weighted_scatter,
 )
 
@@ -86,14 +86,14 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
     return complex(np.mean(vals * phase))
 
 
-def _line_phases(A: RationalSubspace, K: int, N_q: int | None, zero: bool) -> np.ndarray:
-    """Phases e^{2 pi i k_axis t_j} of the frequencies k on support(A, K)
-    (columns) at the quadrature nodes t_j for slices along A (rows). The
-    axis is the one the rule picks for k = 0 if `zero`, else the one for
-    the nonzero k: these are multiples of one primitive vector, so the rule
-    picks the same axis for all of them."""
+def _line_phases(A: RationalSubspace, idx, K: int, N_q: int | None, zero: bool) -> np.ndarray:
+    """Phases e^{2 pi i k_axis t_j} of the frequencies k at the flat band
+    indices idx of A's block (columns) at the quadrature nodes t_j for
+    slices along A (rows). The axis is the one the rule picks for k = 0 if
+    `zero`, else the one for the nonzero k: these are multiples of one
+    primitive vector, so the rule picks the same axis for all of them."""
     v = PrimitiveDirection(A.basis[0])
-    ks = np.column_stack(np.unravel_index(support(A, K), (2 * K + 1,) * 2)) - K
+    ks = np.column_stack(np.unravel_index(idx, (2 * K + 1,) * 2)) - K
     axis = _default_axis((0, 0) if zero else tuple(ks[-1]), v)
     return np.exp(2j * np.pi * np.outer(_quadrature_nodes(K, v, N_q), ks[:, axis]))
 
@@ -111,17 +111,18 @@ def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
     out = np.zeros((2 * K + 1) ** 2, dtype=np.complex128)
     covered = np.zeros(out.size, dtype=bool)
     covered[out.size // 2] = True
-    for A, c in g.vectors.items():
-        if c.size:
-            idx = support(A, K)
-            E = _line_phases(A, K, N_q, zero=False)
-            out[idx] = E.conj().T @ (E @ c + g.mean) / E.shape[0]
+    index = layout(g.members, K)[0]
+    for A, block in g.blocks.items():
+        idx = index[block]
+        if idx.size:
+            E = _line_phases(A, idx, K, N_q, zero=False)
+            out[idx] = E.conj().T @ (E @ g.values[block] + g.mean) / E.shape[0]
             covered[idx] = True
     if not covered.all():
         k = _first_frequency(~covered.reshape((2 * K + 1,) * 2), K)
         raise IncompleteCover(f"no slice orthogonal to k={k}")
-    first = g.subspaces[0]
-    out[out.size // 2] = np.mean(_line_phases(first, K, N_q, zero=True) @ g.vectors[first] + g.mean)
+    A, b = g.members[0], g.blocks[g.members[0]]
+    out[out.size // 2] = np.mean(_line_phases(A, index[b], K, N_q, zero=True) @ g.values[b] + g.mean)
     return TorusField(2, K, out.reshape((2 * K + 1,) * 2))
 
 
@@ -196,12 +197,13 @@ class ReconstructionReport:
             if v < 0:
                 raise ValueError("errors must be nonnegative")
 
-    def to_json(self, include_timing: bool = False) -> str:
-        payload = {"method": self.method, "parameters": self.parameters,
-                   "errors": self.errors}
-        if include_timing:
-            payload["duration_s"] = self.duration_s
-        return json.dumps(payload, sort_keys=True, indent=2)
+    @property
+    def payload(self) -> dict:
+        """The report as JSON data; the run time stays out of artifacts."""
+        return {"method": self.method, "parameters": self.parameters, "errors": self.errors}
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload, sort_keys=True, indent=2)
 
     def errors_csv(self) -> str:
         lines = ["method,s,error"]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CorruptInput, TorusRadonError
 from .fields import TorusField, is_hermitian
 from .lattice import RationalSubspace
-from .sinogram import TorusSinogram, canonical_family, layout, support
+from .sinogram import TorusSinogram, canonical_family, layout
 
 
 def write_field(f: TorusField, path) -> None:
@@ -107,14 +107,14 @@ def read_sinogram(directory) -> TorusSinogram:
     if not np.isfinite(mean):
         raise CorruptInput(f"{d / 'mean.txt'}: non-finite mean")
     members = canonical_family(members)
-    offsets = layout(members, K)[1].tolist()
-    values = np.empty(offsets[-1], np.complex128)
-    for A, lo, hi in zip(members, offsets, offsets[1:]):
+    index, offsets, _ = layout(members, K)
+    values = np.empty(index.size, np.complex128)
+    for A, lo, hi in zip(members, offsets.tolist(), offsets[1:].tolist()):
         path = d / _slice_filename(A)
         sn, sK, _, arr = _read_payload(path)
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
-        values[lo:hi] = arr[support(A, K)]
+        values[lo:hi] = arr[index[lo:hi]]
         if np.count_nonzero(arr) != np.count_nonzero(values[lo:hi]):
             raise CorruptInput(f"{path}: coefficients at k = 0 or off A^perp")
     return TorusSinogram.from_values(n, dim, K, mean, members, values)

@@ -43,6 +43,10 @@ class PrimitiveDirection:
             raise ValueError(f"entries not coprime: {self.v}")
         if self.v != _canonical_sign(self.v):
             raise ValueError(f"sign not canonical: {self.v}")
+        object.__setattr__(self, "_hash", hash(self.v))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -229,7 +233,7 @@ def line(v: PrimitiveDirection | Sequence[int]) -> RationalSubspace:
     return _line(v if isinstance(v, PrimitiveDirection) else primitive_reduce(v))
 
 
-@lru_cache(maxsize=1 << 16)  # room for a whole family, as for sinogram.support
+@lru_cache(maxsize=1 << 16)  # room for a whole family: direction_cover(64) has 5,040 lines
 def _line(v: PrimitiveDirection) -> RationalSubspace:
     # v's own checks are those of a one-row HNF basis of a saturated lattice
     A = object.__new__(RationalSubspace)
@@ -321,15 +325,13 @@ def frequency_band(n: int, K: int, punctured: bool = False) -> list[IntVec]:
     return [k for k in itertools.product(range(-K, K + 1), repeat=n) if any(k) or not punctured]
 
 
-def direction_cover(R: int, n: int = 2) -> list[PrimitiveDirection]:
+def direction_cover(R: int) -> list[PrimitiveDirection]:
     """Greedy direction set covering every planar frequency 0 < |k|_inf <= R.
 
     Each candidate direction covers exactly the integer multiples of its
     orthogonal line, so residual coverage counts are disjoint per line; the
     greedy order is by that count, largest first, lexicographic tie-break.
     """
-    if n != 2:
-        raise ValueError("direction_cover is a planar (n=2) operation")
     if R < 0:
         raise ValueError("R must be >= 0")
     if R == 0:
@@ -366,5 +368,5 @@ def line_cover(K: int, n: int) -> list[RationalSubspace]:
     """A line family with at least one member orthogonal to every band
     frequency 0 < |k|_inf <= K. For n = 2 this is the direction cover."""
     if n == 2:
-        return [line(v) for v in direction_cover(K, 2)]
+        return [line(v) for v in direction_cover(K)]
     return sorted({orthogonal_line(k) for k in frequency_band(n, K, punctured=True)})

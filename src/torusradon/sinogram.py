@@ -5,13 +5,13 @@ The transform along a subspace A keeps exactly the coefficients with k
 orthogonal to A, so a slice lives on the lattice A^perp in the band. A
 sinogram stores all its slices as one flat complex array `values`, laid out
 by `layout(members, K)`: the members' `support(A, K)` indices concatenated
-in sorted member order, each member starting at its offset. The single
-shared average owns every k = 0 slot; data off A^perp cannot be
-represented. Forward maps gather into `values` and every adjoint-type
-operator scatters out of it in one bincount (`scatter`), so this module
-alone decides where slice data lives. `vectors[A]` are views of `values`;
-dense slices are built on request (`slice`, `slices`); on disk each slice
-stays one dense field file (io).
+in sorted member order. It is the only index of slice data: `support` is
+uncached, and a sinogram finds member A's values and their frequencies in
+its block (`blocks[A]`). The single shared average owns every k = 0 slot;
+data off A^perp cannot be represented. Forward maps gather into `values`
+and every adjoint-type operator scatters out of it in one bincount
+(`scatter`). `vectors[A]` are views of `values`; dense slices are built on
+request (`slice`, `slices`); on disk each slice stays one dense field file.
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and certifies its constants on the band by
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateWeight, DimensionMismatch, WeightUndefined
-from .fields import TorusField, bessel_norm, bracket_sq, frozen, orthogonality_mask
+from .fields import TorusField, bessel_norm, bracket_sq, frozen, orthogonality_mask, unit_harmonic
 from .lattice import (
     PrimitiveDirection,
     RationalSubspace,
@@ -78,14 +78,11 @@ def _canonical_family(members: tuple) -> tuple[RationalSubspace, ...]:
     return fam
 
 
-# Room for a whole family (direction_cover(64) has 5,040 lines): a family
-# larger than the cache would rebuild every index on every pass.
-@lru_cache(maxsize=1 << 16)
 def support(A: RationalSubspace, K: int) -> np.ndarray:
     """Read-only flat indices into the (2K+1)^n band of the frequencies
-    k != 0 orthogonal to A, ascending. The band is symmetric and k -> -k
-    reverses flat order, so entry i of a vector on this index pairs with
-    entry -1-i: v[::-1] is the k -> -k partner of v."""
+    k != 0 orthogonal to A, ascending; not cached. The band is symmetric and
+    k -> -k reverses flat order, so entry i of a vector on this index pairs
+    with entry -1-i: v[::-1] is the k -> -k partner of v."""
     idx = np.flatnonzero(orthogonality_mask(A, K))
     return frozen(idx[idx != (2 * K + 1) ** A.n // 2])
 
@@ -96,24 +93,11 @@ def layout(members: tuple, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     member tuple. index concatenates the members' support(A, K); member i
     owns entries offsets[i]:offsets[i+1]; entry mirror[j] holds the k -> -k
     partner of entry j (each member's block reversed)."""
-    sizes = [support(A, K).size for A in members]
-    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-    index = np.concatenate([np.zeros(0, np.int64), *(support(A, K) for A in members)])
-    ends = np.repeat(offsets[:-1] + offsets[1:] - 1, sizes)
+    blocks = [support(A, K) for A in members]
+    offsets = np.concatenate([[0], np.cumsum([b.size for b in blocks], dtype=np.int64)])
+    index = np.concatenate([np.zeros(0, np.int64), *blocks])
+    ends = np.repeat(offsets[:-1] + offsets[1:] - 1, np.diff(offsets))
     return frozen(index), frozen(offsets), frozen(ends - np.arange(index.size))
-
-
-def gather(A: RationalSubspace, f: TorusField) -> np.ndarray:
-    """The coefficients of f on support(A, f.K). Raises ValueError if f has
-    a nonzero coefficient off A^perp; the k = 0 coefficient is dropped."""
-    if f.n != A.n:
-        raise DimensionMismatch(f"field on T^{f.n}, subspace in Q^{A.n}")
-    flat = f.coeffs.ravel()
-    v = flat[support(A, f.K)]
-    if np.count_nonzero(flat) - (flat[flat.size // 2] != 0) != np.count_nonzero(v):
-        raise ValueError(f"slice for {A.serialize()!r} has coefficients off A^perp, "
-                         "which no transform data can carry")
-    return v
 
 
 def scatter(n: int, K: int, members, values: np.ndarray, center: complex = 0.0) -> np.ndarray:
@@ -130,20 +114,11 @@ def scatter(n: int, K: int, members, values: np.ndarray, center: complex = 0.0) 
     return out.reshape((2 * K + 1,) * n)
 
 
-def _dense(n: int, K: int, A: RationalSubspace, values, center: complex = 0j) -> TorusField:
+def _dense(n: int, K: int, index: np.ndarray, values, center: complex = 0j) -> TorusField:
     out = np.zeros((2 * K + 1) ** n, dtype=np.complex128)
-    out[support(A, K)] = values
+    out[index] = values
     out[out.size // 2] = center
     return TorusField(n, K, out.reshape((2 * K + 1,) * n))
-
-
-def _flatten(n: int, d: int, K: int, vectors: Mapping[RationalSubspace, np.ndarray]):
-    """(sorted members, their vectors concatenated in that order)."""
-    for A, v in vectors.items():
-        if (A.n, A.d) != (n, d) or np.shape(v) != support(A, K).shape:
-            raise DimensionMismatch(f"slice for {A} does not fit (n={n}, d={d}, K={K})")
-    members = canonical_family(vectors)
-    return members, np.concatenate([np.zeros(0, np.complex128), *(vectors[A] for A in members)])
 
 
 class _DenseSlices(Mapping):
@@ -167,26 +142,38 @@ class TorusSinogram:
     layout(members, K), which holds each member's coefficient vector on
     support(A, K), plus the one shared average.
 
-    The constructor takes dense slice fields and gathers them; it raises
-    ValueError on a nonzero coefficient off A^perp or at k = 0.
-    `from_vectors` takes the per-member vectors, `from_values` the flat
-    array itself."""
+    The constructor stacks dense slice fields and gathers them on the
+    layout in one indexing step; it raises ValueError on a nonzero
+    coefficient off A^perp or at k = 0. `from_values` takes the flat array
+    itself, `from_vectors` one vector per member."""
 
     def __init__(self, n: int, d: int, K: int, mean: complex,
                  slices: Mapping[RationalSubspace, TorusField]):
-        vectors = {}
-        for A, f in slices.items():
-            if (f.n, f.K) != (n, K):
-                raise DimensionMismatch(f"slice field for {A} does not match (n={n}, K={K})")
-            if f.mean() != 0:
-                raise ValueError("slice fields must not carry a k=0 coefficient; the mean is shared")
-            vectors[A] = gather(A, f)
-        self._set(n, d, K, mean, *_flatten(n, d, K, vectors))
+        members = canonical_family(slices)
+        fields = [slices[A] for A in members]
+        if any((A.n, A.d, f.n, f.K) != (n, d, n, K) for A, f in zip(members, fields)):
+            raise DimensionMismatch(f"slices do not all fit (n={n}, d={d}, K={K})")
+        dense = np.array([f.coeffs.ravel() for f in fields], np.complex128).reshape(
+            len(fields), (2 * K + 1) ** n)
+        index, offsets, _ = layout(members, K)
+        owner = np.repeat(np.arange(len(members)), np.diff(offsets))
+        values = dense[owner, index]
+        dense[owner, index] = 0  # what is left sits at k = 0 or off A^perp
+        if dense.any():
+            A = members[int(dense.any(axis=1).argmax())]
+            raise ValueError(f"slice for {A.serialize()!r} has coefficients at k = 0 or off A^perp")
+        self._set(n, d, K, mean, members, values)
 
     @classmethod
     def from_vectors(cls, n: int, d: int, K: int, mean: complex,
                      vectors: Mapping[RationalSubspace, np.ndarray]) -> "TorusSinogram":
-        return cls.__new__(cls)._set(n, d, K, mean, *_flatten(n, d, K, vectors))
+        """The sinogram holding vectors[A] in member A's block of the layout."""
+        members = canonical_family(vectors)
+        off = layout(members, K)[1].tolist()
+        if any(np.shape(vectors[A]) != (b - a,) for A, a, b in zip(members, off, off[1:])):
+            raise DimensionMismatch(f"a vector does not fit its member's support at K={K}")
+        return cls.from_values(n, d, K, mean, members, np.concatenate(
+            [np.zeros(0, np.complex128), *(vectors[A] for A in members)]))
 
     @classmethod
     def from_values(cls, n: int, d: int, K: int, mean: complex,
@@ -207,11 +194,17 @@ class TorusSinogram:
         return self
 
     @cached_property
+    def blocks(self) -> dict[RationalSubspace, slice]:
+        """Member -> slice(lo, hi), its block of `values` and of the
+        layout's index; built once per sinogram."""
+        off = layout(self.members, self.K)[1].tolist()
+        return {A: slice(a, b) for A, a, b in zip(self.members, off, off[1:])}
+
+    @cached_property
     def vectors(self) -> dict[RationalSubspace, np.ndarray]:
         """Member -> its coefficient vector, a read-only view of `values`;
         built once per sinogram."""
-        off = layout(self.members, self.K)[1].tolist()
-        return {A: self.values[a:b] for A, a, b in zip(self.members, off, off[1:])}
+        return {A: self.values[b] for A, b in self.blocks.items()}
 
     @property
     def subspaces(self) -> list[RationalSubspace]:
@@ -219,8 +212,8 @@ class TorusSinogram:
 
     def slice(self, member) -> TorusField:
         """Dense slice field of one member (zero at k = 0)."""
-        A = as_subspace(member)
-        return _dense(self.n, self.K, A, self.vectors[A])
+        block = self.blocks[as_subspace(member)]
+        return _dense(self.n, self.K, layout(self.members, self.K)[0][block], self.values[block])
 
     @property
     def slices(self) -> Mapping[RationalSubspace, TorusField]:
@@ -337,8 +330,10 @@ class WeightRule:
 
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band;
-        the implemented families are k-independent, so m_A = 0."""
-        wa = np.sqrt(np.concatenate(self.squared((A,))))
+        the implemented families are k-independent, so m_A = 0. Looks the
+        values up directly, so no one-member layout enters the caches."""
+        ks = np.column_stack(np.unravel_index(support(A, self.K), (2 * self.K + 1,) * self.n)) - self.K
+        wa = np.array([self._lookup(k, A) for k in [(0,) * self.n, *map(tuple, ks.tolist())]])
         defined = wa[~np.isnan(wa)]
         if defined.size == 0:
             raise WeightUndefined(f"no weight values stored for {A.serialize()!r}")
@@ -370,7 +365,6 @@ def _certify(rule: WeightRule) -> WeightRule:
 
 
 def weight_on_family(kind: str, family, K: int, params: tuple = (),
-                     d: int | None = None, n: int | None = None,
                      certify: bool = True) -> WeightRule:
     """Build a weight rule on an explicit subspace family; certification
     scans the band for the constants and rejects vanishing ones. Custom
@@ -379,22 +373,20 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
-    n = fam[0].n if n is None else n
-    d = fam[0].d if d is None else d
-    if kind == CANONICAL and d != n - 1:
+    if kind == CANONICAL and fam[0].d != fam[0].n - 1:
         raise ValueError("canonical-singleton weights are a d = n-1 construction")
     if kind not in (CANONICAL, HEIGHT_DECAY, CUSTOM):
         raise ValueError(f"unknown weight kind {kind!r}")
     if kind == CUSTOM and any(v <= 0 for _, v in params):
         raise ValueError("weights must be positive wherever defined")
-    rule = WeightRule(kind=kind, d=d, n=n, K=K, family=fam, params=params)
+    rule = WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params)
     return _certify(rule) if certify else rule
 
 
 def weight_build(kind: str, params: tuple, d: int, n: int, H: int, K: int) -> WeightRule:
     """Weight rule on the height-H truncated Grassmannian Gr_H(d, n)."""
     fam = enumerate_grassmannian(d, n, H)
-    return weight_on_family(kind, fam, K, params=params, d=d, n=n)
+    return weight_on_family(kind, fam, K, params=params)
 
 
 def canonical_weight(family, K: int) -> WeightRule:
@@ -444,8 +436,8 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     wk, w0 = (np.sqrt(np.nan_to_num(a)) for a in w.squared(g.members))
     index, offsets, _ = layout(g.members, g.K)
     vals = wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0) * g.values
-    a = np.array([bessel_norm(_dense(g.n, g.K, A, vals[lo:hi], c * g.mean), 0.0, p, N)
-                  for A, lo, hi, c in zip(g.members, offsets, offsets[1:], w0)])
+    a = np.array([bessel_norm(_dense(g.n, g.K, index[lo:hi], vals[lo:hi], c * g.mean), 0.0, p, N)
+                  for lo, hi, c in zip(offsets, offsets[1:], w0)])
     if l == np.inf or l == "inf":
         return float(a.max()) if a.size else 0.0
     l = float(l)
@@ -467,8 +459,7 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
 
 
 def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
-                              w: WeightRule | None = None,
-                              d: int | None = None) -> TorusSinogram:
+                              w: WeightRule | None = None) -> TorusSinogram:
     """Project raw per-slice data onto the shared-average constraint.
 
     The shared mean is the w(0,.)^2-weighted average of the per-slice means,
@@ -476,13 +467,12 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     store = {as_subspace(A): f for A, f in raw.items()}
     if not store:
         raise ValueError("no slices given")
-    members = sorted(store)
+    members = canonical_family(store)
     zero = (0,) * members[0].n
     wA = np.array([1.0 if w is None else w.weight(zero, A) ** 2 for A in members])
     mean = np.dot(wA, [store[A].coeff(zero) for A in members]) / wA.sum()
-    return TorusSinogram.from_vectors(members[0].n, members[0].d if d is None else d,
-                                      store[members[0]].K, mean,
-                                      {A: gather(A, f) for A, f in store.items()})
+    return TorusSinogram(members[0].n, members[0].d, store[members[0]].K, mean,
+                         {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
 
 
 def plain_magnitude(g: TorusSinogram) -> float:

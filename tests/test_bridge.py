@@ -221,7 +221,7 @@ def test_closed_form_matches_strand_loop_on_cover_32():
 def test_ingest_peak_memory():
     cover = direction_cover(16)
     sino = disk_sinogram(cover, 256, 0.2)
-    bridge_ingest(sino, cover, 16)  # fills the support-index cache
+    bridge_ingest(sino, cover, 16)  # fills the layout cache
     tracemalloc.start()
     try:
         bridge_ingest(sino, cover, 16)

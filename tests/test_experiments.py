@@ -1,5 +1,8 @@
 import json
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from torusradon.experiments import (
 )
 from torusradon.fields import random_field
 from torusradon.lattice import direction_cover
-from torusradon.sinogram import canonical_weight, sinogram_norm
+from torusradon.sinogram import canonical_weight, layout, sinogram_norm
 from torusradon.transforms import forward_sinogram
 
 
@@ -74,6 +77,29 @@ def test_probe_noise_concentration(rng):
     assert sinogram_norm(diff, -2.0, w) == pytest.approx(0.1, rel=1e-12)
     nz = [(A, k) for A in diff.subspaces for k, _ in diff.slices[A].items()]
     assert {k for _, k in nz} == {(0, 2), (0, -2)}
+
+
+def test_probe_noise_positions(rng):
+    """The probe pair sits where the layout holds k and -k: each band
+    frequency has exactly one entry on a direction cover."""
+    K = 6
+    g, _ = make_data(K, rng)
+    index = layout(g.members, K)[0]
+    for k in [(0, 1), (0, -6), (2, -3), (-6, 6), (5, 0), (4, 2)]:
+        diff = probe_noise(g, 0.1, 0.0, k) - g
+        flat = [np.ravel_multi_index((K + s * k[0], K + s * k[1]), (2 * K + 1,) * 2) for s in (1, -1)]
+        assert np.array_equal(np.flatnonzero(diff.values), np.flatnonzero(np.isin(index, flat)))
+        assert diff.mean == 0
+
+
+def test_noise_sweep_script_config_errors_are_typed(tmp_path, monkeypatch):
+    script = str(Path(__file__).resolve().parent.parent / "scripts" / "run_noise_sweep.py")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for config in (tmp_path / "missing.json", bad):
+        monkeypatch.setattr(sys, "argv", [script, "--config", str(config), "--out", str(tmp_path)])
+        with pytest.raises(ConfigInvalid):
+            runpy.run_path(script, run_name="__main__")
 
 
 def test_config_validation_errors():

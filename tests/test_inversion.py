@@ -186,7 +186,7 @@ def test_reconstruct_slices_quadrature_size(rng):
 def test_reconstruct_slices_peak_memory(rng):
     K = 16
     f, g, _ = planar_setup(K, rng)
-    reconstruct_slices(g)  # fills the support-index cache
+    reconstruct_slices(g)  # warms the per-sinogram block map
     tracemalloc.start()
     try:
         reconstruct_slices(g)

@@ -251,6 +251,15 @@ def test_line_of_a_direction_equals_the_checked_subspace():
         assert line(v) is A and line(list(v.v)) is A and line(tuple(-x for x in v.v)) is A
 
 
+def test_direction_hash_is_by_value():
+    """Equal directions built apart hash alike and are one dict key."""
+    v, w = PrimitiveDirection((3, -2)), PrimitiveDirection.parse("3,-2")
+    assert v == w and v is not w and hash(v) == hash(w)
+    assert primitive_reduce((-6, 4)) == v and hash(primitive_reduce((-6, 4))) == hash(v)
+    cover = direction_cover(8)
+    assert {v: 1, w: 2} == {v: 2} and len({*cover, *direction_cover(8)}) == len(cover)
+
+
 def test_subspace_hash_is_by_value():
     A = canonicalize_subspace([(1, 0, -1), (0, 1, -1)], 2)
     B = RationalSubspace.parse(A.serialize())

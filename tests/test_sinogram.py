@@ -26,6 +26,7 @@ from torusradon.sinogram import (
     CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
+    WeightRule,
     _check_weight_defined,
     canonical_weight,
     enforce_moment_constraint,
@@ -200,6 +201,28 @@ def test_constructor_rejects_off_range_data():
     good = TorusSinogram(2, 1, K, 0j, {A: field_from_coeffs(2, K, {(0, 1): 2.0})})
     assert good.slice(A).coeff((0, 1)) == 2.0
     assert np.array_equal(good.vectors[A], [0, 0, 2.0, 0])
+
+
+@pytest.mark.parametrize("family,K", [(lambda: direction_cover(16), 16),
+                                      (lambda: hyperplane_cover(4, 3), 4),
+                                      (lambda: line_cover(3, 3), 3)])
+def test_dense_constructor_gathers_the_slices_back(family, K, rng):
+    fam = family()
+    g = forward_sinogram(random_field(fam[0].n, K, rng), fam)
+    back = TorusSinogram(g.n, g.d, K, g.mean, g.slices)
+    assert back.members == g.members and back.values.tobytes() == g.values.tobytes()
+
+
+def test_decay_certificate_leaves_the_family_caches_alone():
+    """Certifying every member reads the rule's values directly: no
+    one-member layout or squared-weight entry pushes the family out."""
+    K = 32
+    w = canonical_weight(direction_cover(K), K)
+    index = layout(w.family, K)
+    sizes = layout.cache_info().currsize, WeightRule.squared.cache_info().currsize
+    assert all(w.decay_certificate(A) == pytest.approx((1 / 36, 0.0)) for A in w.family)
+    assert layout(w.family, K) is index
+    assert (layout.cache_info().currsize, WeightRule.squared.cache_info().currsize) == sizes
 
 
 def test_support_index_pairs_k_with_minus_k():
