@@ -3,7 +3,9 @@
 config machinery so the same run is reproducible through the CLI."""
 
 import argparse
+import sys
 
+from torusradon.errors import TorusRadonError
 from torusradon.experiments import METHODS, ExperimentConfig, run_experiment
 
 DEFAULT = {
@@ -42,4 +44,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TorusRadonError as e:  # a bad config, as `torusradon sweep` reports it
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(2)

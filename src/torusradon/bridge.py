@@ -134,8 +134,6 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     mean is the equal-weight average of the per-direction m = 0 values,
     summed in sorted subspace order.
     """
-    if sino.support_radius >= 0.5:
-        raise GeometryViolation("support radius must be < 1/2")
     rho = sino.support_radius
     members = canonical_family(family)
     if not members:
@@ -163,7 +161,7 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         m = ((idx // (2 * K + 1) - K) * -v.v[1] + (idx % (2 * K + 1) - K) * v.v[0]) // norm_sq
         values[lo:hi] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
     mean = sum(means) / len(means)
-    return TorusSinogram.from_values(2, 1, K, mean, members, values)
+    return TorusSinogram(members, K, mean, values)
 
 
 # --- CSV exchange format -------------------------------------------------------

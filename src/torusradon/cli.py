@@ -123,6 +123,16 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo; anything else is a usage error."""
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="torusradon",
                                 description="Tomography on flat tori: transforms, inversion, regularization")
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kind", default="disk", choices=["harmonic", "disk", "multi-bump"])
     q.add_argument("--params", help="JSON phantom parameters")
     q.add_argument("--radius", type=float, default=0.2)
-    q.add_argument("--band", type=int, default=16)
+    q.add_argument("--band", type=_int_at_least(0), default=16)
     q.add_argument("--grid", type=int, default=128)
     q.add_argument("--out")
     q.add_argument("--image", help="also write a PGM rendering")
@@ -140,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("forward", help="forward transform over a direction cover")
     q.add_argument("--field", required=True)
-    q.add_argument("--cover", type=int, help="cover radius (default: the field band)")
+    q.add_argument("--cover", type=_int_at_least(0), help="cover radius (default: the field band)")
     q.add_argument("--out")
     q.set_defaults(fn=cmd_forward)
 
@@ -167,16 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("bridge", help="map Euclidean parallel-beam data onto the torus")
     q.add_argument("--csv", help="Euclidean sinogram CSV (angle_vx,angle_vy,offset,value)")
     q.add_argument("--radius", type=float, default=0.2, help="object support radius")
-    q.add_argument("--offsets", type=int, default=256)
-    q.add_argument("--cover", type=int, default=16)
-    q.add_argument("--band", type=int, default=16)
+    q.add_argument("--offsets", type=_int_at_least(1), default=256)
+    q.add_argument("--cover", type=_int_at_least(0), default=16)
+    q.add_argument("--band", type=_int_at_least(0), default=16)
     q.add_argument("--emit-csv", help="write the generated analytic sinogram here")
     q.add_argument("--out")
     q.set_defaults(fn=cmd_bridge)
 
     q = sub.add_parser("selftest", help="run the invariant battery")
     q.add_argument("--out", help="write deterministic report artifacts here")
-    q.add_argument("--seed", type=int, default=20190614)
+    q.add_argument("--seed", type=_int_at_least(0), default=20190614)
     q.set_defaults(fn=cmd_selftest)
 
     return p

@@ -82,8 +82,8 @@ def add_noise(g: TorusSinogram, eps: float, t: float, seed: int) -> TorusSinogra
     real, imag = rng.standard_normal((2, g.values.size))
     raw = real + 1j * imag
     mirror = layout(g.members, g.K)[2]
-    noise = TorusSinogram.from_values(g.n, g.d, g.K, complex(rng.standard_normal()), g.members,
-                                      (raw + np.conj(raw[mirror])) / 2.0)
+    noise = TorusSinogram(g.members, g.K, complex(rng.standard_normal()),
+                          (raw + np.conj(raw[mirror])) / 2.0)
     scale = eps / sinogram_norm(noise, t, _norm_weight(g))
     return g + scale * noise
 
@@ -111,7 +111,7 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
         index[block], np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
     values = np.zeros(g.values.size, np.complex128)
     values[[at, mirror[at]]] = 1.0
-    noise = TorusSinogram.from_values(g.n, g.d, g.K, 0j, g.members, values)
+    noise = TorusSinogram(g.members, g.K, 0j, values)
     scale = eps / sinogram_norm(noise, t, _norm_weight(g))
     return g + scale * noise
 

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     IncompleteCover,
     NonzeroMean,
+    QuadratureTooCoarse,
     SingularFilter,
 )
 from .fields import TorusField, evaluate_at
@@ -30,6 +31,7 @@ from .sinogram import (
     scatter,
     weighted_scatter,
 )
+from .transforms import quadrature_threshold
 
 NONZERO_MEAN_RTOL = 1e-12
 
@@ -47,13 +49,13 @@ def _default_axis(k: IntVec, v: PrimitiveDirection) -> int:
 
 def _quadrature_nodes(K: int, v: PrimitiveDirection, N_q: int | None) -> np.ndarray:
     """Midpoint nodes (j + 1/2)/N_q of the axis quadrature for slices along
-    v. The rule is exact on the band once N_q > 2K(|v_1| + |v_2|); the
+    v. The rule is exact on the band above `quadrature_threshold`; the
     default is the smallest such N_q, and at least 2K + 1."""
-    threshold = 2 * K * sum(abs(x) for x in v.v)
+    threshold = quadrature_threshold(K, [v.v])
     if N_q is None:
         N_q = max(threshold, 2 * K) + 1
     if N_q <= threshold:
-        raise ValueError(f"N_q={N_q} <= threshold {threshold}")
+        raise QuadratureTooCoarse(f"N_q={N_q} <= exactness threshold {threshold}")
     return (np.arange(N_q) + 0.5) / N_q
 
 
@@ -176,11 +178,11 @@ def invert_sum(g: TorusSinogram) -> TorusField:
     scale = max(1.0, plain_magnitude(g))
     if abs(g.mean) > NONZERO_MEAN_RTOL * scale:
         raise NonzeroMean(f"|mean| = {abs(g.mean):.3e} exceeds {NONZERO_MEAN_RTOL:.0e} x norm")
-    covered = scatter(g.n, g.K, g.members, np.ones(g.values.size), 1.0)
+    covered = scatter(g.K, g.members, np.ones(g.values.size), 1.0)
     if float(covered.min()) == 0.0:
         k = _first_frequency(covered == 0.0, g.K)
         raise IncompleteCover(f"family lacks the hyperplane orthogonal to k={k}")
-    return TorusField(g.n, g.K, scatter(g.n, g.K, g.members, g.values))
+    return TorusField(g.n, g.K, scatter(g.K, g.members, g.values))
 
 
 @dataclass

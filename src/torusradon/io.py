@@ -95,8 +95,8 @@ def read_sinogram(directory) -> TorusSinogram:
         members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
     except (OSError, ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
         raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
-    if K < 0 or len(set(members)) != len(members) or any((A.n, A.d) != (n, dim) for A in members):
-        raise CorruptInput(f"{d / 'meta.json'}: need K >= 0 and distinct (n={n}, d={dim}) subspaces")
+    if K < 0 or len(set(members)) != len(members) or {(A.n, A.d) for A in members} != {(n, dim)}:
+        raise CorruptInput(f"{d / 'meta.json'}: need K >= 0 and 1+ distinct (n={n}, d={dim}) subspaces")
     try:
         re, im = (d / "mean.txt").read_text().split()
         mean = complex(float(re), float(im))
@@ -117,7 +117,7 @@ def read_sinogram(directory) -> TorusSinogram:
         values[lo:hi] = arr[index[lo:hi]]
         if np.count_nonzero(arr) != np.count_nonzero(values[lo:hi]):
             raise CorruptInput(f"{path}: coefficients at k = 0 or off A^perp")
-    return TorusSinogram.from_values(n, dim, K, mean, members, values)
+    return TorusSinogram(members, K, mean, values)
 
 
 def write_pgm(image: np.ndarray, path) -> None:

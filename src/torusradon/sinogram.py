@@ -3,15 +3,15 @@ rules that define the data-space norms.
 
 The transform along a subspace A keeps exactly the coefficients with k
 orthogonal to A, so a slice lives on the lattice A^perp in the band. A
-sinogram stores all its slices as one flat complex array `values`, laid out
-by `layout(members, K)`: the members' `support(A, K)` indices concatenated
-in sorted member order. It is the only index of slice data: `support` is
-uncached, and a sinogram finds member A's values and their frequencies in
-its block (`blocks[A]`). The single shared average owns every k = 0 slot;
-data off A^perp cannot be represented. Forward maps gather into `values`
-and every adjoint-type operator scatters out of it in one bincount
-(`scatter`). `vectors[A]` are views of `values`; dense slices are built on
-request (`slice`, `slices`); on disk each slice stays one dense field file.
+sinogram is its members (which fix n and d), K, one shared average owning
+every k = 0 slot, and one flat complex array `values` on `layout(members,
+K)`: the members' uncached `support(A, K)` indices concatenated in sorted
+member order, the only index of slice data; member A's values sit in its
+block `blocks[A]`. The constructor takes exactly these and checks them, so
+data off A^perp cannot be represented; arithmetic builds through it too.
+Forward maps gather into `values`, every adjoint-type operator scatters out
+of it in one bincount (`scatter`). `vectors[A]` are views of `values`; dense
+slices are built on request; on disk each slice stays one dense field file.
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and certifies its constants on the band by
@@ -100,18 +100,18 @@ def layout(members: tuple, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return frozen(index), frozen(offsets), frozen(ends - np.arange(index.size))
 
 
-def scatter(n: int, K: int, members, values: np.ndarray, center: complex = 0.0) -> np.ndarray:
+def scatter(K: int, members, values: np.ndarray, center: complex = 0.0) -> np.ndarray:
     """Dense band array whose entry k sums the entries of the flat values on
     layout(members, K) that sit at k; the k = 0 entry is `center`. Real
-    values give a real array."""
-    size = (2 * K + 1) ** n
+    values give a real array. The members (nonempty) fix n."""
+    size = (2 * K + 1) ** members[0].n
     idx = layout(members, K)[0]
     out = np.bincount(idx, values.real, size)
     if np.iscomplexobj(values) or np.iscomplexobj(center):
         out = out.astype(np.complex128)
         out.imag = np.bincount(idx, values.imag, size)
     out[size // 2] = center
-    return out.reshape((2 * K + 1,) * n)
+    return out.reshape((2 * K + 1,) * members[0].n)
 
 
 def _dense(n: int, K: int, index: np.ndarray, values, center: complex = 0j) -> TorusField:
@@ -140,21 +140,32 @@ class _DenseSlices(Mapping):
 class TorusSinogram:
     """Transform data: one read-only complex array `values` on
     layout(members, K), which holds each member's coefficient vector on
-    support(A, K), plus the one shared average.
+    support(A, K), plus the one shared average. The members fix n and d.
 
-    The constructor stacks dense slice fields and gathers them on the
-    layout in one indexing step; it raises ValueError on a nonzero
-    coefficient off A^perp or at k = 0. `from_values` takes the flat array
-    itself, `from_vectors` one vector per member."""
+    The constructor is the only way in: members must be a nonempty,
+    sorted and distinct family and values must fit its layout; values are
+    copied and frozen. `from_slices` gathers dense slice fields onto the
+    layout, `from_vectors` concatenates one vector per member."""
 
-    def __init__(self, n: int, d: int, K: int, mean: complex,
-                 slices: Mapping[RationalSubspace, TorusField]):
+    def __init__(self, members: tuple[RationalSubspace, ...], K: int, mean: complex, values):
+        fam = canonical_family(members)
+        if not fam or (fam is not members and fam != tuple(members)):
+            raise DimensionMismatch("members must be a nonempty, sorted and distinct family")
+        if np.shape(values) != layout(fam, K)[0].shape:
+            raise DimensionMismatch(f"{np.shape(values)} values do not fit the layout at K={K}")
+        self.n, self.d, self.K, self.members = fam[0].n, fam[0].d, K, fam
+        self.mean, self.values = complex(mean), frozen(np.array(values, np.complex128))
+
+    @classmethod
+    def from_slices(cls, mean: complex, slices: Mapping[RationalSubspace, TorusField]) -> "TorusSinogram":
+        """Gather dense slice fields sharing one band onto the layout in one
+        step; ValueError on a nonzero coefficient off A^perp or at k = 0."""
         members = canonical_family(slices)
         fields = [slices[A] for A in members]
-        if any((A.n, A.d, f.n, f.K) != (n, d, n, K) for A, f in zip(members, fields)):
-            raise DimensionMismatch(f"slices do not all fit (n={n}, d={d}, K={K})")
-        dense = np.array([f.coeffs.ravel() for f in fields], np.complex128).reshape(
-            len(fields), (2 * K + 1) ** n)
+        if not fields or any((f.n, f.K) != (members[0].n, fields[0].K) for f in fields):
+            raise DimensionMismatch("slices must share one band on their subspaces' torus")
+        K = fields[0].K
+        dense = np.array([f.coeffs.ravel() for f in fields], np.complex128)
         index, offsets, _ = layout(members, K)
         owner = np.repeat(np.arange(len(members)), np.diff(offsets))
         values = dense[owner, index]
@@ -162,36 +173,18 @@ class TorusSinogram:
         if dense.any():
             A = members[int(dense.any(axis=1).argmax())]
             raise ValueError(f"slice for {A.serialize()!r} has coefficients at k = 0 or off A^perp")
-        self._set(n, d, K, mean, members, values)
+        return cls(members, K, mean, values)
 
     @classmethod
-    def from_vectors(cls, n: int, d: int, K: int, mean: complex,
+    def from_vectors(cls, K: int, mean: complex,
                      vectors: Mapping[RationalSubspace, np.ndarray]) -> "TorusSinogram":
         """The sinogram holding vectors[A] in member A's block of the layout."""
         members = canonical_family(vectors)
         off = layout(members, K)[1].tolist()
         if any(np.shape(vectors[A]) != (b - a,) for A, a, b in zip(members, off, off[1:])):
             raise DimensionMismatch(f"a vector does not fit its member's support at K={K}")
-        return cls.from_values(n, d, K, mean, members, np.concatenate(
+        return cls(members, K, mean, np.concatenate(
             [np.zeros(0, np.complex128), *(vectors[A] for A in members)]))
-
-    @classmethod
-    def from_values(cls, n: int, d: int, K: int, mean: complex,
-                    members: tuple[RationalSubspace, ...], values) -> "TorusSinogram":
-        """The sinogram whose flat array on layout(members, K) is a copy of
-        values; members must be sorted and distinct."""
-        fam = canonical_family(members)
-        if fam != tuple(members) or (fam and (fam[0].n, fam[0].d) != (n, d)):
-            raise DimensionMismatch(f"members must be distinct, sorted and fit (n={n}, d={d})")
-        if np.shape(values) != layout(fam, K)[0].shape:
-            raise DimensionMismatch(f"{np.shape(values)} values do not fit the layout at K={K}")
-        return cls.__new__(cls)._set(n, d, K, mean, fam, np.array(values, np.complex128))
-
-    def _set(self, n, d, K, mean, members, values) -> "TorusSinogram":
-        """Store the layout and values (read-only from here on, not copied)."""
-        self.n, self.d, self.K, self.members = n, d, K, members
-        self.mean, self.values = complex(mean), frozen(values)
-        return self
 
     @cached_property
     def blocks(self) -> dict[RationalSubspace, slice]:
@@ -222,14 +215,11 @@ class TorusSinogram:
         return _DenseSlices(self)
 
     def _check_compatible(self, other: "TorusSinogram") -> None:
-        if (self.n, self.d, self.K) != (other.n, other.d, other.K):
-            raise DimensionMismatch("sinograms have different (n, d, K)")
-        if self.members != other.members:
-            raise DimensionMismatch("sinograms live on different subspace families")
+        if (self.K, self.members) != (other.K, other.members):
+            raise DimensionMismatch("sinograms live on different bands or subspace families")
 
     def _new(self, mean: complex, values: np.ndarray) -> "TorusSinogram":
-        return TorusSinogram.__new__(TorusSinogram)._set(self.n, self.d, self.K, mean,
-                                                         self.members, values)
+        return TorusSinogram(self.members, self.K, mean, values)
 
     def __add__(self, other: "TorusSinogram") -> "TorusSinogram":
         self._check_compatible(other)
@@ -252,9 +242,9 @@ class TorusSinogram:
         return self._new(mean, self.values)
 
 
-def zero_sinogram(n: int, d: int, K: int, family) -> TorusSinogram:
+def zero_sinogram(K: int, family) -> TorusSinogram:
     members = canonical_family(family)
-    return TorusSinogram.from_values(n, d, K, 0j, members, np.zeros(layout(members, K)[0].size))
+    return TorusSinogram(members, K, 0j, np.zeros(layout(members, K)[0].size))
 
 
 # --- weight rules -------------------------------------------------------------
@@ -347,7 +337,7 @@ def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex =
     values this is the adjoint, without them the normal multiplier W."""
     w2, w0 = w.squared(members)
     w2 = np.nan_to_num(w2)
-    return scatter(w.n, w.K, members, w2 if values is None else w2 * values,
+    return scatter(w.K, members, w2 if values is None else w2 * values,
                    np.nan_to_num(w0).sum() * mean)
 
 
@@ -471,8 +461,8 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     zero = (0,) * members[0].n
     wA = np.array([1.0 if w is None else w.weight(zero, A) ** 2 for A in members])
     mean = np.dot(wA, [store[A].coeff(zero) for A in members]) / wA.sum()
-    return TorusSinogram(members[0].n, members[0].d, store[members[0]].K, mean,
-                         {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
+    return TorusSinogram.from_slices(
+        mean, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
 
 
 def plain_magnitude(g: TorusSinogram) -> float:

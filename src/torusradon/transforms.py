@@ -100,8 +100,7 @@ def forward_sinogram(f: TorusField, family) -> TorusSinogram:
         raise ValueError("family must be nonempty")
     if members[0].n != f.n:
         raise DimensionMismatch(f"subspaces in Q^{members[0].n}, field on T^{f.n}")
-    return TorusSinogram.from_values(f.n, members[0].d, f.K, f.mean(), members,
-                                     f.coeffs.ravel()[layout(members, f.K)[0]])
+    return TorusSinogram(members, f.K, f.mean(), f.coeffs.ravel()[layout(members, f.K)[0]])
 
 
 def rescale_convention(value: complex, v: PrimitiveDirection | Sequence[int],

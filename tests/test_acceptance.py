@@ -274,7 +274,7 @@ def test_criterion_6_summation_inversion():
     needed = orthogonal_complement((1, 2, 3))
     partial = {A: fld for A, fld in g3.slices.items() if A != needed}
     with pytest.raises(IncompleteCover):
-        invert_sum(TorusSinogram(3, 2, K3, 0j, partial))
+        invert_sum(TorusSinogram.from_slices(0j, partial))
     report(6, f"summation inversion exact (max error {worst:.2e} < 1e-10) for "
               f"zero-average phantoms at n=2 (K=16) and n=3 (K=4); IncompleteCover "
               f"raised when one needed hyperplane is removed")

@@ -108,9 +108,12 @@ def _corrupt_probe(tmp_path, kind):
     """A corrupt input file or directory, and the command that reads it."""
     sino = tmp_path / "sino"
     reconstruct = ["reconstruct", "--sinogram", sino, "--out", tmp_path / "r.tfield"]
-    if kind == "sinogram without subspaces":
+    if kind in ("sinogram without subspaces", "sinogram with an empty subspace list"):
         sino.mkdir()
-        (sino / "meta.json").write_text(json.dumps({"n": 2, "d": 1, "K": 4}))
+        meta = {"n": 2, "d": 1, "K": 4}
+        if kind == "sinogram with an empty subspace list":
+            meta["subspaces"] = []
+        (sino / "meta.json").write_text(json.dumps(meta))
         (sino / "mean.txt").write_text("1 0\n")
         return reconstruct
     if kind == "missing sinogram directory":
@@ -188,6 +191,7 @@ BAD_PHANTOM_PARAMS = {
 
 
 @pytest.mark.parametrize("kind", ["truncated field", "nan field", "sinogram without subspaces",
+                                  "sinogram with an empty subspace list",
                                   "missing sinogram directory", "sinogram missing a slice file",
                                   "sinogram slice band differs from meta",
                                   "sinogram meta d differs from its subspaces",
@@ -198,6 +202,22 @@ BAD_PHANTOM_PARAMS = {
 def test_corrupt_input_exit_code(tmp_path, capsys, kind):
     assert run(_corrupt_probe(tmp_path, kind)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--field", "f.tfield", "--cover", "-1"],
+    ["bridge", "--cover", "-1"],
+    ["bridge", "--band", "-1"],
+    ["bridge", "--offsets", "0"],
+    ["phantom", "--band", "-1"],
+    ["selftest", "--seed", "-1"],
+])
+def test_out_of_range_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: must be >= " in err and "Traceback" not in err
 
 
 def test_params_error_names_its_source(tmp_path, capsys):

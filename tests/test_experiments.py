@@ -92,14 +92,16 @@ def test_probe_noise_positions(rng):
         assert diff.mean == 0
 
 
-def test_noise_sweep_script_config_errors_are_typed(tmp_path, monkeypatch):
+def test_noise_sweep_script_config_errors_are_typed(tmp_path, monkeypatch, capsys):
     script = str(Path(__file__).resolve().parent.parent / "scripts" / "run_noise_sweep.py")
     bad = tmp_path / "bad.json"
     bad.write_text("{bad")
     for config in (tmp_path / "missing.json", bad):
         monkeypatch.setattr(sys, "argv", [script, "--config", str(config), "--out", str(tmp_path)])
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(SystemExit) as exit_info:
             runpy.run_path(script, run_name="__main__")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_validation_errors():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusradon.errors import IncompleteCover, NonzeroMean, SingularFilter
+from torusradon.errors import IncompleteCover, NonzeroMean, QuadratureTooCoarse, SingularFilter
 from torusradon.fields import (
     TorusField,
     bessel_norm,
@@ -164,7 +164,7 @@ def test_reconstruct_slices_incomplete_cover(rng):
     K = 4
     f, g, _ = planar_setup(K, rng)
     partial = TorusSinogram.from_vectors(
-        2, 1, K, g.mean, {A: v for A, v in g.vectors.items() if A != line((1, 2))})
+        K, g.mean, {A: v for A, v in g.vectors.items() if A != line((1, 2))})
     # the first frequency orthogonal to (1, 2), in lexicographic order
     with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")):
         reconstruct_slices(partial)
@@ -176,7 +176,7 @@ def test_reconstruct_slices_quadrature_size(rng):
     K = 4
     f, g, _ = planar_setup(K, rng)
     threshold = max(2 * K * sum(abs(x) for x in A.basis[0]) for A in g.subspaces)
-    with pytest.raises(ValueError, match="threshold"):
+    with pytest.raises(QuadratureTooCoarse, match="threshold"):
         reconstruct_slices(g, N_q=threshold)
     default = reconstruct_slices(g).coeffs
     for N_q in (threshold + 1, 3 * threshold + 7):
@@ -352,7 +352,7 @@ def test_invert_sum_incomplete_cover(rng):
     cover = direction_cover(K)
     g = forward_sinogram(f, cover).without_mean()
     removed = {A: fld for A, fld in g.slices.items() if A != line((2, -1))}
-    partial = TorusSinogram(2, 1, K, 0j, removed)
+    partial = TorusSinogram.from_slices(0j, removed)
     with pytest.raises(IncompleteCover):
         invert_sum(partial)
 

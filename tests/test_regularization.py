@@ -92,7 +92,7 @@ def _random_data(K, rng):
         arr = np.where(orthogonality_mask(A, K), arr, 0j)
         arr[K, K] = 0
         noisy[A] = TorusField(2, K, arr)
-    return TorusSinogram(2, 1, K, g.mean + 0.05, noisy)
+    return TorusSinogram.from_slices(g.mean + 0.05, noisy)
 
 
 def test_minimizer_beats_perturbations(rng):
