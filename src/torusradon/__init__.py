@@ -41,7 +41,6 @@ from .lattice import (
 )
 from .phantoms import Phantom, phantom
 from .regularization import (
-    RegParams,
     alpha_schedule,
     error_bound,
     post_process,

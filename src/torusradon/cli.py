@@ -62,7 +62,7 @@ def cmd_forward(args) -> int:
     g = forward_sinogram(f, cover)
     path = _out_path(args.out, "sinogram")
     write_sinogram(g, path)
-    print(f"wrote {path} ({len(g.subspaces)} slices, K={g.K})")
+    print(f"wrote {path} ({len(g.members)} slices, K={g.K})")
     return 0
 
 
@@ -110,7 +110,7 @@ def cmd_bridge(args) -> int:
     g = bridge_ingest(sino, cover, args.band)
     path = _out_path(args.out, "bridged_sinogram")
     write_sinogram(g, path)
-    print(f"wrote {path} ({len(g.subspaces)} slices)")
+    print(f"wrote {path} ({len(g.members)} slices)")
     return 0
 
 

@@ -6,7 +6,6 @@ summation formula.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -138,7 +137,7 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
 
 def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
     """W(k): the diagonal symbol of the normal operator over the rule's
-    family; values are cached bandwide on the rule."""
+    family, built bandwide with the rule."""
     return w.normal_value(k)
 
 
@@ -203,9 +202,6 @@ class ReconstructionReport:
     def payload(self) -> dict:
         """The report as JSON data; the run time stays out of artifacts."""
         return {"method": self.method, "parameters": self.parameters, "errors": self.errors}
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2)
 
     def errors_csv(self) -> str:
         lines = ["method,s,error"]

@@ -76,11 +76,11 @@ def write_sinogram(g: TorusSinogram, directory) -> None:
         "n": g.n,
         "d": g.d,
         "K": g.K,
-        "subspaces": [A.serialize() for A in g.subspaces],
+        "subspaces": [A.serialize() for A in g.members],
     }
     (d / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (d / "mean.txt").write_text(f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
-    for A in g.subspaces:
+    for A in g.members:
         write_field(g.slice(A), d / _slice_filename(A))
 
 

@@ -4,8 +4,6 @@ the closed-form minimizer, parameter schedules and the convergence bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
@@ -13,25 +11,6 @@ from .fields import TorusField, bracket_sq, sobolev_norm
 from .inversion import adjoint
 from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm, weighted_scatter
 from .transforms import forward_sinogram
-
-
-@dataclass(frozen=True)
-class RegParams:
-    """Smoothness/penalty indices and the schedule inputs.
-
-    r: data smoothness, s: penalty smoothness, t: noise-norm index,
-    delta: extra smoothness of the truth, alpha > 0, eps >= 0."""
-
-    r: float
-    s: float
-    t: float = 0.0
-    delta: float = 0.0
-    alpha: float = 1.0
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParamViolation("alpha must be positive")
 
 
 def post_process(f: TorusField, s: float, alpha: float) -> TorusField:

@@ -14,18 +14,20 @@ of it in one bincount (`scatter`). `vectors[A]` are views of `values`; dense
 slices are built on request; on disk each slice stays one dense field file.
 
 A weight rule lives on an explicit finite subspace family (the working
-truncation of the Grassmannian) and certifies its constants on the band by
-exhaustive summation. On any layout its squared weights are one flat array
-plus one w(0, A)^2 per member (`WeightRule.squared`), so every operator on
-transform data is a single numpy expression over the family.
+truncation of the Grassmannian) and is built once, its constants certified
+on the band by exhaustive summation. Its squared weights are one flat array
+on layout(family, K) plus one w(0, A)^2 per member; a sub-family reads its
+blocks. So every operator on transform data is one numpy expression.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +52,7 @@ def as_subspace(member: RationalSubspace | PrimitiveDirection | Sequence[int]) -
 
 class _Family(tuple):
     """A canonical family, hashed once when built: the caches keyed by it
-    (layout, squared, the canonical rule) then cost O(1) per lookup."""
+    (layout, the weight rules) then cost O(1) per lookup."""
 
     def __hash__(self) -> int:
         return self._hash
@@ -199,10 +201,6 @@ class TorusSinogram:
         built once per sinogram."""
         return {A: self.values[b] for A, b in self.blocks.items()}
 
-    @property
-    def subspaces(self) -> list[RationalSubspace]:
-        return list(self.members)
-
     def slice(self, member) -> TorusField:
         """Dense slice field of one member (zero at k = 0)."""
         block = self.blocks[as_subspace(member)]
@@ -253,7 +251,10 @@ def zero_sinogram(K: int, family) -> TorusSinogram:
 @dataclass(frozen=True)
 class WeightRule:
     """A positive weight w(k, A) on band frequencies and a finite subspace
-    family, with its certified normal-multiplier constants.
+    family, with its certified normal-multiplier constants. Plain read-only
+    data built once by `weight_on_family`: w(k, A)^2 on layout(family, K)
+    (`w2`) and w(0, A)^2 per member (`w2_zero`), NaN where undefined, the
+    multiplier W (`normal_array`), c_w = sqrt(min W) and C_w = sqrt(max W).
 
     kind 'canonical-singleton' (d = n-1): w = 1 off the mean and
     1/sqrt(|family|) at k = 0, so the data norm is the unweighted one.
@@ -267,49 +268,36 @@ class WeightRule:
     n: int
     K: int
     family: tuple[RationalSubspace, ...]
-    params: tuple = ()
-    c_w: float = field(default=0.0, compare=False)
-    C_w: float = field(default=0.0, compare=False)
+    params: tuple
+    w2: np.ndarray = field(compare=False, repr=False)
+    w2_zero: np.ndarray = field(compare=False, repr=False)
+    normal_array: np.ndarray = field(compare=False, repr=False)
+    c_w: float = field(compare=False)
+    C_w: float = field(compare=False)
 
-    @cached_property
-    def _custom(self) -> dict:
-        return dict(self.params) if self.kind == CUSTOM else {}
-
-    def _lookup(self, k: tuple, A: RationalSubspace) -> float:
-        """w(k, A), NaN where a custom table has no value."""
-        if self.kind == CANONICAL:
-            return 1.0 / math.sqrt(len(self.family)) if not any(k) else 1.0
-        if self.kind == HEIGHT_DECAY:
-            base = self.params[0] if self.params else 2.0
-            return float(base) ** (-A.height)
-        return self._custom.get((k, A), math.nan)
-
-    @lru_cache(maxsize=64)
     def squared(self, members: tuple[RationalSubspace, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (w(k, A)^2 as one flat array on layout(members, K),
-        w(0, A)^2 per member), NaN where undefined; cached per (rule, members)."""
-        index, offsets, _ = layout(members, self.K)
-        zero = np.array([self._lookup((0,) * self.n, A) for A in members]) ** 2
-        if self.kind != CUSTOM:  # the built-in kinds are constant off k = 0
-            k1 = (1,) + (0,) * (self.n - 1)
-            w = np.repeat([self._lookup(k1, A) for A in members], np.diff(offsets))
-        else:
-            ks = np.column_stack(np.unravel_index(index, (2 * self.K + 1,) * self.n)) - self.K
-            owners = [A for A, m in zip(members, np.diff(offsets).tolist()) for _ in range(m)]
-            w = np.array([self._lookup(tuple(k), A) for k, A in zip(ks.tolist(), owners)])
-        return frozen(np.asarray(w, np.float64) ** 2), frozen(zero)
+        """(w2, w2_zero) on layout(members, K): the rule's own arrays for its
+        family, their members' blocks for a sub-family."""
+        if members is self.family or members == self.family:
+            return self.w2, self.w2_zero
+        at = [bisect_left(self.family, A) for A in members]
+        if any(i == len(self.family) or self.family[i] != A for i, A in zip(at, members)):
+            raise DimensionMismatch("a member lies outside the weight rule's family")
+        off = layout(self.family, self.K)[1]
+        return (frozen(np.concatenate([np.zeros(0), *(self.w2[off[i]:off[i + 1]] for i in at)])),
+                frozen(self.w2_zero[at]))
 
     def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
+        """w(k, A) for k = 0 or k on support(A, K); WeightUndefined anywhere
+        else and where a custom table has no value."""
         kk = tuple(int(x) for x in k)
-        w = self._lookup(kk, A)
-        if math.isnan(w):
+        w2, w0 = self.squared((A,))
+        ks = np.column_stack(np.unravel_index(support(A, self.K), (2 * self.K + 1,) * self.n)) - self.K
+        hit = [j for j, row in enumerate(ks.tolist()) if tuple(row) == kk]
+        value = w0[0] if not any(kk) else w2[hit[0]] if hit else math.nan
+        if math.isnan(value):
             raise WeightUndefined(f"no weight value for k={kk}, A={A.serialize()!r}")
-        return w
-
-    @cached_property
-    def normal_array(self) -> np.ndarray:
-        """W(k) = sum over the family's orthogonal members of w(k, A)^2."""
-        return frozen(weighted_scatter(self.family, self))
+        return math.sqrt(value)
 
     def normal_value(self, k: Sequence[int]) -> float:
         return float(self.normal_array[tuple(int(x) + self.K for x in k)])
@@ -320,14 +308,13 @@ class WeightRule:
 
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band;
-        the implemented families are k-independent, so m_A = 0. Looks the
-        values up directly, so no one-member layout enters the caches."""
-        ks = np.column_stack(np.unravel_index(support(A, self.K), (2 * self.K + 1,) * self.n)) - self.K
-        wa = np.array([self._lookup(k, A) for k in [(0,) * self.n, *map(tuple, ks.tolist())]])
-        defined = wa[~np.isnan(wa)]
+        the implemented families are k-independent, so m_A = 0. Reads A's
+        block of the rule's arrays, so no one-member layout is built."""
+        w2 = np.concatenate(self.squared((A,)))
+        defined = w2[~np.isnan(w2)]
         if defined.size == 0:
             raise WeightUndefined(f"no weight values stored for {A.serialize()!r}")
-        return float(defined.min()), 0.0
+        return math.sqrt(float(defined.min())), 0.0
 
 
 def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex = 1.0) -> np.ndarray:
@@ -341,25 +328,12 @@ def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex =
                    np.nan_to_num(w0).sum() * mean)
 
 
-def _certify(rule: WeightRule) -> WeightRule:
-    W = rule.normal_array
-    c = math.sqrt(float(W.min()))
-    C = math.sqrt(float(W.max()))
-    if c == 0.0:
-        raise DegenerateWeight(
-            "normal multiplier vanishes somewhere on the band; the family does not cover it"
-        )
-    object.__setattr__(rule, "c_w", c)
-    object.__setattr__(rule, "C_w", C)
-    return rule
-
-
 def weight_on_family(kind: str, family, K: int, params: tuple = (),
                      certify: bool = True) -> WeightRule:
-    """Build a weight rule on an explicit subspace family; certification
-    scans the band for the constants and rejects vanishing ones. Custom
-    tables meant only for pairings need not generate a norm, so they may
-    skip it."""
+    """The weight rule on an explicit subspace family, built once per (kind,
+    family, K, params) and shared. Certification rejects a vanishing normal
+    multiplier on the band; custom tables meant only for pairings need not
+    generate a norm, so they may skip it."""
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
@@ -367,25 +341,48 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
         raise ValueError("canonical-singleton weights are a d = n-1 construction")
     if kind not in (CANONICAL, HEIGHT_DECAY, CUSTOM):
         raise ValueError(f"unknown weight kind {kind!r}")
-    if kind == CUSTOM and any(v <= 0 for _, v in params):
-        raise ValueError("weights must be positive wherever defined")
-    rule = WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params)
-    return _certify(rule) if certify else rule
+    # no params for the canonical rule, a base for height-decay, ((k, A), value) pairs for a table
+    values = [v for _, v in params] if kind == CUSTOM else list(params)
+    if kind != CUSTOM and len(values) > (kind == HEIGHT_DECAY):
+        raise ValueError(f"too many parameters for {kind!r} weights: {params!r}")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v > 0 for v in values):
+        raise ValueError("weights must be finite and positive wherever defined")
+    rule = _weight_rule(kind, fam, K, tuple(params))
+    if certify and rule.c_w == 0.0:
+        raise DegenerateWeight("normal multiplier vanishes somewhere on the band; the family does not cover it")
+    return rule
+
+
+@lru_cache(maxsize=64)
+def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: tuple) -> WeightRule:
+    index, offsets, _ = layout(fam, K)
+    if kind == CUSTOM:
+        table, n = dict(params), fam[0].n
+        ks = np.column_stack(np.unravel_index(index, (2 * K + 1,) * n)) - K
+        owners = [A for A, m in zip(fam, np.diff(offsets).tolist()) for _ in range(m)]
+        w = [table.get((tuple(k), A), math.nan) for k, A in zip(ks.tolist(), owners)]
+        zero = [table.get(((0,) * n, A), math.nan) for A in fam]
+    else:  # the built-in kinds are constant off k = 0
+        base = float(params[0]) if params else 2.0
+        per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
+        w = np.repeat(per_member, np.diff(offsets))
+        zero = [1.0 / math.sqrt(len(fam))] * len(fam) if kind == CANONICAL else per_member
+    w2, w2_zero = np.asarray(w, np.float64) ** 2, np.asarray(zero, np.float64) ** 2
+    W = scatter(K, fam, np.nan_to_num(w2), np.nan_to_num(w2_zero).sum())
+    return WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params,
+                      w2=frozen(w2), w2_zero=frozen(w2_zero), normal_array=frozen(W),
+                      c_w=math.sqrt(float(W.min())), C_w=math.sqrt(float(W.max())))
 
 
 def weight_build(kind: str, params: tuple, d: int, n: int, H: int, K: int) -> WeightRule:
     """Weight rule on the height-H truncated Grassmannian Gr_H(d, n)."""
-    fam = enumerate_grassmannian(d, n, H)
-    return weight_on_family(kind, fam, K, params=params)
+    return weight_on_family(kind, enumerate_grassmannian(d, n, H), K, params=params)
 
 
 def canonical_weight(family, K: int) -> WeightRule:
-    """The unweighted data-space rule (w = 1 off the mean), certified once
-    and shared by every caller with the same members and K."""
-    return _canonical_rule(canonical_family(family), K)
-
-
-_canonical_rule = lru_cache(maxsize=16)(partial(weight_on_family, CANONICAL))
+    """The unweighted data-space rule (w = 1 off the mean), certified and
+    shared by every caller with the same members and K."""
+    return weight_on_family(CANONICAL, family, K)
 
 
 # --- norms and the moment constraint ------------------------------------------
@@ -459,7 +456,9 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
         raise ValueError("no slices given")
     members = canonical_family(store)
     zero = (0,) * members[0].n
-    wA = np.array([1.0 if w is None else w.weight(zero, A) ** 2 for A in members])
+    wA = np.ones(len(members)) if w is None else w.squared(members)[1]
+    if np.isnan(wA).any():
+        raise WeightUndefined(f"no weight value for k=0, A={members[np.isnan(wA).argmax()].serialize()!r}")
     mean = np.dot(wA, [store[A].coeff(zero) for A in members]) / wA.sum()
     return TorusSinogram.from_slices(
         mean, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})

@@ -64,7 +64,7 @@ def test_add_noise_respects_range_and_determinism(rng):
     for A, v in (a - g).vectors.items():
         np.testing.assert_allclose(v[::-1], np.conj(v), rtol=0, atol=1e-15)
     assert a.mean == b.mean
-    for A in a.subspaces:
+    for A in a.members:
         assert np.array_equal(a.vectors[A], b.vectors[A])
     c = add_noise(g, 0.5, 0.0, 100)
     assert c.mean != a.mean
@@ -75,7 +75,7 @@ def test_probe_noise_concentration(rng):
     probed = probe_noise(g, 0.1, -2.0, (0, 2))
     diff = probed - g
     assert sinogram_norm(diff, -2.0, w) == pytest.approx(0.1, rel=1e-12)
-    nz = [(A, k) for A in diff.subspaces for k, _ in diff.slices[A].items()]
+    nz = [(A, k) for A in diff.members for k, _ in diff.slices[A].items()]
     assert {k for _, k in nz} == {(0, 2), (0, -2)}
 
 

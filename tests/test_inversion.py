@@ -141,7 +141,7 @@ def slices_oracle(g, N_q=None):
             dense[A] = with_mean(A)
         arr[k[0] + K, k[1] + K] = slice_reconstruct_coeff(dense[A], k, PrimitiveDirection(A.basis[0]),
                                                           N_q=N_q)
-    first = g.subspaces[0]
+    first = g.members[0]
     arr[K, K] = slice_reconstruct_coeff(with_mean(first), (0, 0), PrimitiveDirection(first.basis[0]),
                                         N_q=N_q)
     return TorusField(2, K, arr)
@@ -175,7 +175,7 @@ def test_reconstruct_slices_incomplete_cover(rng):
 def test_reconstruct_slices_quadrature_size(rng):
     K = 4
     f, g, _ = planar_setup(K, rng)
-    threshold = max(2 * K * sum(abs(x) for x in A.basis[0]) for A in g.subspaces)
+    threshold = max(2 * K * sum(abs(x) for x in A.basis[0]) for A in g.members)
     with pytest.raises(QuadratureTooCoarse, match="threshold"):
         reconstruct_slices(g, N_q=threshold)
     default = reconstruct_slices(g).coeffs
@@ -193,7 +193,7 @@ def test_reconstruct_slices_peak_memory(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(g.subspaces) == 320
+    assert len(g.members) == 320
     assert peak < 1e6  # no dense slice: the result holds 1,089 values
 
 
@@ -390,7 +390,7 @@ def sum_pairing(g, weight_table, h):
     K = g.K
     flipped = h.coeffs[(slice(None, None, -1),) * h.n]
     acc = 0j
-    for A in g.subspaces:
+    for A in g.members:
         fa = g.slice(A).coeffs
         fa[(K,) * g.n] = g.mean
         warr = np.zeros(fa.shape)
@@ -410,7 +410,7 @@ def field_pairing(f, h):
 def equal_split_table(g):
     """Unsquared weights 1/|Omega_k| on the stored family: each band
     frequency splits evenly over its orthogonal members."""
-    masks = {A: orthogonality_mask(A, g.K) for A in g.subspaces}
+    masks = {A: orthogonality_mask(A, g.K) for A in g.members}
     counts = sum(masks.values())
     return {(tuple(int(x) - g.K for x in i), A): 1.0 / counts[tuple(i)]
             for A, mask in masks.items() for i in np.argwhere(mask)}

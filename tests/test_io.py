@@ -53,8 +53,8 @@ def test_sinogram_round_trip(tmp_path, rng):
     assert (d / "meta.json").exists() and (d / "mean.txt").exists()
     back = read_sinogram(d)
     assert back.mean == g.mean
-    assert back.subspaces == g.subspaces
-    for A in g.subspaces:
+    assert back.members == g.members
+    for A in g.members:
         assert np.array_equal(back.slices[A].coeffs, g.slices[A].coeffs)
 
 

@@ -12,7 +12,6 @@ from torusradon.fields import (
 )
 from torusradon.lattice import direction_cover, hyperplane_cover
 from torusradon.regularization import (
-    RegParams,
     alpha_schedule,
     error_bound,
     post_process,
@@ -86,7 +85,7 @@ def _random_data(K, rng):
     cover = direction_cover(K)
     g = forward_sinogram(random_field(2, K, rng), cover)
     noisy = {}
-    for A in g.subspaces:
+    for A in g.members:
         arr = g.slices[A].coeffs + 0.1 * (rng.standard_normal(g.slices[A].coeffs.shape)
                                           + 1j * rng.standard_normal(g.slices[A].coeffs.shape))
         arr = np.where(orthogonality_mask(A, K), arr, 0j)
@@ -176,10 +175,3 @@ def test_post_process_multiplier_symmetry_keeps_real(rng):
     f = random_field(2, 3, rng, real=True)
     out = post_process(f, 1.5, 0.3)
     assert out.real
-
-
-def test_reg_params_container():
-    p = RegParams(r=0.0, s=1.0, t=-2.0, delta=1.0, alpha=0.1, eps=1e-3)
-    assert p.alpha == 0.1
-    with pytest.raises(ParamViolation):
-        RegParams(r=0.0, s=1.0, alpha=0.0)

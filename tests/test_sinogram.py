@@ -26,7 +26,6 @@ from torusradon.sinogram import (
     CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
-    WeightRule,
     _check_weight_defined,
     canonical_weight,
     enforce_moment_constraint,
@@ -164,10 +163,10 @@ def test_enforce_moment_constraint_fixed_point():
     f = field_from_coeffs(2, K, {(0, 0): 2.0, (0, 1): 1.0, (0, -1): 1.0}, real=True)
     g = forward_sinogram(f, cover)
     raw = {A: field_from_coeffs(2, K, dict(g.slices[A].items()) | {(0, 0): g.mean})
-           for A in g.subspaces}
+           for A in g.members}
     back = enforce_moment_constraint(raw)
     assert back.mean == pytest.approx(g.mean)
-    for A in g.subspaces:
+    for A in g.members:
         assert np.allclose(back.slices[A].coeffs, g.slices[A].coeffs)
 
 
@@ -214,15 +213,15 @@ def test_dense_constructor_gathers_the_slices_back(family, K, rng):
 
 
 def test_decay_certificate_leaves_the_family_caches_alone():
-    """Certifying every member reads the rule's values directly: no
-    one-member layout or squared-weight entry pushes the family out."""
+    """Certifying every member reads the rule's own arrays: no one-member
+    layout pushes the family out."""
     K = 32
     w = canonical_weight(direction_cover(K), K)
     index = layout(w.family, K)
-    sizes = layout.cache_info().currsize, WeightRule.squared.cache_info().currsize
+    size = layout.cache_info().currsize
     assert all(w.decay_certificate(A) == pytest.approx((1 / 36, 0.0)) for A in w.family)
     assert layout(w.family, K) is index
-    assert (layout.cache_info().currsize, WeightRule.squared.cache_info().currsize) == sizes
+    assert layout.cache_info().currsize == size
 
 
 def test_support_index_pairs_k_with_minus_k():
@@ -246,12 +245,12 @@ def test_slices_are_dense_and_not_cached(rng):
     K = 3
     f = random_field(2, K, rng)
     g = forward_sinogram(f, direction_cover(K))
-    A = g.subspaces[1]
+    A = g.members[1]
     first = g.slices[A]
     assert first is not g.slices[A]
     assert np.array_equal(first.coeffs, g.slice(A).coeffs)
     assert first.coeff((0, 0)) == 0
-    assert set(g.slices) == set(g.subspaces) and len(g.slices) == len(g.subspaces)
+    assert set(g.slices) == set(g.members) and len(g.slices) == len(g.members)
 
 
 @pytest.mark.parametrize("cached", [
@@ -465,15 +464,18 @@ def test_vectors_are_views_of_values_built_once(rng):
 def test_canonical_rule_is_shared_and_read_only():
     K = 4
     cover = direction_cover(K)
-    w = canonical_weight(cover, K)
-    assert canonical_weight(list(reversed(cover)), K) is w
-    assert canonical_weight([line(v) for v in cover], K) is w
-    assert canonical_weight(cover, K - 1) is not w
-    for arr in (w.normal_array, *w.squared(w.family)):
-        with pytest.raises(ValueError):
-            arr[...] = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        w.C_w = 2.0
+    assert canonical_weight(cover, K) is weight_on_family(CANONICAL, cover, K)
+    for kind in (CANONICAL, HEIGHT_DECAY):
+        w = weight_on_family(kind, cover, K)
+        assert weight_on_family(kind, list(reversed(cover)), K) is w
+        assert weight_on_family(kind, [line(v) for v in cover], K, certify=False) is w
+        assert weight_on_family(kind, cover, K - 1) is not w
+        assert all(a is b for a, b in zip(w.squared(w.family), (w.w2, w.w2_zero)))
+        for arr in (w.normal_array, *w.squared(w.family), *w.squared(w.family[1::3])):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.C_w = 2.0
 
 
 def test_weight_on_family_drops_duplicate_members():
@@ -499,3 +501,36 @@ def test_constructor_takes_only_a_canonical_family():
             TorusSinogram(bad, K, 0j, np.ones(layout(bad, K)[0].size))
     with pytest.raises(DimensionMismatch):
         TorusSinogram((), K, 0j, np.ones(0))
+
+
+def test_rule_refuses_a_member_outside_its_family(rng):
+    K = 3
+    cover = direction_cover(K)
+    w = weight_on_family(HEIGHT_DECAY, cover[:-1], K, certify=False)
+    outside = line(cover[-1])
+    for call in (lambda: w.squared((w.family[0], outside)), lambda: w.weight((0, 0), outside),
+                 lambda: w.decay_certificate(outside), lambda: w.decay_certificate(line((1, 0, 0)))):
+        with pytest.raises(DimensionMismatch):
+            call()
+    g = forward_sinogram(random_field(2, K, rng), cover)
+    with pytest.raises(DimensionMismatch):
+        weighted_scatter(g.members, w, g.values, g.mean)
+
+
+@pytest.mark.parametrize("kind,params", [
+    (HEIGHT_DECAY, (0.0,)),
+    (HEIGHT_DECAY, (math.nan,)),
+    (HEIGHT_DECAY, (-2.0,)),
+    (HEIGHT_DECAY, (math.inf,)),
+    (HEIGHT_DECAY, (2.0, 3.0)),
+    (HEIGHT_DECAY, ("2",)),
+    (CANONICAL, (2.0,)),
+    (CUSTOM, ((((0, 1), line((1, 0))), math.nan),)),
+    (CUSTOM, ((((0, 1), line((1, 0))), "1.0"),)),
+    (CUSTOM, ((((0, 1), line((1, 0))), None),)),
+    (CUSTOM, ((((0, 1), line((1, 0))), -1.0),)),
+], ids=["zero base", "nan base", "negative base", "infinite base", "extra entry", "string base",
+        "canonical with a base", "nan value", "string value", "None value", "negative value"])
+def test_weight_parameters_are_validated(kind, params):
+    with pytest.raises(ValueError):
+        weight_on_family(kind, direction_cover(2), 2, params=params, certify=False)

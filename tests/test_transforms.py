@@ -126,14 +126,14 @@ def test_quadrature_plane_matches_multiplier(rng):
 def test_forward_sinogram_zero():
     g = forward_sinogram(zero_field(2, 2), direction_cover(2))
     assert g.mean == 0
-    for A in g.subspaces:
+    for A in g.members:
         assert np.all(g.slices[A].coeffs == 0)
 
 
 def test_forward_sinogram_single_harmonic():
     f = unit_harmonic(2, 2, (1, 2))
     g = forward_sinogram(f, direction_cover(2))
-    nonzero = [A for A in g.subspaces if np.any(g.slices[A].coeffs != 0)]
+    nonzero = [A for A in g.members if np.any(g.slices[A].coeffs != 0)]
     assert nonzero == [line((2, -1))]
     assert g.mean == 0
 
@@ -143,7 +143,7 @@ def test_forward_sinogram_mean_shared(rng):
     for fam in (direction_cover(1), direction_cover(3)):
         g = forward_sinogram(f, fam)
         assert g.mean == f.coeff((0, 0))
-        for A in g.subspaces:
+        for A in g.members:
             assert g.slices[A].coeff((0, 0)) == 0
 
 
