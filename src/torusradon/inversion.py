@@ -1,7 +1,7 @@
-"""Inversion paths: axis-integral slice reconstruction (one periodic
-midpoint quadrature per stored line), adjoint and normal operators,
-filtered and normalized-weight inversion, and the filter-free hyperplane
-summation formula.
+"""Inversion paths: axis-integral slice reconstruction (a periodic
+midpoint quadrature on 2K + 1 nodes, one product over all lines), adjoint
+and normal operators, filtered and normalized-weight inversion, and the
+filter-free hyperplane summation formula.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     SingularFilter,
 )
 from .fields import TorusField, evaluate_at
-from .lattice import IntVec, PrimitiveDirection, RationalSubspace
+from .lattice import IntVec, PrimitiveDirection
 from .sinogram import (
     TorusSinogram,
     WeightRule,
@@ -30,7 +30,6 @@ from .sinogram import (
     scatter,
     weighted_scatter,
 )
-from .transforms import quadrature_threshold
 
 NONZERO_MEAN_RTOL = 1e-12
 
@@ -46,15 +45,14 @@ def _default_axis(k: IntVec, v: PrimitiveDirection) -> int:
     return 1
 
 
-def _quadrature_nodes(K: int, v: PrimitiveDirection, N_q: int | None) -> np.ndarray:
-    """Midpoint nodes (j + 1/2)/N_q of the axis quadrature for slices along
-    v. The rule is exact on the band above `quadrature_threshold`; the
-    default is the smallest such N_q, and at least 2K + 1."""
-    threshold = quadrature_threshold(K, [v.v])
+def _quadrature_nodes(K: int, N_q: int | None) -> np.ndarray:
+    """Midpoint nodes (j + 1/2)/N_q of the axis quadrature. On the band the
+    axis integrand has frequencies |k_axis| <= K in both factors, so degree
+    at most 2K, and the rule is exact for N_q >= 2K + 1 nodes, the default."""
     if N_q is None:
-        N_q = max(threshold, 2 * K) + 1
-    if N_q <= threshold:
-        raise QuadratureTooCoarse(f"N_q={N_q} <= exactness threshold {threshold}")
+        N_q = 2 * K + 1
+    if N_q <= 2 * K:
+        raise QuadratureTooCoarse(f"N_q={N_q} <= exactness threshold {2 * K}")
     return (np.arange(N_q) + 0.5) / N_q
 
 
@@ -79,7 +77,7 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
         raise AxisDegenerate(f"axis {axis} formula needs k[{axis}] != 0, got k={kk}")
     if not any(kk) and v.v[1 - axis] == 0:
         raise AxisDegenerate(f"k = 0 along axis {axis} needs v[{1 - axis}] != 0, got v={v.v}")
-    t = _quadrature_nodes(g_v.K, v, N_q)
+    t = _quadrature_nodes(g_v.K, N_q)
     pts = np.zeros((t.size, 2))
     pts[:, axis] = t
     vals = evaluate_at(g_v, pts)
@@ -87,43 +85,41 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
     return complex(np.mean(vals * phase))
 
 
-def _line_phases(A: RationalSubspace, idx, K: int, N_q: int | None, zero: bool) -> np.ndarray:
-    """Phases e^{2 pi i k_axis t_j} of the frequencies k at the flat band
-    indices idx of A's block (columns) at the quadrature nodes t_j for
-    slices along A (rows). The axis is the one the rule picks for k = 0 if
-    `zero`, else the one for the nonzero k: these are multiples of one
-    primitive vector, so the rule picks the same axis for all of them."""
-    v = PrimitiveDirection(A.basis[0])
-    ks = np.column_stack(np.unravel_index(idx, (2 * K + 1,) * 2)) - K
-    axis = _default_axis((0, 0) if zero else tuple(ks[-1]), v)
-    return np.exp(2j * np.pi * np.outer(_quadrature_nodes(K, v, N_q), ks[:, axis]))
-
-
 def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
     """Full-field reconstruction through the axis integrals: the quadrature
-    of `slice_reconstruct_coeff`, run once per stored line. The slice plus
-    the shared mean is sampled on the nodes of one axis, and every
-    coefficient on the line is read off those samples; k = 0 is the average
-    along the first line's valid axis. Raises IncompleteCover if a band
-    frequency has no stored orthogonal line."""
+    of `slice_reconstruct_coeff` on 2K + 1 nodes (by default), one product
+    over all lines. Column l of B holds line l's coefficients at their axis
+    frequencies; one phase matrix P = e^{2 pi i k_axis t_j} samples every
+    slice plus the shared mean as P @ B + mean, and every coefficient is
+    read off P^H (P @ B + mean) / N_q. k = 0 is the average along the first
+    line's valid axis. Raises IncompleteCover if a band frequency has no
+    stored orthogonal line."""
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     K = g.K
+    t = _quadrature_nodes(K, N_q)
+    index, offsets, _ = layout(g.members, K)
     out = np.zeros((2 * K + 1) ** 2, dtype=np.complex128)
     covered = np.zeros(out.size, dtype=bool)
-    covered[out.size // 2] = True
-    index = layout(g.members, K)[0]
-    for A, block in g.blocks.items():
-        idx = index[block]
-        if idx.size:
-            E = _line_phases(A, idx, K, N_q, zero=False)
-            out[idx] = E.conj().T @ (E @ g.values[block] + g.mean) / E.shape[0]
-            covered[idx] = True
+    covered[index] = covered[out.size // 2] = True
     if not covered.all():
         k = _first_frequency(~covered.reshape((2 * K + 1,) * 2), K)
         raise IncompleteCover(f"no slice orthogonal to k={k}")
-    A, b = g.members[0], g.blocks[g.members[0]]
-    out[out.size // 2] = np.mean(_line_phases(A, index[b], K, N_q, zero=True) @ g.values[b] + g.mean)
+    ks = np.column_stack(np.unravel_index(index, (2 * K + 1,) * 2)) - K
+    # the axis of _default_axis, entry by entry; the entries of a line are
+    # multiples of one primitive vector, so it is the same along the line
+    k_axis = np.where(np.abs(ks[:, 0]) > np.abs(ks[:, 1]), ks[:, 0], ks[:, 1]) + K
+    lines = np.repeat(np.arange(len(g.members)), np.diff(offsets))
+    P = np.exp(2j * np.pi * np.outer(t, np.arange(-K, K + 1)))
+    B = np.zeros((2 * K + 1, len(g.members)), dtype=np.complex128)
+    B[k_axis, lines] = g.values
+    samples = P @ B
+    samples += g.mean
+    np.matmul(P.conj().T / t.size, samples, out=B)  # B now holds the coefficients read back
+    out[index] = B[k_axis, lines]
+    first = slice(offsets[0], offsets[1])
+    axis = _default_axis((0, 0), PrimitiveDirection(g.members[0].basis[0]))
+    out[out.size // 2] = np.mean(P[:, ks[first, axis] + K] @ g.values[first] + g.mean)
     return TorusField(2, K, out.reshape((2 * K + 1,) * 2))
 
 

@@ -108,7 +108,7 @@ def scatter(K: int, members, values: np.ndarray, center: complex = 0.0) -> np.nd
     values give a real array. The members (nonempty) fix n."""
     size = (2 * K + 1) ** members[0].n
     idx = layout(members, K)[0]
-    out = np.bincount(idx, values.real, size)
+    out = np.bincount(idx, values.real, size).astype(np.float64, copy=False)  # int64 if idx is empty
     if np.iscomplexobj(values) or np.iscomplexobj(center):
         out = out.astype(np.complex128)
         out.imag = np.bincount(idx, values.imag, size)

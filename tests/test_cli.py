@@ -43,6 +43,21 @@ def test_reconstruct_methods_run(tmp_path, method):
                 "--out", tmp_path / "r.tfield", "--alpha", "1e-6", "--s", "1.0"]) == 0
 
 
+@pytest.mark.parametrize("method", ["slice", "filtered", "normalized", "sum", "tikhonov"])
+def test_mean_only_band_reconstructs_the_mean(tmp_path, method):
+    # K = 0: the sinogram holds no slice values, only the shared mean
+    from torusradon.io import read_field
+
+    field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
+    assert run(["phantom", "--band", "0", "--out", field]) == 0
+    assert run(["forward", "--field", field, "--cover", "2", "--out", sino]) == 0
+    assert run(["reconstruct", "--sinogram", sino, "--method", method, "--alpha", "0.5",
+                "--out", recon]) == 0
+    mean = read_field(field).coeffs[0, 0]
+    expected = mean / 1.5 if method == "tikhonov" else mean  # mean W / (W + alpha), W(0) = 1
+    assert abs(read_field(recon).coeffs[0, 0] - expected) < 1e-12 * abs(mean)
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = {
         "phantom": {"kind": "disk", "radius": 0.25},

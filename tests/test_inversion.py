@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -173,14 +174,24 @@ def test_reconstruct_slices_incomplete_cover(rng):
 
 
 def test_reconstruct_slices_quadrature_size(rng):
+    # the axis integrand has frequencies |k_axis| <= K per factor: 2K + 1
+    # midpoint nodes are exact, 2K are not
     K = 4
     f, g, _ = planar_setup(K, rng)
-    threshold = max(2 * K * sum(abs(x) for x in A.basis[0]) for A in g.members)
-    with pytest.raises(QuadratureTooCoarse, match="threshold"):
-        reconstruct_slices(g, N_q=threshold)
-    default = reconstruct_slices(g).coeffs
-    for N_q in (threshold + 1, 3 * threshold + 7):
-        assert np.max(np.abs(reconstruct_slices(g, N_q=N_q).coeffs - default)) < 1e-12
+    with pytest.raises(QuadratureTooCoarse, match=f"threshold {2 * K}"):
+        reconstruct_slices(g, N_q=2 * K)
+    for N_q in (None, 2 * K + 1, 6 * K + 7):
+        assert np.max(np.abs(reconstruct_slices(g, N_q=N_q).coeffs - f.coeffs)) < 1e-12
+
+
+def test_reconstruct_slices_at_scale(rng):
+    K = 64
+    f, g, _ = planar_setup(K, rng)
+    start = time.perf_counter()
+    rec = reconstruct_slices(g)
+    elapsed = time.perf_counter() - start
+    assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-12
+    assert elapsed < 0.5  # one product over the 5,040 lines
 
 
 def test_reconstruct_slices_peak_memory(rng):
