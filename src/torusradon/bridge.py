@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (CorruptInput, DimensionMismatch, GeometryViolation, MissingAngle,
                      TorusRadonError)
+from .fields import band_frequencies
 from .lattice import PrimitiveDirection, direction_of, primitive_reduce
 from .sinogram import TorusSinogram, canonical_family, layout
 
@@ -141,6 +142,7 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     if (members[0].n, members[0].d) != (2, 1):
         raise DimensionMismatch("the bridge is a planar (n=2) line operation")
     index, offsets, _ = layout(members, K)
+    k1, k2 = band_frequencies(2, K)[:, index]
     values, means = np.empty(index.size, np.complex128), []
     for A, lo, hi in zip(members, offsets.tolist(), offsets[1:].tolist()):
         v = direction_of(A)
@@ -157,8 +159,7 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         # the profile is real: g(-m) = conj(g(m)) and g(0) is real
         means.append(g[0].real)
         # k = m (-v2, v1) on the support; pick each entry's m from its k
-        idx = index[lo:hi]
-        m = ((idx // (2 * K + 1) - K) * -v.v[1] + (idx % (2 * K + 1) - K) * v.v[0]) // norm_sq
+        m = (k1[lo:hi] * -v.v[1] + k2[lo:hi] * v.v[0]) // norm_sq
         values[lo:hi] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
     mean = sum(means) / len(means)
     return TorusSinogram(members, K, mean, values)

@@ -26,38 +26,26 @@ def frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def k_axes(n: int, K: int) -> tuple[np.ndarray, ...]:
-    return tuple(frozen(np.arange(-K, K + 1, dtype=np.int64)) for _ in range(n))
-
-
-@lru_cache(maxsize=32)
-def k_grids(n: int, K: int) -> tuple[np.ndarray, ...]:
-    """Integer coordinate grids of shape (2K+1,)*n, one per axis."""
-    return tuple(frozen(g) for g in np.meshgrid(*k_axes(n, K), indexing="ij"))
+def band_frequencies(n: int, K: int) -> np.ndarray:
+    """Read-only n x (2K+1)^n int64 table whose column i is the frequency k
+    at flat band index i (C order): the one decoder of flat band indices."""
+    return frozen(np.indices((2 * K + 1,) * n).reshape(n, -1) - K)
 
 
 @lru_cache(maxsize=128)
 def bracket_sq(n: int, K: int) -> np.ndarray:
     """<k>^2 = 1 + |k|^2 over the band, float64."""
-    return frozen(1.0 + sum(g.astype(np.float64) ** 2 for g in k_grids(n, K)))
-
-
-def dot_mask(basis: tuple[IntVec, ...], K: int) -> np.ndarray:
-    """Boolean band mask of frequencies orthogonal to every basis row."""
-    n = len(basis[0])
-    grids = k_grids(n, K)
-    mask = np.ones((2 * K + 1,) * n, dtype=bool)
-    for row in basis:
-        dot = np.zeros((2 * K + 1,) * n, dtype=np.int64)
-        for c, g in zip(row, grids):
-            if c:
-                dot += c * g
-        mask &= dot == 0
-    return mask
+    norm_sq = (band_frequencies(n, K) ** 2).sum(axis=0).reshape((2 * K + 1,) * n)
+    return frozen(1.0 + norm_sq.astype(np.float64))
 
 
 def orthogonality_mask(A: RationalSubspace, K: int) -> np.ndarray:
-    return dot_mask(A.basis, K)
+    """Boolean band mask of the frequencies orthogonal to every basis row of A."""
+    ks = band_frequencies(A.n, K)
+    mask = np.ones(ks.shape[1], dtype=bool)
+    for row in A.basis:
+        mask &= sum(c * k for c, k in zip(row, ks) if c) == 0
+    return mask.reshape((2 * K + 1,) * A.n)
 
 
 def is_hermitian(coeffs: np.ndarray) -> bool:

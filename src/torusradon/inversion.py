@@ -19,7 +19,7 @@ from .errors import (
     QuadratureTooCoarse,
     SingularFilter,
 )
-from .fields import TorusField, evaluate_at
+from .fields import TorusField, band_frequencies, evaluate_at
 from .lattice import IntVec, PrimitiveDirection
 from .sinogram import (
     TorusSinogram,
@@ -105,10 +105,10 @@ def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
     if not covered.all():
         k = _first_frequency(~covered.reshape((2 * K + 1,) * 2), K)
         raise IncompleteCover(f"no slice orthogonal to k={k}")
-    ks = np.column_stack(np.unravel_index(index, (2 * K + 1,) * 2)) - K
+    ks = band_frequencies(2, K)[:, index]
     # the axis of _default_axis, entry by entry; the entries of a line are
     # multiples of one primitive vector, so it is the same along the line
-    k_axis = np.where(np.abs(ks[:, 0]) > np.abs(ks[:, 1]), ks[:, 0], ks[:, 1]) + K
+    k_axis = np.where(np.abs(ks[0]) > np.abs(ks[1]), ks[0], ks[1]) + K
     lines = np.repeat(np.arange(len(g.members)), np.diff(offsets))
     P = np.exp(2j * np.pi * np.outer(t, np.arange(-K, K + 1)))
     B = np.zeros((2 * K + 1, len(g.members)), dtype=np.complex128)
@@ -119,7 +119,7 @@ def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
     out[index] = B[k_axis, lines]
     first = slice(offsets[0], offsets[1])
     axis = _default_axis((0, 0), PrimitiveDirection(g.members[0].basis[0]))
-    out[out.size // 2] = np.mean(P[:, ks[first, axis] + K] @ g.values[first] + g.mean)
+    out[out.size // 2] = np.mean(P[:, ks[axis, first] + K] @ g.values[first] + g.mean)
     return TorusField(2, K, out.reshape((2 * K + 1,) * 2))
 
 
@@ -133,8 +133,8 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
 
 def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
     """W(k): the diagonal symbol of the normal operator over the rule's
-    family, built bandwide with the rule."""
-    return w.normal_value(k)
+    family, read from the rule's bandwide `normal_array`."""
+    return float(w.normal_array[tuple(int(x) + w.K for x in k)])
 
 
 def _first_frequency(mask: np.ndarray, K: int) -> IntVec:

@@ -3,11 +3,12 @@
 TorusField: one JSON header line {K, n, real} followed by little-endian
 float64 (re, im) pairs in lexicographic frequency order. TorusSinogram: a
 directory with meta.json, mean.txt, and one dense field file per subspace
-named by its serialized basis; slices are densified on write and gathered
-onto their supports on read. Images: 16-bit P5 PGM with the linear scaling
-recorded in the header comment. All writers are pure functions of their
-inputs, so identical runs produce identical bytes. The readers check what
-they parse and raise CorruptInput on malformed or unreadable files.
+named by its serialized basis; each file is the dense view `g.slices[A]` on
+write and is gathered straight onto the sinogram's layout on read. Images:
+16-bit P5 PGM with the linear scaling recorded in the header comment. All
+writers are pure functions of their inputs, so identical runs produce
+identical bytes. The readers check what they parse and raise CorruptInput
+on malformed or unreadable files.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def write_sinogram(g: TorusSinogram, directory) -> None:
     (d / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (d / "mean.txt").write_text(f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
     for A in g.members:
-        write_field(g.slice(A), d / _slice_filename(A))
+        write_field(g.slices[A], d / _slice_filename(A))
 
 
 def read_sinogram(directory) -> TorusSinogram:

@@ -144,11 +144,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
     return row_hnf(ker, n)
 
 
-def saturate(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
-    """HNF basis of span_Q(rows) intersected with Z^n."""
-    return integer_kernel(integer_kernel(rows, n), n)
-
-
 def int_det(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     a = [list(map(int, r)) for r in mat]
@@ -257,7 +252,7 @@ def canonicalize_subspace(rows: Sequence[Sequence[int]], d: int) -> RationalSubs
     if not mats:
         raise RankMismatch("no generators given")
     n = len(mats[0])
-    sat = saturate(mats, n)
+    sat = integer_kernel(integer_kernel(mats, n), n)  # span_Q(rows) intersected with Z^n
     if len(sat) != d:
         raise RankMismatch(f"rank {len(sat)} != requested d={d}")
     return RationalSubspace(n=n, d=d, basis=tuple(sat))

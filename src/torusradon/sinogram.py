@@ -6,12 +6,13 @@ orthogonal to A, so a slice lives on the lattice A^perp in the band. A
 sinogram is its members (which fix n and d), K, one shared average owning
 every k = 0 slot, and one flat complex array `values` on `layout(members,
 K)`: the members' uncached `support(A, K)` indices concatenated in sorted
-member order, the only index of slice data; member A's values sit in its
-block `blocks[A]`. The constructor takes exactly these and checks them, so
-data off A^perp cannot be represented; arithmetic builds through it too.
-Forward maps gather into `values`, every adjoint-type operator scatters out
-of it in one bincount (`scatter`). `vectors[A]` are views of `values`; dense
-slices are built on request; on disk each slice stays one dense field file.
+member order, the only index of slice data. The constructor takes exactly
+these and checks them, so data off A^perp cannot be represented; arithmetic
+builds through it too, and `from_slices` gathers dense slice fields into
+it. Forward maps gather into `values`, every adjoint-type operator scatters
+out of it in one bincount (`scatter`). Member A's vector is
+`values[blocks[A]]`; `slices` is the one dense view, built on request, and
+on disk each slice stays one dense field file.
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and is built once, its constants certified
@@ -33,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateWeight, DimensionMismatch, WeightUndefined
-from .fields import TorusField, bessel_norm, bracket_sq, frozen, orthogonality_mask, unit_harmonic
+from .fields import (TorusField, band_frequencies, bessel_norm, bracket_sq, frozen,
+                     orthogonality_mask, unit_harmonic)
 from .lattice import (
     PrimitiveDirection,
     RationalSubspace,
@@ -130,7 +132,9 @@ class _DenseSlices(Mapping):
         self._g = g
 
     def __getitem__(self, A):
-        return self._g.slice(A)
+        g = self._g
+        block = g.blocks[as_subspace(A)]
+        return _dense(g.n, g.K, layout(g.members, g.K)[0][block], g.values[block])
 
     def __iter__(self):
         return iter(self._g.members)
@@ -144,10 +148,11 @@ class TorusSinogram:
     layout(members, K), which holds each member's coefficient vector on
     support(A, K), plus the one shared average. The members fix n and d.
 
-    The constructor is the only way in: members must be a nonempty,
+    The constructor is the checked way in: members must be a nonempty,
     sorted and distinct family and values must fit its layout; values are
     copied and frozen. `from_slices` gathers dense slice fields onto the
-    layout, `from_vectors` concatenates one vector per member."""
+    layout. Member A's vector is `values[blocks[A]]`, its dense slice
+    field `slices[A]`."""
 
     def __init__(self, members: tuple[RationalSubspace, ...], K: int, mean: complex, values):
         fam = canonical_family(members)
@@ -177,34 +182,12 @@ class TorusSinogram:
             raise ValueError(f"slice for {A.serialize()!r} has coefficients at k = 0 or off A^perp")
         return cls(members, K, mean, values)
 
-    @classmethod
-    def from_vectors(cls, K: int, mean: complex,
-                     vectors: Mapping[RationalSubspace, np.ndarray]) -> "TorusSinogram":
-        """The sinogram holding vectors[A] in member A's block of the layout."""
-        members = canonical_family(vectors)
-        off = layout(members, K)[1].tolist()
-        if any(np.shape(vectors[A]) != (b - a,) for A, a, b in zip(members, off, off[1:])):
-            raise DimensionMismatch(f"a vector does not fit its member's support at K={K}")
-        return cls(members, K, mean, np.concatenate(
-            [np.zeros(0, np.complex128), *(vectors[A] for A in members)]))
-
     @cached_property
     def blocks(self) -> dict[RationalSubspace, slice]:
         """Member -> slice(lo, hi), its block of `values` and of the
         layout's index; built once per sinogram."""
         off = layout(self.members, self.K)[1].tolist()
         return {A: slice(a, b) for A, a, b in zip(self.members, off, off[1:])}
-
-    @cached_property
-    def vectors(self) -> dict[RationalSubspace, np.ndarray]:
-        """Member -> its coefficient vector, a read-only view of `values`;
-        built once per sinogram."""
-        return {A: self.values[b] for A, b in self.blocks.items()}
-
-    def slice(self, member) -> TorusField:
-        """Dense slice field of one member (zero at k = 0)."""
-        block = self.blocks[as_subspace(member)]
-        return _dense(self.n, self.K, layout(self.members, self.K)[0][block], self.values[block])
 
     @property
     def slices(self) -> Mapping[RationalSubspace, TorusField]:
@@ -238,11 +221,6 @@ class TorusSinogram:
 
     def with_mean(self, mean: complex) -> "TorusSinogram":
         return self._new(mean, self.values)
-
-
-def zero_sinogram(K: int, family) -> TorusSinogram:
-    members = canonical_family(family)
-    return TorusSinogram(members, K, 0j, np.zeros(layout(members, K)[0].size))
 
 
 # --- weight rules -------------------------------------------------------------
@@ -292,19 +270,12 @@ class WeightRule:
         else and where a custom table has no value."""
         kk = tuple(int(x) for x in k)
         w2, w0 = self.squared((A,))
-        ks = np.column_stack(np.unravel_index(support(A, self.K), (2 * self.K + 1,) * self.n)) - self.K
+        ks = band_frequencies(self.n, self.K)[:, support(A, self.K)].T
         hit = [j for j, row in enumerate(ks.tolist()) if tuple(row) == kk]
         value = w0[0] if not any(kk) else w2[hit[0]] if hit else math.nan
         if math.isnan(value):
             raise WeightUndefined(f"no weight value for k={kk}, A={A.serialize()!r}")
         return math.sqrt(value)
-
-    def normal_value(self, k: Sequence[int]) -> float:
-        return float(self.normal_array[tuple(int(x) + self.K for x in k)])
-
-    @property
-    def W0(self) -> float:
-        return self.normal_value((0,) * self.n)
 
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band;
@@ -358,7 +329,7 @@ def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: t
     index, offsets, _ = layout(fam, K)
     if kind == CUSTOM:
         table, n = dict(params), fam[0].n
-        ks = np.column_stack(np.unravel_index(index, (2 * K + 1,) * n)) - K
+        ks = band_frequencies(n, K)[:, index].T
         owners = [A for A, m in zip(fam, np.diff(offsets).tolist()) for _ in range(m)]
         w = [table.get((tuple(k), A), math.nan) for k, A in zip(ks.tolist(), owners)]
         zero = [table.get(((0,) * n, A), math.nan) for A in fam]
@@ -401,7 +372,7 @@ def _check_weight_defined(g: TorusSinogram, w: WeightRule) -> None:
     if len(zero) and zero[0] <= at:
         raise WeightUndefined(f"no weight value for k=0, A={g.members[zero[0]].serialize()!r}")
     if bad.size:
-        k = tuple(int(i) - g.K for i in np.unravel_index(index[bad[0]], (2 * g.K + 1,) * g.n))
+        k = tuple(band_frequencies(g.n, g.K)[:, index[bad[0]]].tolist())
         raise WeightUndefined(f"no weight value for k={k}, A={g.members[at].serialize()!r}")
 
 

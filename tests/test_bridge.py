@@ -200,7 +200,7 @@ def oracle_defect(K, n_offsets, center, skip=()):
     for A, expected in want.items():
         v1, v2 = A.basis[0]
         ms = np.arange(expected.size) - expected.size // 2
-        got = g.slice(A).coeffs[K - ms * v2, K + ms * v1]
+        got = g.slices[A].coeffs[K - ms * v2, K + ms * v1]
         worst = max(worst, float(np.max(np.abs(got - expected)[ms != 0])))
     return worst
 

@@ -58,6 +58,27 @@ def test_mean_only_band_reconstructs_the_mean(tmp_path, method):
     assert abs(read_field(recon).coeffs[0, 0] - expected) < 1e-12 * abs(mean)
 
 
+@pytest.mark.parametrize("method", ["filtered", "normalized"])
+def test_line_family_reconstructs_with_height_decay_weights(tmp_path, capsys, method):
+    # lines in T^3 have no canonical rule: the default is height-decay,
+    # certified, so a family that misses part of the band is a typed error
+    from torusradon.fields import random_field
+    from torusradon.io import read_field, write_sinogram
+    from torusradon.lattice import line, line_cover
+    from torusradon.transforms import forward_sinogram
+
+    f = random_field(3, 2, np.random.default_rng(5), real=True)
+    write_sinogram(forward_sinogram(f, line_cover(2, 3)), tmp_path / "lines")
+    write_sinogram(forward_sinogram(f, [line((0, 0, 1))]), tmp_path / "one")
+    recon = tmp_path / "r.tfield"
+    assert run(["reconstruct", "--sinogram", tmp_path / "lines", "--method", method,
+                "--out", recon]) == 0
+    assert np.max(np.abs(read_field(recon).coeffs - f.coeffs)) < 1e-12
+    assert run(["reconstruct", "--sinogram", tmp_path / "one", "--method", method,
+                "--out", recon]) == 2
+    assert "error: normal multiplier vanishes" in capsys.readouterr().err
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = {
         "phantom": {"kind": "disk", "radius": 0.25},

@@ -71,11 +71,13 @@ def test_add_noise_respects_range_and_determinism(rng):
     b = add_noise(g, 0.5, 0.0, 99)
     # data off A^perp cannot be represented; the noise on each vector is
     # Hermitian, its mirror entry being the -k partner
-    for A, v in (a - g).vectors.items():
+    noise = a - g
+    for block in noise.blocks.values():
+        v = noise.values[block]
         np.testing.assert_allclose(v[::-1], np.conj(v), rtol=0, atol=1e-15)
     assert a.mean == b.mean
-    for A in a.members:
-        assert np.array_equal(a.vectors[A], b.vectors[A])
+    for block in a.blocks.values():
+        assert np.array_equal(a.values[block], b.values[block])
     c = add_noise(g, 0.5, 0.0, 100)
     assert c.mean != a.mean
 
@@ -339,12 +341,14 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
     tikhonov = f.coeffs / (1.0 + alpha * bracket_sq(n, K))
     # uncertified, so the methods meet a vanishing multiplier themselves
     w = weight_on_family(kind, full if rule_on_full else members, K, certify=False)
-    for method, expected in [(m, tikhonov if m == "tikhonov" else f.coeffs) for m in METHODS]:
+    # w = None is the `reconstruct` command's default rule for g's family
+    for method, rule in [(m, rule) for m in METHODS for rule in (w, None)]:
+        expected = tikhonov if method == "tikhonov" else f.coeffs
         try:
-            rec = METHODS[method](g, w, {"r": 0.0, "s": 1.0, "alpha": alpha})
+            rec = METHODS[method](g, rule, {"r": 0.0, "s": 1.0, "alpha": alpha})
         except TorusRadonError:
             continue
-        assert np.max(np.abs(rec.coeffs - expected)[covered]) < 1e-10, method
+        assert np.max(np.abs(rec.coeffs - expected)[covered]) < 1e-10, (method, rule)
     path = tmp_path_factory.mktemp("sino")
     try:
         write_sinogram(g, path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from torusradon.errors import BandTooLarge, DimensionMismatch
 from torusradon.fields import (
     TorusField,
+    band_frequencies,
     bessel_norm,
     evaluate_at,
     field_from_coeffs,
@@ -30,6 +31,15 @@ def direct_series(f, N):
             acc += c * np.exp(2j * np.pi * np.dot(k, x))
         out[j] = acc
     return out
+
+
+@pytest.mark.parametrize("n,K", [(1, 0), (2, 3), (3, 2)])
+def test_band_frequencies_decode_flat_indices(n, K):
+    table = band_frequencies(n, K)
+    assert table.shape == (n, (2 * K + 1) ** n) and table.dtype == np.int64
+    flat = np.arange(table.shape[1])
+    assert np.array_equal(table, np.stack(np.unravel_index(flat, (2 * K + 1,) * n)) - K)
+    assert band_frequencies(n, K) is table
 
 
 def test_to_coefficients_constant():

@@ -129,14 +129,14 @@ def slices_oracle(g, N_q=None):
     arr = np.zeros((2 * K + 1,) * 2, dtype=np.complex128)
 
     def with_mean(A):
-        coeffs = g.slice(A).coeffs.copy()
+        coeffs = g.slices[A].coeffs
         coeffs[K, K] = g.mean
         return TorusField(2, K, coeffs)
 
     dense = {}
     for k in frequency_band(2, K, punctured=True):
         A = line(orthogonal_primitive(k))
-        if A not in g.vectors:
+        if A not in g.blocks:
             raise IncompleteCover(f"no slice orthogonal to k={k}")
         if A not in dense:
             dense[A] = with_mean(A)
@@ -164,8 +164,9 @@ def test_reconstruct_slices_matches_per_frequency_oracle(rng):
 def test_reconstruct_slices_incomplete_cover(rng):
     K = 4
     f, g, _ = planar_setup(K, rng)
-    partial = TorusSinogram.from_vectors(
-        K, g.mean, {A: v for A, v in g.vectors.items() if A != line((1, 2))})
+    keep = [A for A in g.members if A != line((1, 2))]
+    partial = TorusSinogram(tuple(keep), K, g.mean,
+                            np.concatenate([g.values[g.blocks[A]] for A in keep]))
     # the first frequency orthogonal to (1, 2), in lexicographic order
     with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")):
         reconstruct_slices(partial)
@@ -402,7 +403,7 @@ def sum_pairing(g, weight_table, h):
     flipped = h.coeffs[(slice(None, None, -1),) * h.n]
     acc = 0j
     for A in g.members:
-        fa = g.slice(A).coeffs
+        fa = g.slices[A].coeffs
         fa[(K,) * g.n] = g.mean
         warr = np.zeros(fa.shape)
         for (k, B), val in weight_table.items():

@@ -168,7 +168,7 @@ def test_read_sinogram_reads_slices_flagged_real(tmp_path, rng):
     g = forward_sinogram(random_field(2, K, rng, real=True), direction_cover(K))
     write_sinogram(g, tmp_path / "sino")
     for A in g.members:
-        write_field(TorusField(2, K, g.slice(A).coeffs, real=True),
+        write_field(TorusField(2, K, g.slices[A].coeffs, real=True),
                     tmp_path / "sino" / _slice_filename(A))
     back = read_sinogram(tmp_path / "sino")
     assert back.members == g.members and np.array_equal(back.values, g.values)
