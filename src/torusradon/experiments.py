@@ -37,10 +37,9 @@ from .regularization import (
     tikhonov_reconstruct,
 )
 from .sinogram import (
-    CANONICAL,
     HEIGHT_DECAY,
     TorusSinogram,
-    WeightRule,
+    _data_weight,
     canonical_weight,
     layout,
     sinogram_norm,
@@ -86,16 +85,7 @@ def add_noise(g: TorusSinogram, eps: float, t: float, seed: int) -> TorusSinogra
     mirror = layout(g.members, g.K)[2]
     noise = TorusSinogram(g.members, g.K, complex(rng.standard_normal()),
                           (raw + np.conj(raw[mirror])) / 2.0)
-    scale = eps / sinogram_norm(noise, t, _data_weight(g, certify=False))
-    return g + scale * noise
-
-
-def _data_weight(g: TorusSinogram, certify: bool = True) -> WeightRule:
-    """The default rule on g's family: the unweighted data space for
-    hyperplane data, height-decay otherwise. The inversions need it
-    certified; the noise models need only its norm and skip that."""
-    kind = CANONICAL if g.d == g.n - 1 else HEIGHT_DECAY
-    return weight_on_family(kind, g.members, g.K, certify=certify)
+    return g + eps / sinogram_norm(noise, t) * noise
 
 
 def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram:
@@ -114,8 +104,7 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
     values = np.zeros(g.values.size, np.complex128)
     values[[at, mirror[at]]] = 1.0
     noise = TorusSinogram(g.members, g.K, 0j, values)
-    scale = eps / sinogram_norm(noise, t, _data_weight(g, certify=False))
-    return g + scale * noise
+    return g + eps / sinogram_norm(noise, t) * noise
 
 
 # --- configuration --------------------------------------------------------------

@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     IncompleteCover,
     NonzeroMean,
-    QuadratureTooCoarse,
     SingularFilter,
 )
 from .fields import TorusField, band_frequencies, evaluate_at
@@ -25,11 +24,13 @@ from .sinogram import (
     TorusSinogram,
     WeightRule,
     _check_weight_defined,
+    _dense,
     layout,
     plain_magnitude,
     scatter,
     weighted_scatter,
 )
+from .transforms import _midpoint_nodes
 
 NONZERO_MEAN_RTOL = 1e-12
 
@@ -43,17 +44,6 @@ def _default_axis(k: IntVec, v: PrimitiveDirection) -> int:
     if abs(k[0]) > abs(k[1]):
         return 0
     return 1
-
-
-def _quadrature_nodes(K: int, N_q: int | None) -> np.ndarray:
-    """Midpoint nodes (j + 1/2)/N_q of the axis quadrature. On the band the
-    axis integrand has frequencies |k_axis| <= K in both factors, so degree
-    at most 2K, and the rule is exact for N_q >= 2K + 1 nodes, the default."""
-    if N_q is None:
-        N_q = 2 * K + 1
-    if N_q <= 2 * K:
-        raise QuadratureTooCoarse(f"N_q={N_q} <= exactness threshold {2 * K}")
-    return (np.arange(N_q) + 0.5) / N_q
 
 
 def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirection,
@@ -77,7 +67,9 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
         raise AxisDegenerate(f"axis {axis} formula needs k[{axis}] != 0, got k={kk}")
     if not any(kk) and v.v[1 - axis] == 0:
         raise AxisDegenerate(f"k = 0 along axis {axis} needs v[{1 - axis}] != 0, got v={v.v}")
-    t = _quadrature_nodes(g_v.K, N_q)
+    # on the band the axis integrand has frequencies |k_axis| <= K in both
+    # factors, so degree at most 2K: 2K + 1 nodes are exact, the default
+    t = _midpoint_nodes(2 * g_v.K, N_q)
     pts = np.zeros((t.size, 2))
     pts[:, axis] = t
     vals = evaluate_at(g_v, pts)
@@ -97,14 +89,9 @@ def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     K = g.K
-    t = _quadrature_nodes(K, N_q)
+    t = _midpoint_nodes(2 * K, N_q)  # the nodes of slice_reconstruct_coeff
+    _check_cover(g)
     index, offsets, _ = layout(g.members, K)
-    out = np.zeros((2 * K + 1) ** 2, dtype=np.complex128)
-    covered = np.zeros(out.size, dtype=bool)
-    covered[index] = covered[out.size // 2] = True
-    if not covered.all():
-        k = _first_frequency(~covered.reshape((2 * K + 1,) * 2), K)
-        raise IncompleteCover(f"no slice orthogonal to k={k}")
     ks = band_frequencies(2, K)[:, index]
     # the axis of _default_axis, entry by entry; the entries of a line are
     # multiples of one primitive vector, so it is the same along the line
@@ -116,11 +103,10 @@ def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
     samples = P @ B
     samples += g.mean
     np.matmul(P.conj().T / t.size, samples, out=B)  # B now holds the coefficients read back
-    out[index] = B[k_axis, lines]
     first = slice(offsets[0], offsets[1])
     axis = _default_axis((0, 0), PrimitiveDirection(g.members[0].basis[0]))
-    out[out.size // 2] = np.mean(P[:, ks[axis, first] + K] @ g.values[first] + g.mean)
-    return TorusField(2, K, out.reshape((2 * K + 1,) * 2))
+    mean = np.mean(P[:, ks[axis, first] + K] @ g.values[first] + g.mean)
+    return TorusField(2, K, _dense(2, K, index, B[k_axis, lines], mean))
 
 
 def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
@@ -139,6 +125,15 @@ def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
 
 def _first_frequency(mask: np.ndarray, K: int) -> IntVec:
     return tuple(int(i) - K for i in np.argwhere(mask)[0])
+
+
+def _check_cover(g: TorusSinogram) -> None:
+    """IncompleteCover naming the first band frequency k != 0 that no
+    stored member of g is orthogonal to."""
+    covered = scatter(g.K, g.members, np.ones(g.values.size), 1.0)
+    if float(covered.min()) == 0.0:
+        k = _first_frequency(covered == 0.0, g.K)
+        raise IncompleteCover(f"no stored subspace is orthogonal to k={k}")
 
 
 def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
@@ -173,10 +168,7 @@ def invert_sum(g: TorusSinogram) -> TorusField:
     scale = max(1.0, plain_magnitude(g))
     if abs(g.mean) > NONZERO_MEAN_RTOL * scale:
         raise NonzeroMean(f"|mean| = {abs(g.mean):.3e} exceeds {NONZERO_MEAN_RTOL:.0e} x norm")
-    covered = scatter(g.K, g.members, np.ones(g.values.size), 1.0)
-    if float(covered.min()) == 0.0:
-        k = _first_frequency(covered == 0.0, g.K)
-        raise IncompleteCover(f"family lacks the hyperplane orthogonal to k={k}")
+    _check_cover(g)
     return TorusField(g.n, g.K, scatter(g.K, g.members, g.values))
 
 

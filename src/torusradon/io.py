@@ -108,15 +108,17 @@ def read_sinogram(directory) -> TorusSinogram:
     if not np.isfinite(mean):
         raise CorruptInput(f"{d / 'mean.txt'}: non-finite mean")
     members = canonical_family(members)
-    index, offsets, _ = layout(members, K)
-    values = np.empty(index.size, np.complex128)
-    for A, lo, hi in zip(members, offsets.tolist(), offsets[1:].tolist()):
+    for i, A in enumerate(members):
         path = d / _slice_filename(A)
         sn, sK, _, arr = _read_payload(path)
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
-        values[lo:hi] = arr[index[lo:hi]]
-        if np.count_nonzero(arr) != np.count_nonzero(values[lo:hi]):
+        if i == 0:  # built only once a slice file has confirmed meta.json's band
+            index, offsets, _ = layout(members, K)
+            values = np.empty(index.size, np.complex128)
+        block = slice(offsets[i], offsets[i + 1])
+        values[block] = arr[index[block]]
+        if np.count_nonzero(arr) != np.count_nonzero(values[block]):
             raise CorruptInput(f"{path}: coefficients at k = 0 or off A^perp")
     return TorusSinogram(members, K, mean, values)
 

@@ -4,6 +4,8 @@ the closed-form minimizer, parameter schedules and the convergence bound.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
@@ -15,8 +17,8 @@ from .transforms import forward_sinogram
 
 def post_process(f: TorusField, s: float, alpha: float) -> TorusField:
     """The smoothing Fourier multiplier (1 + alpha <k>^(2s))^-1."""
-    if alpha < 0:
-        raise ParamViolation("alpha must be nonnegative")
+    if not (math.isfinite(s) and math.isfinite(alpha)) or alpha < 0:
+        raise ParamViolation(f"need a finite s and a finite alpha >= 0, got s={s}, alpha={alpha}")
     if alpha == 0:
         return f
     mult = 1.0 / (1.0 + alpha * bracket_sq(f.n, f.K) ** float(s))
@@ -24,6 +26,8 @@ def post_process(f: TorusField, s: float, alpha: float) -> TorusField:
 
 
 def _check_minimizer_params(r: float, s: float, alpha: float) -> None:
+    if not all(map(math.isfinite, (r, s, alpha))):
+        raise ParamViolation(f"need finite r, s and alpha, got r={r}, s={s}, alpha={alpha}")
     if s < r:
         raise ParamViolation(f"need s >= r, got s={s}, r={r}")
     if alpha <= 0:

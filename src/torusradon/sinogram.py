@@ -118,11 +118,12 @@ def scatter(K: int, members, values: np.ndarray, center: complex = 0.0) -> np.nd
     return out.reshape((2 * K + 1,) * members[0].n)
 
 
-def _dense(n: int, K: int, index: np.ndarray, values, center: complex = 0j) -> TorusField:
+def _dense(n: int, K: int, index: np.ndarray, values, center: complex = 0j) -> np.ndarray:
+    """The band array with the flat values at `index` and `center` at k = 0."""
     out = np.zeros((2 * K + 1) ** n, dtype=np.complex128)
     out[index] = values
     out[out.size // 2] = center
-    return TorusField(n, K, out.reshape((2 * K + 1,) * n))
+    return out.reshape((2 * K + 1,) * n)
 
 
 class _DenseSlices(Mapping):
@@ -134,7 +135,7 @@ class _DenseSlices(Mapping):
     def __getitem__(self, A):
         g = self._g
         block = g.blocks[as_subspace(A)]
-        return _dense(g.n, g.K, layout(g.members, g.K)[0][block], g.values[block])
+        return TorusField(g.n, g.K, _dense(g.n, g.K, layout(g.members, g.K)[0][block], g.values[block]))
 
     def __iter__(self):
         return iter(self._g.members)
@@ -356,6 +357,14 @@ def canonical_weight(family, K: int) -> WeightRule:
     return weight_on_family(CANONICAL, family, K)
 
 
+def _data_weight(g: TorusSinogram) -> WeightRule:
+    """The data rule of g's family: canonical for hyperplane data, height-decay
+    otherwise. Uncertified: a family that misses part of the band still has
+    a norm, and invert_filtered refuses its vanishing multiplier."""
+    kind = CANONICAL if g.d == g.n - 1 else HEIGHT_DECAY
+    return weight_on_family(kind, g.members, g.K, certify=False)
+
+
 # --- norms and the moment constraint ------------------------------------------
 
 
@@ -384,18 +393,18 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     For p = l = 2 this is |mean|^2 W_0 + sum over k != 0 and orthogonal A of
     <k>^(2s) w(k,A)^2 |coeff|^2, which is the spec formula (the mean enters
     once because every slice shares it and the canonical rule normalizes
-    W_0 to one); it is generated by sinogram_inner.
-    """
+    W_0 to one); it is generated by sinogram_inner. With no rule given, w
+    is the data rule of g's family (`_data_weight`)."""
     if p == 2 and l == 2:
         return math.sqrt(sinogram_inner(g, g, s, w).real)
-    if w is None:
-        w = canonical_weight(g.members, g.K)
+    w = w or _data_weight(g)
     _check_weight_defined(g, w)
     wk, w0 = (np.sqrt(np.nan_to_num(a)) for a in w.squared(g.members))
     index, offsets, _ = layout(g.members, g.K)
     vals = wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0) * g.values
-    a = np.array([bessel_norm(_dense(g.n, g.K, index[lo:hi], vals[lo:hi], c * g.mean), 0.0, p, N)
-                  for lo, hi, c in zip(offsets, offsets[1:], w0)])
+    dense = (_dense(g.n, g.K, index[lo:hi], vals[lo:hi], c * g.mean)
+             for lo, hi, c in zip(offsets, offsets[1:], w0))
+    a = np.array([bessel_norm(TorusField(g.n, g.K, arr), 0.0, p, N) for arr in dense])
     if l == np.inf or l == "inf":
         return float(a.max()) if a.size else 0.0
     l = float(l)
@@ -404,10 +413,9 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
 
 def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
                    w: WeightRule | None = None) -> complex:
-    """The p = l = 2 weighted inner product; generates sinogram_norm."""
+    """The p = l = 2 weighted inner product, default rule as in sinogram_norm."""
     g._check_compatible(h)
-    if w is None:
-        w = canonical_weight(g.members, g.K)
+    w = w or _data_weight(g)
     _check_weight_defined(g, w)
     _check_weight_defined(h, w)
     w2, w0 = w.squared(g.members)

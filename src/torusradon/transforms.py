@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, QuadratureTooCoarse
 from .fields import TorusField, evaluate_at
 from .lattice import PrimitiveDirection, RationalSubspace
-from .sinogram import TorusSinogram, as_subspace, canonical_family, layout, support
+from .sinogram import TorusSinogram, _dense, as_subspace, canonical_family, layout, support
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,23 @@ def forward_subspace(f: TorusField,
     A = as_subspace(member)
     if A.n != f.n:
         raise DimensionMismatch(f"subspace in Q^{A.n}, field on T^{f.n}")
-    flat = f.coeffs.ravel()
-    out = np.zeros_like(flat)
-    kept = support(A, f.K)
-    out[kept] = flat[kept]
-    out[flat.size // 2] = flat[flat.size // 2]
-    return TorusField(f.n, f.K, out.reshape(f.coeffs.shape), f.real)
+    flat, kept = f.coeffs.ravel(), support(A, f.K)
+    return TorusField(f.n, f.K, _dense(f.n, f.K, kept, flat[kept], flat[flat.size // 2]), f.real)
 
 
 forward_direction = forward_subspace
 
 
-def quadrature_threshold(f_K: int, rows: Sequence[Sequence[int]]) -> int:
-    """Smallest admissible midpoint step count: the line-restricted
-    frequencies satisfy |k.v| <= K |v|_1, so any N_q above twice that is
-    exact for band-limited integrands."""
-    worst = max(sum(abs(int(x)) for x in row) for row in rows)
-    return 2 * f_K * worst
+def _midpoint_nodes(threshold: int, N_q: int | None) -> np.ndarray:
+    """Nodes (j + 1/2)/N_q of the periodic midpoint rule on [0, 1), exact
+    for trigonometric polynomials of degree at most `threshold` once N_q
+    exceeds it; N_q defaults to threshold + 1, and QuadratureTooCoarse is
+    raised at or below the threshold."""
+    if N_q is None:
+        N_q = threshold + 1
+    if N_q <= threshold:
+        raise QuadratureTooCoarse(f"N_q={N_q} <= exactness threshold {threshold}")
+    return (np.arange(N_q) + 0.5) / N_q
 
 
 def quadrature_line_integral(f: TorusField, spec: GeodesicSpec, N_q: int | None = None) -> complex:
@@ -75,13 +75,10 @@ def quadrature_line_integral(f: TorusField, spec: GeodesicSpec, N_q: int | None 
     rows = spec.rows
     if len(spec.x) != f.n or any(len(r) != f.n for r in rows):
         raise DimensionMismatch("geodesic spec does not match the field dimension")
-    threshold = quadrature_threshold(f.K, rows)
-    if N_q is None:
-        N_q = threshold + 1
-    if N_q <= threshold:
-        raise QuadratureTooCoarse(f"N_q={N_q} <= exactness threshold {threshold}")
+    # the line-restricted frequencies satisfy |k.v| <= K |v|_1, and nodes
+    # above twice that bound are exact for band-limited integrands
+    t = _midpoint_nodes(2 * f.K * max(sum(abs(int(x)) for x in row) for row in rows), N_q)
     d = len(rows)
-    t = (np.arange(N_q) + 0.5) / N_q
     grids = np.meshgrid(*[t] * d, indexing="ij")
     pts = np.array(spec.x)[None, :] + sum(
         g.reshape(-1, 1) * np.array(row, dtype=float)[None, :]

@@ -60,8 +60,9 @@ def test_mean_only_band_reconstructs_the_mean(tmp_path, method):
 
 @pytest.mark.parametrize("method", ["filtered", "normalized"])
 def test_line_family_reconstructs_with_height_decay_weights(tmp_path, capsys, method):
-    # lines in T^3 have no canonical rule: the default is height-decay,
-    # certified, so a family that misses part of the band is a typed error
+    # lines in T^3 have no canonical rule: the default is height-decay, and
+    # a family that misses part of the band meets its vanishing multiplier
+    # in the inversion, a typed error
     from torusradon.fields import random_field
     from torusradon.io import read_field, write_sinogram
     from torusradon.lattice import line, line_cover
@@ -77,6 +78,18 @@ def test_line_family_reconstructs_with_height_decay_weights(tmp_path, capsys, me
     assert run(["reconstruct", "--sinogram", tmp_path / "one", "--method", method,
                 "--out", recon]) == 2
     assert "error: normal multiplier vanishes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"), ("--r", "nan"),
+                                         ("--s", "nan"), ("--s", "inf")])
+def test_tikhonov_refuses_nonfinite_parameters(tmp_path, capsys, flag, value):
+    field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
+    run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])
+    run(["forward", "--field", field, "--out", sino])
+    assert run(["reconstruct", "--sinogram", sino, "--method", "tikhonov", flag, value,
+                "--out", recon]) == 2
+    assert "error: need finite r, s and alpha" in capsys.readouterr().err
+    assert not recon.exists()
 
 
 def test_sweep_deterministic(tmp_path):

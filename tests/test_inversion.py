@@ -167,11 +167,14 @@ def test_reconstruct_slices_incomplete_cover(rng):
     keep = [A for A in g.members if A != line((1, 2))]
     partial = TorusSinogram(tuple(keep), K, g.mean,
                             np.concatenate([g.values[g.blocks[A]] for A in keep]))
-    # the first frequency orthogonal to (1, 2), in lexicographic order
-    with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")):
+    # the first frequency orthogonal to (1, 2), in lexicographic order; the
+    # summation path shares the cover check and its message
+    with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")) as err:
         reconstruct_slices(partial)
     with pytest.raises(IncompleteCover, match=re.escape("k=(-4, 2)")):
         slices_oracle(partial)
+    with pytest.raises(IncompleteCover, match=f"^{re.escape(str(err.value))}$"):
+        invert_sum(partial.without_mean())
 
 
 def test_reconstruct_slices_quadrature_size(rng):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,3 +173,20 @@ def test_read_sinogram_reads_slices_flagged_real(tmp_path, rng):
                     tmp_path / "sino" / _slice_filename(A))
     back = read_sinogram(tmp_path / "sino")
     assert back.members == g.members and np.array_equal(back.values, g.values)
+
+
+def test_read_sinogram_checks_meta_band_before_its_layout(tmp_path):
+    # meta.json claims K = 400 over K = 4 slice files: the first slice file
+    # refuses that band before a layout of its size is built
+    d = tmp_path / "sino"
+    write_sinogram(forward_sinogram(random_field(2, 4, np.random.default_rng(5)), direction_cover(4)), d)
+    meta = json.loads((d / "meta.json").read_text())
+    (d / "meta.json").write_text(json.dumps({**meta, "K": 400}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptInput, match="is not meta.json's"):
+            read_sinogram(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB before refusing the band"

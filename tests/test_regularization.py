@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,24 @@ def test_post_process_point_values():
     out = post_process(f, 1.0, 1.0)
     assert out.coeff((0, 0)) == pytest.approx(0.5)
     assert out.coeff((1, 0)) == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("s, alpha", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.5)])
+def test_post_process_refuses_nonfinite_parameters(s, alpha):
+    with pytest.raises(ParamViolation, match="finite"):
+        post_process(random_field(2, 2, np.random.default_rng(0)), s, alpha)
+
+
+@pytest.mark.parametrize("r, s, alpha", [(0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+                                         (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1),
+                                         (0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1)])
+def test_tikhonov_refuses_nonfinite_parameters(r, s, alpha):
+    f = random_field(2, 2, np.random.default_rng(0))
+    g = forward_sinogram(f, direction_cover(2))
+    with pytest.raises(ParamViolation, match="need finite r, s and alpha"):
+        tikhonov_reconstruct(g, r, s, alpha)
+    with pytest.raises(ParamViolation, match="need finite r, s and alpha"):
+        tikhonov_objective(f, g, r, s, alpha)
 
 
 def test_tikhonov_noiseless_s_equals_r(rng):

@@ -87,6 +87,20 @@ def test_normalized_weight_sums_to_one():
     assert np.allclose(sums, 1.0)
 
 
+@pytest.mark.parametrize("n, K, family, kind", [(3, 2, line_cover(2, 3), HEIGHT_DECAY),
+                                                (2, 4, direction_cover(4)[:3], CANONICAL)])
+def test_default_rule_is_the_uncertified_data_rule(rng, n, K, family, kind):
+    # with no rule given the norms take the family's data rule, uncertified:
+    # height-decay for lines in T^3 (no canonical rule), canonical for three
+    # lines that miss part of the plane's band
+    g, h = (forward_sinogram(random_field(n, K, rng), family) for _ in range(2))
+    w = weight_on_family(kind, family, K, certify=False)
+    for s in (-1.0, 0.0, 1.5):
+        assert sinogram_norm(g, s) == sinogram_norm(g, s, w)
+        assert sinogram_inner(g, h, s) == sinogram_inner(g, h, s, w)
+    assert sinogram_norm(g, 0.5, p=3, l=1) == sinogram_norm(g, 0.5, w, p=3, l=1)
+
+
 def test_degenerate_weight_raises():
     # a single hyperplane cannot cover the whole band
     fam = [orthogonal_complement((1, 0, 0))]
