@@ -69,10 +69,12 @@ def cmd_forward(args) -> int:
 def cmd_reconstruct(args) -> int:
     g = read_sinogram(args.sinogram)
     rec = METHODS[args.method](g, None, {"r": args.r, "s": args.s, "alpha": args.alpha})
+    # render first: a --grid too coarse for the band writes no file
+    image = to_samples(rec, args.grid).real if args.image else None
     path = _out_path(args.out, "recon.tfield")
     write_field(rec, path)
     if args.image:
-        write_pgm(to_samples(rec, args.grid).real, args.image)
+        write_pgm(image, args.image)
     print(f"wrote {path}")
     return 0
 
@@ -196,7 +198,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TorusRadonError as e:
+    except (TorusRadonError, OSError) as e:  # OSError: an output path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

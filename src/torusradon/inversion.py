@@ -23,7 +23,7 @@ from .lattice import IntVec, PrimitiveDirection
 from .sinogram import (
     TorusSinogram,
     WeightRule,
-    _check_weight_defined,
+    _check_band,
     _dense,
     layout,
     plain_magnitude,
@@ -113,7 +113,7 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Data-space adjoint: coefficient k collects w(k,A)^2 g^(k,A) over the
     stored subspaces orthogonal to k; the k = 0 slot gets the shared mean
     against the summed squared zero-frequency weights."""
-    _check_weight_defined(g, w)
+    _check_band(g, w)
     return TorusField(g.n, g.K, weighted_scatter(g.members, w, g.values, g.mean))
 
 
@@ -140,11 +140,12 @@ def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Exact left inverse on range data: adjoint followed by division by the
     normal multiplier over the members stored in g (the rule's certified W
     when g lives on its whole family). Raises SingularFilter if W vanishes
-    on the band."""
+    on the band, DimensionMismatch if the rule is at another band."""
+    back = adjoint(g, w)
     W = weighted_scatter(g.members, w)
     if float(W.min()) <= 0.0:
         raise SingularFilter(f"normal multiplier vanishes at k={_first_frequency(W <= 0.0, g.K)}")
-    return TorusField(g.n, g.K, adjoint(g, w).coeffs / W)
+    return TorusField(g.n, g.K, back.coeffs / W)
 
 
 def adjoint_normalized(g: TorusSinogram, w: WeightRule) -> TorusField:

@@ -16,9 +16,10 @@ on disk each slice stays one dense field file.
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and is built once, its constants certified
-on the band by exhaustive summation. Its squared weights are one flat array
-on layout(family, K) plus one w(0, A)^2 per member; a sub-family reads its
-blocks. So every operator on transform data is one numpy expression.
+on the band by exhaustive summation. It is total on its family and band: its
+squared weights are one flat array of positive values on layout(family, K)
+plus one w(0, A)^2 per member. A sub-family reads its blocks, another band
+is refused, and every operator on transform data is one numpy expression.
 """
 
 from __future__ import annotations
@@ -232,14 +233,14 @@ class WeightRule:
     """A positive weight w(k, A) on band frequencies and a finite subspace
     family, with its certified normal-multiplier constants. Plain read-only
     data built once by `weight_on_family`: w(k, A)^2 on layout(family, K)
-    (`w2`) and w(0, A)^2 per member (`w2_zero`), NaN where undefined, the
-    multiplier W (`normal_array`), c_w = sqrt(min W) and C_w = sqrt(max W).
+    (`w2`) and w(0, A)^2 per member (`w2_zero`), the multiplier W
+    (`normal_array`), c_w = sqrt(min W) and C_w = sqrt(max W).
 
     kind 'canonical-singleton' (d = n-1): w = 1 off the mean and
     1/sqrt(|family|) at k = 0, so the data norm is the unweighted one.
     kind 'height-decay': w = base^-height(A), any d.
-    kind 'custom-table': explicit values per (k, A); missing pairs are
-    undefined and raise when data actually sits there.
+    kind 'custom-table': explicit values per (k, A), one for k = 0 and
+    one for each k on support(A, K), for every member.
     """
 
     kind: str
@@ -267,45 +268,38 @@ class WeightRule:
                 frozen(self.w2_zero[at]))
 
     def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
-        """w(k, A) for k = 0 or k on support(A, K); WeightUndefined anywhere
-        else and where a custom table has no value."""
+        """w(k, A) for k = 0 or k on support(A, K), else WeightUndefined."""
         kk = tuple(int(x) for x in k)
         w2, w0 = self.squared((A,))
         ks = band_frequencies(self.n, self.K)[:, support(A, self.K)].T
         hit = [j for j, row in enumerate(ks.tolist()) if tuple(row) == kk]
-        value = w0[0] if not any(kk) else w2[hit[0]] if hit else math.nan
-        if math.isnan(value):
+        if any(kk) and not hit:
             raise WeightUndefined(f"no weight value for k={kk}, A={A.serialize()!r}")
-        return math.sqrt(value)
+        return math.sqrt(w2[hit[0]] if any(kk) else w0[0])
 
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
-        """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band;
-        the implemented families are k-independent, so m_A = 0. Reads A's
+        """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band:
+        c_A is A's least weight, k = 0 included, and m_A = 0. Reads A's
         block of the rule's arrays, so no one-member layout is built."""
-        w2 = np.concatenate(self.squared((A,)))
-        defined = w2[~np.isnan(w2)]
-        if defined.size == 0:
-            raise WeightUndefined(f"no weight values stored for {A.serialize()!r}")
-        return math.sqrt(float(defined.min())), 0.0
+        return math.sqrt(float(np.concatenate(self.squared((A,))).min())), 0.0
 
 
 def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex = 1.0) -> np.ndarray:
     """Sum over the members of w(k, A)^2 times the flat values on
     layout(members, K) (ones when values is None), with mean times the
-    summed w(0, A)^2 at k = 0; undefined weights count as zero. With data
-    values this is the adjoint, without them the normal multiplier W."""
+    summed w(0, A)^2 at k = 0. With data values this is the adjoint,
+    without them the normal multiplier W."""
     w2, w0 = w.squared(members)
-    w2 = np.nan_to_num(w2)
-    return scatter(w.K, members, w2 if values is None else w2 * values,
-                   np.nan_to_num(w0).sum() * mean)
+    return scatter(w.K, members, w2 if values is None else w2 * values, w0.sum() * mean)
 
 
 def weight_on_family(kind: str, family, K: int, params: tuple = (),
                      certify: bool = True) -> WeightRule:
     """The weight rule on an explicit subspace family, built once per (kind,
-    family, K, params) and shared. Certification rejects a vanishing normal
-    multiplier on the band; custom tables meant only for pairings need not
-    generate a norm, so they may skip it."""
+    family, K, params) and shared. A custom table must give every member's
+    w(0, A) and w(k, A) on support(A, K); ValueError names the first
+    missing pair, in member order with k = 0 first. Certification rejects
+    a vanishing normal multiplier on the band."""
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
@@ -318,7 +312,7 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
     if kind != CUSTOM and len(values) > (kind == HEIGHT_DECAY):
         raise ValueError(f"too many parameters for {kind!r} weights: {params!r}")
     if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v > 0 for v in values):
-        raise ValueError("weights must be finite and positive wherever defined")
+        raise ValueError("weights must be finite and positive")
     rule = _weight_rule(kind, fam, K, tuple(params))
     if certify and rule.c_w == 0.0:
         raise DegenerateWeight("normal multiplier vanishes somewhere on the band; the family does not cover it")
@@ -329,18 +323,21 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
 def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: tuple) -> WeightRule:
     index, offsets, _ = layout(fam, K)
     if kind == CUSTOM:
-        table, n = dict(params), fam[0].n
-        ks = band_frequencies(n, K)[:, index].T
-        owners = [A for A, m in zip(fam, np.diff(offsets).tolist()) for _ in range(m)]
-        w = [table.get((tuple(k), A), math.nan) for k, A in zip(ks.tolist(), owners)]
-        zero = [table.get(((0,) * n, A), math.nan) for A in fam]
+        table, n, off = dict(params), fam[0].n, offsets.tolist()
+        ks = [tuple(k) for k in band_frequencies(n, K)[:, index].T.tolist()]
+        pairs = [(k, A) for i, A in enumerate(fam) for k in [(0,) * n] + ks[off[i]:off[i + 1]]]
+        missing = next((p for p in pairs if p not in table), None)
+        if missing:
+            raise ValueError(f"no weight value for k={missing[0]}, A={missing[1].serialize()!r}")
+        w = [table[k, A] for k, A in pairs if any(k)]
+        zero = [table[k, A] for k, A in pairs if not any(k)]
     else:  # the built-in kinds are constant off k = 0
         base = float(params[0]) if params else 2.0
         per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
         w = np.repeat(per_member, np.diff(offsets))
         zero = [1.0 / math.sqrt(len(fam))] * len(fam) if kind == CANONICAL else per_member
     w2, w2_zero = np.asarray(w, np.float64) ** 2, np.asarray(zero, np.float64) ** 2
-    W = scatter(K, fam, np.nan_to_num(w2), np.nan_to_num(w2_zero).sum())
+    W = scatter(K, fam, w2, w2_zero.sum())
     return WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params,
                       w2=frozen(w2), w2_zero=frozen(w2_zero), normal_array=frozen(W),
                       c_w=math.sqrt(float(W.min())), C_w=math.sqrt(float(W.max())))
@@ -368,21 +365,9 @@ def _data_weight(g: TorusSinogram) -> WeightRule:
 # --- norms and the moment constraint ------------------------------------------
 
 
-def _check_weight_defined(g: TorusSinogram, w: WeightRule) -> None:
-    """Raise WeightUndefined at the first member, and within it k = 0 first
-    and then ascending k, where g holds data and w has no value."""
-    if w.kind != CUSTOM:
-        return
-    w2, w0 = w.squared(g.members)
-    index, offsets, _ = layout(g.members, g.K)
-    bad = np.flatnonzero(np.isnan(w2) & (g.values != 0))
-    at = int(np.searchsorted(offsets, bad[0], "right")) - 1 if bad.size else len(g.members)
-    zero = np.flatnonzero(np.isnan(w0)) if g.mean != 0 else []
-    if len(zero) and zero[0] <= at:
-        raise WeightUndefined(f"no weight value for k=0, A={g.members[zero[0]].serialize()!r}")
-    if bad.size:
-        k = tuple(band_frequencies(g.n, g.K)[:, index[bad[0]]].tolist())
-        raise WeightUndefined(f"no weight value for k={k}, A={g.members[at].serialize()!r}")
+def _check_band(g: TorusSinogram, w: WeightRule) -> None:
+    if w.K != g.K:
+        raise DimensionMismatch(f"weight rule at K={w.K} read on data at K={g.K}")
 
 
 def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
@@ -398,8 +383,8 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     if p == 2 and l == 2:
         return math.sqrt(sinogram_inner(g, g, s, w).real)
     w = w or _data_weight(g)
-    _check_weight_defined(g, w)
-    wk, w0 = (np.sqrt(np.nan_to_num(a)) for a in w.squared(g.members))
+    _check_band(g, w)
+    wk, w0 = (np.sqrt(a) for a in w.squared(g.members))
     index, offsets, _ = layout(g.members, g.K)
     vals = wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0) * g.values
     dense = (_dense(g.n, g.K, index[lo:hi], vals[lo:hi], c * g.mean)
@@ -416,12 +401,11 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
     """The p = l = 2 weighted inner product, default rule as in sinogram_norm."""
     g._check_compatible(h)
     w = w or _data_weight(g)
-    _check_weight_defined(g, w)
-    _check_weight_defined(h, w)
+    _check_band(g, w)
     w2, w0 = w.squared(g.members)
     bs = bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s)
-    return complex(np.nan_to_num(w0).sum() * g.mean * np.conj(h.mean)
-                   + np.sum(bs * np.nan_to_num(w2) * g.values * np.conj(h.values)))
+    return complex(w0.sum() * g.mean * np.conj(h.mean)
+                   + np.sum(bs * w2 * g.values * np.conj(h.values)))
 
 
 def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
@@ -436,8 +420,6 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     members = canonical_family(store)
     zero = (0,) * members[0].n
     wA = np.ones(len(members)) if w is None else w.squared(members)[1]
-    if np.isnan(wA).any():
-        raise WeightUndefined(f"no weight value for k=0, A={members[np.isnan(wA).argmax()].serialize()!r}")
     mean = np.dot(wA, [store[A].coeff(zero) for A in members]) / wA.sum()
     return TorusSinogram.from_slices(
         mean, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})

@@ -92,6 +92,28 @@ def test_tikhonov_refuses_nonfinite_parameters(tmp_path, capsys, flag, value):
     assert not recon.exists()
 
 
+def test_refused_grid_writes_no_file(tmp_path, capsys):
+    field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
+    run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])
+    run(["forward", "--field", field, "--out", sino])
+    assert run(["reconstruct", "--sinogram", sino, "--image", tmp_path / "r.pgm", "--grid", "3",
+                "--out", recon]) == 2
+    assert "error: grid N=3 too coarse for band K=2" in capsys.readouterr().err
+    assert not recon.exists() and not (tmp_path / "r.pgm").exists()
+
+
+@pytest.mark.parametrize("command", ["phantom", "reconstruct"])
+def test_unwritable_output_is_an_error(tmp_path, capsys, command):
+    field, sino = tmp_path / "f.tfield", tmp_path / "sino"
+    run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])
+    run(["forward", "--field", field, "--out", sino])
+    args = {"phantom": ["--band", "2", "--grid", "8"], "reconstruct": ["--sinogram", sino]}[command]
+    assert run([command, *args, "--out", tmp_path / "nodir" / "p.tfield"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "nodir" in err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = {
         "phantom": {"kind": "disk", "radius": 0.25},

@@ -23,16 +23,18 @@ from torusradon.experiments import (
     splitmix64,
     strategy_bound_experiment,
 )
-from torusradon.fields import bracket_sq, random_field
+from torusradon.fields import band_frequencies, bracket_sq, random_field
 from torusradon.io import read_sinogram, write_sinogram
 from torusradon.lattice import direction_cover, enumerate_grassmannian
 from torusradon.sinogram import (
     CANONICAL,
+    CUSTOM,
     HEIGHT_DECAY,
     canonical_weight,
     layout,
     scatter,
     sinogram_norm,
+    support,
     weight_on_family,
 )
 from torusradon.transforms import forward_sinogram
@@ -322,7 +324,7 @@ def _small_domains(draw):
     picked = draw(st.one_of(st.just(set(range(len(full)))),
                             st.sets(st.integers(0, len(full) - 1), min_size=1)))
     return (n, d, draw(st.integers(0, 3)), [full[i] for i in sorted(picked)], full,
-            draw(st.sampled_from([HEIGHT_DECAY] + [CANONICAL] * (d == n - 1))),
+            draw(st.sampled_from([HEIGHT_DECAY, CUSTOM] + [CANONICAL] * (d == n - 1))),
             draw(st.booleans()), draw(st.integers(0, 2**32)))
 
 
@@ -334,13 +336,18 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
     raises a TorusRadonError, never another error or a wrong result; K = 0
     included, where the band is the mean alone."""
     n, d, K, members, full, kind, rule_on_full, seed = domain
-    f = random_field(n, K, np.random.default_rng(seed), real=True)
+    rng = np.random.default_rng(seed)
+    f = random_field(n, K, rng, real=True)
     g = forward_sinogram(f, members)
     covered = scatter(K, g.members, np.ones(g.values.size), 1.0) > 0
     alpha = 0.5  # tikhonov with r = 0, s = 1 is f W / (W + alpha <k>^2), and W = 1 where it runs
     tikhonov = f.coeffs / (1.0 + alpha * bracket_sq(n, K))
+    family, params = full if rule_on_full else members, ()
+    if kind == CUSTOM:  # a weight drawn for every (k, A), so it varies in k
+        params = tuple(((tuple(k), A), rng.uniform(0.5, 2.0)) for A in family
+                       for k in [(0,) * n] + band_frequencies(n, K)[:, support(A, K)].T.tolist())
     # uncertified, so the methods meet a vanishing multiplier themselves
-    w = weight_on_family(kind, full if rule_on_full else members, K, certify=False)
+    w = weight_on_family(kind, family, K, params, certify=False)
     try:  # the default data rule gives every family a norm
         assert np.isfinite(sinogram_norm(g, 0.0))
     except TorusRadonError:

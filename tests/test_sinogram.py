@@ -13,7 +13,7 @@ from torusradon.fields import (
     sobolev_norm,
     unit_harmonic,
 )
-from torusradon.inversion import normal_multiplier
+from torusradon.inversion import adjoint, invert_filtered, normal_multiplier
 from torusradon.lattice import (
     direction_cover,
     hyperplane_cover,
@@ -26,7 +26,6 @@ from torusradon.sinogram import (
     CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
-    _check_weight_defined,
     canonical_weight,
     enforce_moment_constraint,
     layout,
@@ -38,6 +37,7 @@ from torusradon.sinogram import (
     weight_build,
     weight_on_family,
 )
+from torusradon.regularization import tikhonov_reconstruct_weighted
 from torusradon.transforms import forward_sinogram
 
 
@@ -147,15 +147,17 @@ def test_unitarity_random_fields(s, rng):
         assert sinogram_norm(g, s, w) == pytest.approx(sobolev_norm(f, s), abs=1e-12)
 
 
-def test_sinogram_norm_weight_undefined():
+def test_incomplete_table_is_refused_at_build():
     K = 1
     A = line((0, 1))
-    f = field_from_coeffs(2, K, {(1, 0): 1.0})
-    g = TorusSinogram.from_slices(0j, {A: f})
-    table = {(((0, 0)), A): 1.0}
+    table = {((0, 0), A): 1.0}  # w(0, A) alone; support(A, 1) holds k = (-1, 0) and (1, 0)
+    with pytest.raises(ValueError, match=r"k=\(-1, 0\)"):
+        weight_on_family(CUSTOM, [A], K, params=tuple(table.items()), certify=False)
+    table[(1, 0), A] = table[(-1, 0), A] = 2.0
     w = weight_on_family(CUSTOM, [A], K, params=tuple(table.items()), certify=False)
-    with pytest.raises(WeightUndefined):
-        sinogram_norm(g, 0.0, w)
+    assert (w.weight((0, 0), A), w.weight((1, 0), A)) == (1.0, 2.0)
+    with pytest.raises(WeightUndefined):  # off A's support
+        w.weight((0, 1), A)
 
 
 def test_enforce_moment_constraint_mean():
@@ -319,15 +321,9 @@ def test_line_cover_norms_n3(rng):
 
 
 def oracle_weights(w, A):
-    """w(., A) on support(A, K) and w(0, A), NaN where undefined, looked up
-    one pair at a time."""
-    def get(k):
-        try:
-            return w.weight(k, A)
-        except WeightUndefined:
-            return math.nan
+    """w(., A) on support(A, K) and w(0, A), looked up one pair at a time."""
     ks = np.stack(np.unravel_index(support(A, w.K), (2 * w.K + 1,) * w.n), axis=1) - w.K
-    return np.array([get(k) for k in ks]), get((0,) * w.n)
+    return np.array([w.weight(k, A) for k in ks]), w.weight((0,) * w.n, A)
 
 
 def weighted_scatter_oracle(g, w, with_data):
@@ -338,8 +334,8 @@ def weighted_scatter_oracle(g, w, with_data):
     for A, b in g.blocks.items():
         v = g.values[b]
         wk, wz = oracle_weights(w, A)
-        out[support(A, g.K)] += np.nan_to_num(wk) ** 2 * (v if with_data else 1.0)
-        w0 += np.nan_to_num(wz) ** 2
+        out[support(A, g.K)] += wk ** 2 * (v if with_data else 1.0)
+        w0 += wz ** 2
     out[out.size // 2] = w0 * (g.mean if with_data else 1.0)
     return out.reshape((2 * g.K + 1,) * g.n)
 
@@ -349,8 +345,8 @@ def sinogram_inner_oracle(g, h, s, w):
     acc = 0j
     for A, b in g.blocks.items():
         wk, wz = oracle_weights(w, A)
-        acc += np.nan_to_num(wz) ** 2 * g.mean * np.conj(h.mean)
-        acc += complex(np.sum(bs[support(A, g.K)] ** float(s) * np.nan_to_num(wk) ** 2
+        acc += wz ** 2 * g.mean * np.conj(h.mean)
+        acc += complex(np.sum(bs[support(A, g.K)] ** float(s) * wk ** 2
                               * g.values[b] * np.conj(h.values[h.blocks[A]])))
     return acc
 
@@ -360,48 +356,38 @@ def plain_magnitude_oracle(g):
                                             for b in g.blocks.values()))
 
 
-def first_undefined_oracle(g, w):
-    """The message naming the first (k, A), in member order with k = 0
-    first, where g holds data and w has no value; None if there is none."""
-    for A, b in g.blocks.items():
-        v = g.values[b]
-        wk, wz = oracle_weights(w, A)
-        if g.mean != 0 and math.isnan(wz):
-            return f"no weight value for k=0, A={A.serialize()!r}"
-        bad = np.flatnonzero(np.isnan(wk) & (v != 0))
-        if bad.size:
-            flat = support(A, g.K)[bad[0]]
-            k = tuple(int(i) - g.K for i in np.unravel_index(flat, (2 * g.K + 1,) * g.n))
-            return f"no weight value for k={k}, A={A.serialize()!r}"
-    return None
-
-
-def holey_table_rule(family, K, rng, skip):
-    """Custom-table rule with a random positive value on every (k, A) of
-    the family's band, k = 0 included, except where skip(k, j) holds for
-    member j."""
-    table = []
+def band_pairs(family, K):
+    """(j, k, A) for every pair a weight rule on the family needs: member
+    by member, k = 0 first and then support(A, K) in ascending flat order."""
     for j, A in enumerate(family):
-        ks = [(0,) * A.n] + [tuple(int(x) - K for x in np.unravel_index(i, (2 * K + 1,) * A.n))
-                             for i in support(A, K)]
-        table += [((k, A), float(rng.uniform(0.5, 2.0))) for k in ks if not skip(k, j)]
-    return weight_on_family(CUSTOM, family, K, params=tuple(table), certify=False)
+        yield j, (0,) * A.n, A
+        for i in support(A, K):
+            yield j, tuple(int(x) - K for x in np.unravel_index(i, (2 * K + 1,) * A.n)), A
+
+
+def table_params(family, K, rng, skip=lambda k, j: False):
+    """Custom-table parameters with a random positive value on every (k, A)
+    of the family's band, k = 0 included, except where skip(k, j) holds for
+    member j."""
+    return tuple(((k, A), float(rng.uniform(0.5, 2.0))) for j, k, A in band_pairs(family, K)
+                 if not skip(k, j))
 
 
 def flat_layout_cases(rng):
-    """(label, sinogram, rule): a custom table with NaN holes, height-decay
-    on line_cover(2, 3), and sinograms on strict subsets of the family."""
+    """(label, sinogram, rule): a complete k-dependent custom table,
+    height-decay on line_cover(2, 3), and sinograms on strict subsets of
+    the family."""
     K = 3
     cover = [line(v) for v in direction_cover(K)]
-    holey = holey_table_rule(cover, K, rng, lambda k, j: (3 * j + sum(k)) % 7 == 2)
+    table = weight_on_family(CUSTOM, cover, K, params=table_params(cover, K, rng))
     g = forward_sinogram(random_field(2, K, rng), cover).with_mean(0.7 - 0.2j)
     lines3 = line_cover(2, 3)
-    yield "custom table with holes", g, holey
+    yield "k-dependent custom table", g, table
     yield "height-decay lines in T^3", forward_sinogram(random_field(3, 2, rng), lines3), \
         weight_on_family(HEIGHT_DECAY, lines3, 2)
     yield "subset of a height-decay family", forward_sinogram(random_field(3, 2, rng), lines3[::3]), \
         weight_on_family(HEIGHT_DECAY, lines3, 2)
-    yield "subset of a holey table", forward_sinogram(random_field(2, K, rng), cover[1::2]), holey
+    yield "subset of a custom table", forward_sinogram(random_field(2, K, rng), cover[1::2]), table
     yield "subset of the canonical rule", forward_sinogram(random_field(2, K, rng), cover[::2]), \
         canonical_weight(cover, K)
 
@@ -420,38 +406,29 @@ def test_weighted_scatter_matches_member_loop(rng):
 def test_inner_and_magnitude_match_member_loop(rng):
     for label, g, w in flat_layout_cases(rng):
         h = g * (0.3 + 1.1j) + g.with_mean(0.2)
-        if first_undefined_oracle(g, w) is not None:
-            # keep only the pairs the table defines, so the products exist
-            defined = [np.where(np.isnan(oracle_weights(w, A)[0]), 0, g.values[b])
-                       for A, b in g.blocks.items()]
-            g = TorusSinogram(g.members, g.K, 0j, np.concatenate(defined))
-            h = g * (0.3 + 1.1j)
         for s in (-1.0, 0.0, 1.5):
             assert close(sinogram_inner(g, h, s, w), sinogram_inner_oracle(g, h, s, w)), label
         assert close(plain_magnitude(g), plain_magnitude_oracle(g)), label
 
 
-def test_check_weight_defined_names_the_first_undefined_pair(rng):
+def test_incomplete_table_names_the_first_missing_pair(rng):
     K = 2
-    cover = [line(v) for v in direction_cover(K)]
-    f = random_field(2, K, rng)
+    cover = sorted(line(v) for v in direction_cover(K))  # member j is cover[j]
     named = set()
     for skip in (lambda k, j: j == 2 and any(k) or j == 5 and not any(k),  # k != 0 member first
                  lambda k, j: j == 3,                                       # k = 0 before k != 0
                  lambda k, j: j == 4 and not any(k) or j == 6 and any(k),  # k = 0 member first
                  lambda k, j: False):
-        w = holey_table_rule(cover, K, rng, skip)
-        for mean in (0j, 1.5):
-            g = forward_sinogram(f, cover).with_mean(mean)
-            want = first_undefined_oracle(g, w)
-            named.add(want)
-            if want is None:
-                _check_weight_defined(g, w)
-                continue
-            with pytest.raises(WeightUndefined) as ei:
-                _check_weight_defined(g, w)
-            assert str(ei.value) == want
-    assert len(named) == 6
+        params = table_params(cover, K, rng, skip)
+        first = next(((k, A) for j, k, A in band_pairs(cover, K) if skip(k, j)), None)
+        named.add(first)
+        if first is None:
+            weight_on_family(CUSTOM, cover, K, params=params)
+            continue
+        with pytest.raises(ValueError) as ei:
+            weight_on_family(CUSTOM, cover, K, params=params)
+        assert str(ei.value) == f"no weight value for k={first[0]}, A={first[1].serialize()!r}"
+    assert len(named) == 4
 
 
 def test_mirror_index_reverses_each_member_block(rng):
@@ -528,6 +505,14 @@ def test_rule_refuses_a_member_outside_its_family(rng):
     g = forward_sinogram(random_field(2, K, rng), cover)
     with pytest.raises(DimensionMismatch):
         weighted_scatter(g.members, w, g.values, g.mean)
+    for other in (K - 1, K + 1):  # a rule on g's family at another band
+        w = weight_on_family(HEIGHT_DECAY, cover, other, certify=False)
+        for call in (lambda: invert_filtered(g, w), lambda: adjoint(g, w),
+                     lambda: sinogram_norm(g, 0.0, w), lambda: sinogram_norm(g, 0.0, w, p=3),
+                     lambda: sinogram_inner(g, g, 0.0, w),
+                     lambda: tikhonov_reconstruct_weighted(g, w, 0.0, 1.0, 0.5)):
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 @pytest.mark.parametrize("kind,params", [
