@@ -35,6 +35,18 @@ def _out_path(arg: str | None, default_name: str) -> Path:
     return output_root() / default_name
 
 
+def _write_field_and_image(field, path: Path, image_path, image) -> None:
+    """The field file, then the image if asked for; a refused image write
+    removes the field file too, so a refused run leaves no output."""
+    write_field(field, path)
+    if image_path:
+        try:
+            write_pgm(image, image_path)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+
+
 def cmd_phantom(args) -> int:
     params = ExperimentConfig.json_object(args.params, "--params") if args.params else {}
     if args.kind == "harmonic" and not params:
@@ -42,10 +54,9 @@ def cmd_phantom(args) -> int:
     if args.kind == "disk" and "radius" not in params:
         params["radius"] = args.radius
     ph = phantom(args.kind, params, args.band, args.grid)
+    image = to_samples(ph.field, args.grid).real if args.image else None
     path = _out_path(args.out, "phantom.tfield")
-    write_field(ph.field, path)
-    if args.image:
-        write_pgm(to_samples(ph.field, args.grid).real, args.image)
+    _write_field_and_image(ph.field, path, args.image, image)
     info = {"kind": ph.kind, "mean": ph.field.coeff((0,) * ph.field.n).real}
     if ph.analytic_mean is not None:
         info["analytic_mean"] = ph.analytic_mean
@@ -72,9 +83,7 @@ def cmd_reconstruct(args) -> int:
     # render first: a --grid too coarse for the band writes no file
     image = to_samples(rec, args.grid).real if args.image else None
     path = _out_path(args.out, "recon.tfield")
-    write_field(rec, path)
-    if args.image:
-        write_pgm(image, args.image)
+    _write_field_and_image(rec, path, args.image, image)
     print(f"wrote {path}")
     return 0
 

@@ -50,10 +50,11 @@ def orthogonality_mask(A: RationalSubspace, K: int) -> np.ndarray:
 
 def is_hermitian(coeffs: np.ndarray) -> bool:
     """coeff(-k) == conj(coeff(k)) up to HERMITIAN_TOL x max(1, max |coeff|);
-    on a flat band array too, since k -> -k reverses flat order."""
+    on a flat band array too, since k -> -k reverses flat order (a slice
+    block included; an empty one is Hermitian)."""
     flipped = coeffs[(slice(None, None, -1),) * coeffs.ndim]
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    return float(np.max(np.abs(coeffs - np.conj(flipped)))) <= HERMITIAN_TOL * scale
+    scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
+    return float(np.max(np.abs(coeffs - np.conj(flipped)), initial=0.0)) <= HERMITIAN_TOL * scale
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """On-disk formats.
 
-TorusField: one JSON header line {K, n, real} followed by little-endian
-float64 (re, im) pairs in lexicographic frequency order. TorusSinogram: a
-directory with meta.json, mean.txt, and one dense field file per subspace
-named by its serialized basis; each file is the dense view `g.slices[A]` on
-write and is gathered straight onto the sinogram's layout on read. Images:
-16-bit P5 PGM with the linear scaling recorded in the header comment. All
-writers are pure functions of their inputs, so identical runs produce
-identical bytes. The readers check what they parse and raise CorruptInput
-on malformed or unreadable files.
+TorusField: a JSON header line {K, n, real}, then little-endian complex128
+values in lexicographic frequency order. TorusSinogram: a directory with
+meta.json ("format": 2), mean.txt, and per member a slice file named by its
+basis: the field header, then only the member's block of `g.values`, so
+data off A^perp or at k = 0 cannot be written; earlier dense slice
+directories are refused. Images: 16-bit P5 PGM with the linear scaling in
+the header comment. All writers are pure functions of their inputs, so
+identical runs give identical bytes. Readers raise CorruptInput on
+malformed or unreadable files.
 """
 
 from __future__ import annotations
@@ -24,18 +24,19 @@ from .fields import TorusField, is_hermitian
 from .lattice import RationalSubspace
 from .sinogram import TorusSinogram, canonical_family, layout
 
+SINOGRAM_FORMAT = 2
+
+
+def _header(n: int, K: int, real: bool) -> bytes:
+    return json.dumps({"K": K, "n": n, "real": bool(real)}, sort_keys=True).encode("ascii") + b"\n"
+
 
 def write_field(f: TorusField, path) -> None:
-    header = json.dumps({"K": f.K, "n": f.n, "real": bool(f.real)}, sort_keys=True)
-    flat = np.ascontiguousarray(f.coeffs.ravel(), dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        fh.write(flat.tobytes())
+    Path(path).write_bytes(_header(f.n, f.K, f.real) + np.asarray(f.coeffs, "<c16").tobytes())
 
 
-def _read_payload(path) -> tuple[int, int, bool, np.ndarray]:
-    """(n, K, real, flat coefficients) of a field file, checked for its
-    header, payload length, finite values and, if flagged real, symmetry."""
+def _read_values(path) -> tuple[int, int, bool, bytes]:
+    """(n, K, real, payload bytes) of a field or slice file, its header checked."""
     try:
         with open(path, "rb") as fh:
             head = fh.readline()
@@ -49,46 +50,46 @@ def _read_payload(path) -> tuple[int, int, bool, np.ndarray]:
         raise CorruptInput(f"{path}: bad field header: {e!r}") from e
     if n < 1 or K < 0:
         raise CorruptInput(f"{path}: bad band n={n}, K={K}")
-    if len(raw) != 16 * (2 * K + 1) ** n:
-        raise CorruptInput(f"{path}: payload is {len(raw)} bytes, "
-                           f"want {16 * (2 * K + 1) ** n} for n={n}, K={K}")
+    return n, K, real, raw
+
+
+def _finite(path, raw: bytes, size: int) -> np.ndarray:
+    if len(raw) != 16 * size:
+        raise CorruptInput(f"{path}: payload is {len(raw)} bytes, want {16 * size}")
     arr = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     if not np.all(np.isfinite(arr)):
         raise CorruptInput(f"{path}: non-finite coefficients")
-    if real and not is_hermitian(arr):
-        raise CorruptInput(f"{path}: flagged real but coefficients are not Hermitian")
-    return n, K, real, arr
+    return arr
 
 
 def read_field(path) -> TorusField:
-    n, K, real, arr = _read_payload(path)
+    n, K, real, raw = _read_values(path)
+    arr = _finite(path, raw, (2 * K + 1) ** n)
+    if real and not is_hermitian(arr):
+        raise CorruptInput(f"{path}: flagged real but coefficients are not Hermitian")
     return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real=real)
 
 
 def _slice_filename(A: RationalSubspace) -> str:
-    rows = "__".join("_".join(str(x) for x in r) for r in A.basis)
-    return f"slice_{rows}.tfield"
+    return "slice_" + "__".join("_".join(map(str, row)) for row in A.basis) + ".tfield"
 
 
 def write_sinogram(g: TorusSinogram, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "n": g.n,
-        "d": g.d,
-        "K": g.K,
-        "subspaces": [A.serialize() for A in g.members],
-    }
+    meta = {"format": SINOGRAM_FORMAT, "n": g.n, "d": g.d, "K": g.K,
+            "subspaces": [A.serialize() for A in g.members]}
     (d / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (d / "mean.txt").write_text(f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
-    for A in g.members:
-        write_field(g.slices[A], d / _slice_filename(A))
+    header = _header(g.n, g.K, False)
+    for A, block in g.blocks.items():
+        with open(os.path.join(d, _slice_filename(A)), "wb") as fh:
+            fh.write(header + g.values[block].astype("<c16").tobytes())
 
 
 def read_sinogram(directory) -> TorusSinogram:
-    """Each slice file is checked as it is read (as a field file, then for
-    the band in meta.json and zeros at k = 0 and off A^perp) and gathered
-    straight onto the sinogram's layout."""
+    """Each slice file is checked for its band and its block's length, then
+    all values in one pass; no layout is built before a file confirms K."""
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
@@ -96,6 +97,9 @@ def read_sinogram(directory) -> TorusSinogram:
         members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
     except (OSError, ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
         raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
+    if meta.get("format") != SINOGRAM_FORMAT:
+        raise CorruptInput(f"{d / 'meta.json'}: format {meta.get('format')!r} is not {SINOGRAM_FORMAT}; "
+                           "the dense slice directories of earlier versions are not read")
     if K < 0 or len(set(members)) != len(members) or {(A.n, A.d) for A in members} != {(n, dim)}:
         raise CorruptInput(f"{d / 'meta.json'}: need K >= 0 and 1+ distinct (n={n}, d={dim}) subspaces")
     try:
@@ -108,18 +112,22 @@ def read_sinogram(directory) -> TorusSinogram:
     if not np.isfinite(mean):
         raise CorruptInput(f"{d / 'mean.txt'}: non-finite mean")
     members = canonical_family(members)
-    for i, A in enumerate(members):
-        path = d / _slice_filename(A)
-        sn, sK, _, arr = _read_payload(path)
+    payloads, flagged = [], []
+    for i, path in enumerate(d / _slice_filename(A) for A in members):
+        sn, sK, real, raw = _read_values(path)
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
         if i == 0:  # built only once a slice file has confirmed meta.json's band
-            index, offsets, _ = layout(members, K)
-            values = np.empty(index.size, np.complex128)
-        block = slice(offsets[i], offsets[i + 1])
-        values[block] = arr[index[block]]
-        if np.count_nonzero(arr) != np.count_nonzero(values[block]):
-            raise CorruptInput(f"{path}: coefficients at k = 0 or off A^perp")
+            offsets = layout(members, K)[1].tolist()
+        lo, hi = offsets[i : i + 2]
+        if len(raw) != 16 * (hi - lo):
+            raise CorruptInput(f"{path}: payload is {len(raw)} bytes, want {16 * (hi - lo)}")
+        payloads.append(raw)
+        flagged += [(path, lo, hi)] * real
+    values = _finite(d, b"".join(payloads), offsets[-1])
+    for path, lo, hi in flagged:
+        if not is_hermitian(values[lo:hi]):
+            raise CorruptInput(f"{path}: flagged real but coefficients are not Hermitian")
     return TorusSinogram(members, K, mean, values)
 
 
@@ -129,16 +137,10 @@ def write_pgm(image: np.ndarray, path) -> None:
     if img.ndim != 2:
         raise ValueError("image must be two-dimensional")
     lo, hi = float(img.min()), float(img.max())
-    if hi > lo:
-        scaled = np.round((img - lo) / (hi - lo) * 65535.0)
-    else:
-        scaled = np.zeros_like(img)
-    data = scaled.astype(">u2").tobytes()
+    scaled = np.round((img - lo) / (hi - lo) * 65535.0) if hi > lo else np.zeros_like(img)
     header = (f"P5\n# linear scale min={lo:.17g} max={hi:.17g}\n"
               f"{img.shape[1]} {img.shape[0]}\n65535\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(data)
+    Path(path).write_bytes(header.encode("ascii") + scaled.astype(">u2").tobytes())
 
 
 def read_pgm(path) -> tuple[np.ndarray, float, float]:
@@ -165,10 +167,8 @@ def read_pgm(path) -> tuple[np.ndarray, float, float]:
 
 
 def write_csv(path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = [",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) for row in rows]
+    Path(path).write_text("\n".join([header, *lines]) + "\n")
 
 
 def output_root(default: str = ".") -> Path:

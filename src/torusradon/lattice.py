@@ -219,6 +219,13 @@ class RationalSubspace:
         head, *rows = [part.strip() for part in text.split(";")]
         d, n = (int(t) for t in head.split())
         basis = tuple(_as_intvec(int(t) for t in r.split()) for r in rows)
+        # a line's canonical basis is its primitive direction: the interned
+        # line is the value when it spells the same basis, and anything
+        # else takes the full checks (and their ValueError) below
+        if d == 1 and n >= 2 and len(basis) == 1 and len(basis[0]) == n and any(basis[0]):
+            A = line(basis[0])
+            if A.basis == basis:
+                return A
         return RationalSubspace(n=n, d=d, basis=basis)
 
 

@@ -11,8 +11,8 @@ these and checks them, so data off A^perp cannot be represented; arithmetic
 builds through it too, and `from_slices` gathers dense slice fields into
 it. Forward maps gather into `values`, every adjoint-type operator scatters
 out of it in one bincount (`scatter`). Member A's vector is
-`values[blocks[A]]`; `slices` is the one dense view, built on request, and
-on disk each slice stays one dense field file.
+`values[blocks[A]]`, which is also all its slice file holds on disk;
+`slices` is the one dense view, built on request.
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and is built once, its constants certified

@@ -114,6 +114,21 @@ def test_unwritable_output_is_an_error(tmp_path, capsys, command):
     assert not (tmp_path / "nodir").exists()
 
 
+@pytest.mark.parametrize("command", ["phantom", "reconstruct"])
+@pytest.mark.parametrize("refused", ["--image", "--out"])
+def test_refused_output_leaves_no_file(tmp_path, capsys, command, refused):
+    # either write failing leaves neither --out nor --image behind
+    field, sino = tmp_path / "f.tfield", tmp_path / "sino"
+    run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])
+    run(["forward", "--field", field, "--out", sino])
+    args = {"phantom": ["--band", "2"], "reconstruct": ["--sinogram", sino]}[command]
+    out = {"--out": tmp_path / "r.tfield", "--image": tmp_path / "r.pgm", refused: tmp_path / "nodir" / "x"}
+    assert run([command, *args, "--grid", "8", "--out", out["--out"], "--image", out["--image"]]) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert not (tmp_path / "r.tfield").exists() and not (tmp_path / "r.pgm").exists()
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = {
         "phantom": {"kind": "disk", "radius": 0.25},
@@ -203,6 +218,11 @@ def _corrupt_probe(tmp_path, kind):
             meta["d"] = 2
         elif kind == "sinogram listing a subspace twice":
             meta["subspaces"].append(meta["subspaces"][0])
+        elif kind == "sinogram in the dense format":
+            del meta["format"]  # the earlier format: no version, one dense field per slice
+            header = json.dumps({"K": 2, "n": 2, "real": False}, sort_keys=True).encode()
+            for path in sino.glob("slice_*.tfield"):
+                path.write_bytes(header + b"\n" + np.zeros(25, "<c16").tobytes())
         (sino / "meta.json").write_text(json.dumps(meta))
         return reconstruct
     if kind in BAD_PHANTOM_PARAMS:
@@ -267,6 +287,7 @@ BAD_PHANTOM_PARAMS = {
                                   "sinogram slice band differs from meta",
                                   "sinogram meta d differs from its subspaces",
                                   "sinogram listing a subspace twice",
+                                  "sinogram in the dense format",
                                   "csv with three fields", "csv with nan", "csv missing",
                                   "config missing", "config not json", "config not an object",
                                   *BAD_CONFIGS, *BAD_PHANTOM_PARAMS])

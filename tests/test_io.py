@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusradon.cli import main
 from torusradon.errors import CorruptInput
-from torusradon.fields import TorusField, random_field
+from torusradon.fields import random_field
 from torusradon.io import (
     _slice_filename,
     read_field,
@@ -18,7 +19,7 @@ from torusradon.io import (
     write_pgm,
     write_sinogram,
 )
-from torusradon.lattice import RationalSubspace, direction_cover
+from torusradon.lattice import direction_cover, enumerate_grassmannian, line_cover
 from torusradon.transforms import forward_sinogram
 
 
@@ -57,6 +58,25 @@ def test_sinogram_round_trip(tmp_path, rng):
     assert back.members == g.members
     for A in g.members:
         assert np.array_equal(back.slices[A].coeffs, g.slices[A].coeffs)
+
+
+@pytest.mark.parametrize("n, K, family", [
+    (2, 4, direction_cover(4)),
+    (3, 2, enumerate_grassmannian(2, 3, 1)),   # planes in T^3
+    (3, 2, line_cover(2, 3)),                   # lines in T^3
+    (2, 0, direction_cover(2)),                 # K = 0: the mean alone
+])
+def test_sinogram_files_hold_only_their_blocks(tmp_path, rng, n, K, family):
+    g = forward_sinogram(random_field(n, K, rng), family)
+    write_sinogram(g, tmp_path / "sino")
+    assert json.loads((tmp_path / "sino" / "meta.json").read_text())["format"] == 2
+    for A, block in g.blocks.items():
+        head, _, payload = (tmp_path / "sino" / _slice_filename(A)).read_bytes().partition(b"\n")
+        assert json.loads(head) == {"K": K, "n": n, "real": False}
+        assert np.array_equal(np.frombuffer(payload, "<c16"), g.values[block])
+    back = read_sinogram(tmp_path / "sino")
+    assert back.members == g.members and back.mean == g.mean and back.K == g.K
+    assert np.array_equal(back.values, g.values)
 
 
 def test_pgm_round_trip(tmp_path, rng):
@@ -126,35 +146,41 @@ def test_pgm_rejects_corrupt_bytes(tmp_path, data):
         read_pgm(tmp_path / "missing.pgm")
 
 
+def _block_file(path, K: int, values, real: bool = False) -> None:
+    """A slice file by hand: the field header, then the block's values."""
+    header = json.dumps({"K": K, "n": 2, "real": real}, sort_keys=True).encode()
+    path.write_bytes(header + b"\n" + np.asarray(values, "<c16").tobytes())
+
+
 def _corrupt_sinogram(d, fault):
     """Write a small sinogram to d, then break it by `fault`."""
-    write_sinogram(forward_sinogram(random_field(2, 3, np.random.default_rng(5)), direction_cover(3)), d)
+    g = forward_sinogram(random_field(2, 3, np.random.default_rng(5)), direction_cover(3))
+    write_sinogram(g, d)
     meta = json.loads((d / "meta.json").read_text())
-    first = d / _slice_filename(RationalSubspace.parse(meta["subspaces"][0]))
+    A, block = next((A, b) for A, b in g.blocks.items() if b.stop > b.start)
+    first = d / _slice_filename(A)
     if fault == "slice band differs from meta":
         write_field(random_field(2, 2, np.random.default_rng(6)), first)
     elif fault == "meta d differs from its subspaces":
         meta["d"] = 2
     elif fault == "duplicate subspaces in meta":
         meta["subspaces"].append(meta["subspaces"][0])
-    elif fault == "slice off A-perp":
-        f = read_field(first)
-        f.coeffs[0, 0] = 1.0
-        write_field(f, first)
-    elif fault == "slice at k = 0":
-        f = read_field(first)
-        f.coeffs[3, 3] = 1.0
-        write_field(f, first)
+    elif fault == "payload one value short":
+        _block_file(first, 3, g.values[block][:-1])
+    elif fault == "payload one value long":
+        _block_file(first, 3, np.append(g.values[block], 1.0))
     elif fault == "slice flagged real, not Hermitian":
-        f = read_field(first)
-        header = json.dumps({"K": 3, "n": 2, "real": True}, sort_keys=True).encode()
-        first.write_bytes(header + b"\n" + (f.coeffs * 1j + 1e-3).astype("<c16").tobytes())
+        _block_file(first, 3, g.values[block] * 1j + 1e-3, real=True)
+    elif fault == "dense slice directory":
+        del meta["format"]
+        for A in g.members:
+            write_field(g.slices[A], d / _slice_filename(A))
     (d / "meta.json").write_text(json.dumps(meta))
 
 
 SINOGRAM_FAULTS = ["slice band differs from meta", "meta d differs from its subspaces",
-                   "duplicate subspaces in meta", "slice off A-perp", "slice at k = 0",
-                   "slice flagged real, not Hermitian"]
+                   "duplicate subspaces in meta", "payload one value short",
+                   "payload one value long", "slice flagged real, not Hermitian"]
 
 
 @pytest.mark.parametrize("fault", SINOGRAM_FAULTS)
@@ -164,15 +190,48 @@ def test_read_sinogram_raises_corrupt_input(tmp_path, fault):
         read_sinogram(tmp_path / "sino")
 
 
+def test_dense_slice_directory_is_refused_by_name(tmp_path):
+    # the earlier format: no "format" in meta.json, one dense field per slice
+    _corrupt_sinogram(tmp_path / "sino", "dense slice directory")
+    with pytest.raises(CorruptInput, match="dense slice directories"):
+        read_sinogram(tmp_path / "sino")
+
+
 def test_read_sinogram_reads_slices_flagged_real(tmp_path, rng):
-    K = 3
-    g = forward_sinogram(random_field(2, K, rng, real=True), direction_cover(K))
-    write_sinogram(g, tmp_path / "sino")
-    for A in g.members:
-        write_field(TorusField(2, K, g.slices[A].coeffs, real=True),
-                    tmp_path / "sino" / _slice_filename(A))
-    back = read_sinogram(tmp_path / "sino")
-    assert back.members == g.members and np.array_equal(back.values, g.values)
+    for K in (3, 0):  # at K = 0 every block is empty
+        g = forward_sinogram(random_field(2, K, rng, real=True), direction_cover(3))
+        write_sinogram(g, tmp_path / f"sino{K}")
+        for A, block in g.blocks.items():
+            _block_file(tmp_path / f"sino{K}" / _slice_filename(A), K, g.values[block], real=True)
+        back = read_sinogram(tmp_path / f"sino{K}")
+        assert back.members == g.members and np.array_equal(back.values, g.values)
+
+
+SMALL_SINOGRAM = forward_sinogram(random_field(2, 2, np.random.default_rng(3), real=True),
+                                  direction_cover(2))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_damaged_sinogram_reads_or_raises_corrupt_input(tmp_path_factory, data):
+    # truncate one file of the directory at any byte, or flip any one bit
+    g, d = SMALL_SINOGRAM, tmp_path_factory.mktemp("sino")
+    write_sinogram(g, d)
+    path = d / data.draw(st.sampled_from(sorted(p.name for p in d.iterdir())))
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="cut"):]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << bit % 8
+    path.write_bytes(bytes(blob))
+    try:
+        back = read_sinogram(d)
+    except CorruptInput:
+        pass
+    else:
+        assert back.members == g.members and back.K == g.K and back.values.size == g.values.size
+    assert main(["reconstruct", "--sinogram", str(d), "--out", str(d / "r.tfield")]) in (0, 2)
 
 
 def test_read_sinogram_checks_meta_band_before_its_layout(tmp_path):

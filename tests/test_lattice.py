@@ -230,6 +230,19 @@ def test_serialization_round_trip():
     assert RationalSubspace.parse(A.serialize()) == A
 
 
+def test_parse_of_a_line_is_the_interned_line():
+    for A in [*(line(v) for v in direction_cover(8)), *line_cover(2, 3)]:
+        assert RationalSubspace.parse(A.serialize()) is line(A.basis[0])
+    # not HNF, not saturated, wrong row length, the zero row: the checked
+    # constructor's ValueError, as for any other subspace
+    for text in ["1 2; -1 2", "1 2; 2 4", "1 2; 1 2 3", "1 2; 0 0"]:
+        with pytest.raises(ValueError):
+            RationalSubspace.parse(text)
+    for A in hyperplane_cover(2, 3):  # d = 2 parses as before: a new equal value
+        B = RationalSubspace.parse(A.serialize())
+        assert B == A and B is not A
+
+
 def test_line_direction_round_trip():
     v = primitive_reduce((4, -6))
     assert direction_of(line(v)) == v
