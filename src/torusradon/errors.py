@@ -37,10 +37,6 @@ class SingularFilter(TorusRadonError):
     """Normal multiplier vanishes at some band frequency; cannot divide."""
 
 
-class NonzeroMean(TorusRadonError):
-    """Summation inversion requires (numerically) zero-average data."""
-
-
 class IncompleteCover(TorusRadonError):
     """Some band frequency lacks its orthogonal subspace in the family."""
 

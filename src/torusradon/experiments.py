@@ -109,21 +109,13 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
 
 # --- configuration --------------------------------------------------------------
 
-def reconstruct_sum(g: TorusSinogram) -> TorusField:
-    """Summation inversion of the zero-average part, with the shared average
-    added back at k = 0."""
-    rec = invert_sum(g.without_mean())
-    rec.coeffs[(g.K,) * g.n] += g.mean
-    return rec
-
-
 # Reconstruction methods by name: fn(g, w, reg) with w the weight rule (None
 # for `_data_weight(g)`) and reg the tikhonov r, s and alpha.
 METHODS = {
     "slice": lambda g, w, reg: reconstruct_slices(g),
     "filtered": lambda g, w, reg: invert_filtered(g, w or _data_weight(g)),
     "normalized": lambda g, w, reg: adjoint_normalized(g, w or _data_weight(g)),
-    "sum": lambda g, w, reg: reconstruct_sum(g),
+    "sum": lambda g, w, reg: invert_sum(g),
     "tikhonov": lambda g, w, reg: tikhonov_reconstruct(g, reg["r"], reg["s"], reg["alpha"]),
 }
 
@@ -432,7 +424,7 @@ def _check_sum_identity(rng):
     K = 5
     cover = direction_cover(K)
     f = random_field(2, K, rng, real=True)
-    rec = reconstruct_sum(forward_sinogram(f, cover))
+    rec = invert_sum(forward_sinogram(f, cover))
     worst = float(np.max(np.abs(rec.coeffs - f.coeffs)))
     return worst < 1e-12, worst
 

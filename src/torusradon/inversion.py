@@ -15,7 +15,6 @@ from .errors import (
     AxisDegenerate,
     DimensionMismatch,
     IncompleteCover,
-    NonzeroMean,
     SingularFilter,
 )
 from .fields import TorusField, band_frequencies, evaluate_at
@@ -26,13 +25,10 @@ from .sinogram import (
     _check_band,
     _dense,
     layout,
-    plain_magnitude,
     scatter,
     weighted_scatter,
 )
 from .transforms import _midpoint_nodes
-
-NONZERO_MEAN_RTOL = 1e-12
 
 
 def _default_axis(k: IntVec, v: PrimitiveDirection) -> int:
@@ -77,19 +73,19 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
     return complex(np.mean(vals * phase))
 
 
-def reconstruct_slices(g: TorusSinogram, N_q: int | None = None) -> TorusField:
+def reconstruct_slices(g: TorusSinogram) -> TorusField:
     """Full-field reconstruction through the axis integrals: the quadrature
-    of `slice_reconstruct_coeff` on 2K + 1 nodes (by default), one product
-    over all lines. Column l of B holds line l's coefficients at their axis
-    frequencies; one phase matrix P = e^{2 pi i k_axis t_j} samples every
-    slice plus the shared mean as P @ B + mean, and every coefficient is
-    read off P^H (P @ B + mean) / N_q. k = 0 is the average along the first
-    line's valid axis. Raises IncompleteCover if a band frequency has no
-    stored orthogonal line."""
+    of `slice_reconstruct_coeff` on its 2K + 1 nodes t, exact on the band,
+    as one product over all lines. Column l of B holds line l's coefficients
+    at their axis frequencies; one phase matrix P = e^{2 pi i k_axis t_j}
+    samples every slice plus the shared mean as P @ B + mean, and every
+    coefficient is read off P^H (P @ B + mean) / (2K + 1). k = 0 is the
+    average along the first line's valid axis. Raises IncompleteCover if a
+    band frequency has no stored orthogonal line."""
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     K = g.K
-    t = _midpoint_nodes(2 * K, N_q)  # the nodes of slice_reconstruct_coeff
+    t = _midpoint_nodes(2 * K, None)  # the nodes of slice_reconstruct_coeff
     _check_cover(g)
     index, offsets, _ = layout(g.members, K)
     ks = band_frequencies(2, K)[:, index]
@@ -158,19 +154,18 @@ def adjoint_normalized(g: TorusSinogram, w: WeightRule) -> TorusField:
 
 
 def invert_sum(g: TorusSinogram) -> TorusField:
-    """Filter-free inversion for hyperplane data (d = n-1): a zero-average
-    function is the plain sum of its slices.
+    """Filter-free inversion for hyperplane data (d = n-1): the zero-average
+    part of f is the plain sum of its slices, and the stored shared mean is
+    f's k = 0 coefficient, so one scatter returns the whole field.
 
-    The mean must vanish (subtract it first) and every band frequency needs
-    its orthogonal hyperplane in the family; missing coverage raises rather
-    than returning a silently wrong field."""
+    Every band frequency needs its orthogonal hyperplane in the family;
+    missing coverage raises rather than returning a silently wrong field."""
     if g.d != g.n - 1:
         raise DimensionMismatch("summation inversion needs hyperplane data (d = n-1)")
-    scale = max(1.0, plain_magnitude(g))
-    if abs(g.mean) > NONZERO_MEAN_RTOL * scale:
-        raise NonzeroMean(f"|mean| = {abs(g.mean):.3e} exceeds {NONZERO_MEAN_RTOL:.0e} x norm")
     _check_cover(g)
-    return TorusField(g.n, g.K, scatter(g.K, g.members, g.values))
+    # 0j + mean writes a -0.0 part of the mean as +0.0, so the field's bytes
+    # do not depend on the sign of a zero
+    return TorusField(g.n, g.K, scatter(g.K, g.members, g.values, 0j + g.mean))
 
 
 @dataclass

@@ -75,15 +75,20 @@ def _slice_filename(A: RationalSubspace) -> str:
 
 
 def write_sinogram(g: TorusSinogram, directory) -> None:
+    """Write g into the directory; slice files of members g lacks, left by
+    an earlier sinogram, are deleted first, so the files name g's family."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
+    names = {A: _slice_filename(A) for A in g.members}
+    for stale in {p.name for p in d.glob("slice_*.tfield")} - set(names.values()):
+        (d / stale).unlink()
     meta = {"format": SINOGRAM_FORMAT, "n": g.n, "d": g.d, "K": g.K,
             "subspaces": [A.serialize() for A in g.members]}
     (d / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (d / "mean.txt").write_text(f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
     header = _header(g.n, g.K, False)
     for A, block in g.blocks.items():
-        with open(os.path.join(d, _slice_filename(A)), "wb") as fh:
+        with open(os.path.join(d, names[A]), "wb") as fh:
             fh.write(header + g.values[block].astype("<c16").tobytes())
 
 

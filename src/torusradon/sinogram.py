@@ -298,8 +298,9 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
     """The weight rule on an explicit subspace family, built once per (kind,
     family, K, params) and shared. A custom table must give every member's
     w(0, A) and w(k, A) on support(A, K); ValueError names the first
-    missing pair, in member order with k = 0 first. Certification rejects
-    a vanishing normal multiplier on the band."""
+    missing pair, in member order with k = 0 first; so is a weight whose
+    square is 0 or inf in floats. Certification rejects a vanishing normal
+    multiplier on the band."""
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
@@ -332,11 +333,15 @@ def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: t
         w = [table[k, A] for k, A in pairs if any(k)]
         zero = [table[k, A] for k, A in pairs if not any(k)]
     else:  # the built-in kinds are constant off k = 0
-        base = float(params[0]) if params else 2.0
-        per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
+        base = np.float64(params[0] if params else 2.0)  # overflows to inf, not an error
+        with np.errstate(over="ignore"):
+            per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
         w = np.repeat(per_member, np.diff(offsets))
         zero = [1.0 / math.sqrt(len(fam))] * len(fam) if kind == CANONICAL else per_member
-    w2, w2_zero = np.asarray(w, np.float64) ** 2, np.asarray(zero, np.float64) ** 2
+    with np.errstate(over="ignore"):  # an inf square, or a 0 one, is refused below
+        w2, w2_zero = np.asarray(w, np.float64) ** 2, np.asarray(zero, np.float64) ** 2
+    if not all(np.all((a > 0) & (a < np.inf)) for a in (w2, w2_zero)):
+        raise ValueError("weights must be finite and positive")
     W = scatter(K, fam, w2, w2_zero.sum())
     return WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params,
                       w2=frozen(w2), w2_zero=frozen(w2_zero), normal_array=frozen(W),
@@ -424,8 +429,3 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     return TorusSinogram.from_slices(
         mean, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
 
-
-def plain_magnitude(g: TorusSinogram) -> float:
-    """Unweighted coefficient magnitude sqrt(|mean|^2 + sum |coeff|^2);
-    a weight-free scale for tolerances, valid for any (n, d)."""
-    return math.sqrt(abs(g.mean) ** 2 + float(np.vdot(g.values, g.values).real))

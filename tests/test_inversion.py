@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusradon.errors import IncompleteCover, NonzeroMean, QuadratureTooCoarse, SingularFilter
+from torusradon.errors import IncompleteCover, QuadratureTooCoarse, SingularFilter
 from torusradon.fields import (
     TorusField,
     bessel_norm,
@@ -120,7 +120,7 @@ def test_slice_path_agrees_with_filtered_path_on_noisy_data(rng):
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
 
-def slices_oracle(g, N_q=None):
+def slices_oracle(g):
     """The per-frequency loop reconstruct_slices replaced: for each band
     frequency k, the dense slice of the line orthogonal to k, with the mean
     at k = 0, and one slice_reconstruct_coeff quadrature; k = 0 from the
@@ -140,11 +140,9 @@ def slices_oracle(g, N_q=None):
             raise IncompleteCover(f"no slice orthogonal to k={k}")
         if A not in dense:
             dense[A] = with_mean(A)
-        arr[k[0] + K, k[1] + K] = slice_reconstruct_coeff(dense[A], k, PrimitiveDirection(A.basis[0]),
-                                                          N_q=N_q)
+        arr[k[0] + K, k[1] + K] = slice_reconstruct_coeff(dense[A], k, PrimitiveDirection(A.basis[0]))
     first = g.members[0]
-    arr[K, K] = slice_reconstruct_coeff(with_mean(first), (0, 0), PrimitiveDirection(first.basis[0]),
-                                        N_q=N_q)
+    arr[K, K] = slice_reconstruct_coeff(with_mean(first), (0, 0), PrimitiveDirection(first.basis[0]))
     return TorusField(2, K, arr)
 
 
@@ -179,13 +177,19 @@ def test_reconstruct_slices_incomplete_cover(rng):
 
 def test_reconstruct_slices_quadrature_size(rng):
     # the axis integrand has frequencies |k_axis| <= K per factor: 2K + 1
-    # midpoint nodes are exact, 2K are not
+    # midpoint nodes are exact, 2K are not; reconstruct_slices runs on the
+    # 2K + 1 nodes, and the per-coefficient quadrature takes any N_q
     K = 4
     f, g, _ = planar_setup(K, rng)
-    with pytest.raises(QuadratureTooCoarse, match=f"threshold {2 * K}"):
-        reconstruct_slices(g, N_q=2 * K)
-    for N_q in (None, 2 * K + 1, 6 * K + 7):
-        assert np.max(np.abs(reconstruct_slices(g, N_q=N_q).coeffs - f.coeffs)) < 1e-12
+    assert np.max(np.abs(reconstruct_slices(g).coeffs - f.coeffs)) < 1e-12
+    for k in ((1, 2), (3, 0), (0, 0)):
+        v = orthogonal_primitive(k) if any(k) else PrimitiveDirection((1, 1))
+        g_v = forward_sinogram(f, [v])
+        field = field_from_coeffs(2, K, dict(g_v.slices[line(v)].items()) | {(0, 0): g_v.mean})
+        with pytest.raises(QuadratureTooCoarse, match=f"threshold {2 * K}"):
+            slice_reconstruct_coeff(field, k, v, N_q=2 * K)
+        for N_q in (None, 2 * K + 1, 6 * K + 7):
+            assert abs(slice_reconstruct_coeff(field, k, v, N_q=N_q) - f.coeff(k)) < 1e-12
 
 
 def test_reconstruct_slices_at_scale(rng):
@@ -351,14 +355,21 @@ def test_invert_sum_mean_split(rng):
     assert np.max(np.abs(full - f.coeffs)) < 1e-12
 
 
-def test_invert_sum_nonzero_mean_raises(rng):
+def test_invert_sum_carries_the_mean(rng):
+    # the stored mean is the k = 0 coefficient: summing the slices of data
+    # with a nonzero mean gives the whole field, as the zero-average sum
+    # with the mean added
     K = 2
     f = random_field(2, K, rng)
     arr = f.coeffs.copy()
     arr[K, K] = 7.0
-    g = forward_sinogram(TorusField(2, K, arr), direction_cover(K))
-    with pytest.raises(NonzeroMean):
-        invert_sum(g)
+    f = TorusField(2, K, arr)
+    g = forward_sinogram(f, direction_cover(K))
+    rec = invert_sum(g)
+    assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-12
+    split = invert_sum(g.without_mean()).coeffs
+    split[K, K] += g.mean
+    assert np.array_equal(rec.coeffs, split)
 
 
 def test_invert_sum_incomplete_cover(rng):

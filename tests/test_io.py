@@ -60,6 +60,21 @@ def test_sinogram_round_trip(tmp_path, rng):
         assert np.array_equal(back.slices[A].coeffs, g.slices[A].coeffs)
 
 
+def test_sinogram_rewrite_leaves_no_stale_slice_files(tmp_path, rng):
+    # a smaller family written over a larger one: the files of the members
+    # it lacks are deleted, so the directory holds exactly its slices
+    f = random_field(2, 4, rng)
+    write_sinogram(forward_sinogram(f, direction_cover(4)), tmp_path)
+    g = forward_sinogram(f, direction_cover(2))
+    write_sinogram(g, tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("slice_*.tfield")) == \
+        sorted(_slice_filename(A) for A in g.members)
+    assert len(list(tmp_path.glob("slice_*.tfield"))) == len(g.members) == 8
+    back = read_sinogram(tmp_path)
+    assert back.members == g.members and back.mean == g.mean
+    assert np.array_equal(back.values, g.values)
+
+
 @pytest.mark.parametrize("n, K, family", [
     (2, 4, direction_cover(4)),
     (3, 2, enumerate_grassmannian(2, 3, 1)),   # planes in T^3
