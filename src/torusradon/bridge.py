@@ -17,6 +17,10 @@ this sum is geometric, so the bridge sums it exactly: one windowed
 Dirichlet kernel per Fourier mode of P. The window matters: it cuts off
 the interpolant's Gibbs tail outside the support, which an unwindowed
 Fourier-slice evaluation keeps.
+
+`bridge_ingest` treats every (direction, m) pair of the family as one row
+and sums the kernels of all rows in one batched pass over small chunks of
+rows, so its memory does not grow with the family.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .errors import (CorruptInput, DimensionMismatch, GeometryViolation, MissingAngle,
                      TorusRadonError)
 from .fields import band_frequencies
-from .lattice import PrimitiveDirection, direction_of, primitive_reduce
+from .lattice import PrimitiveDirection, primitive_reduce
 from .sinogram import TorusSinogram, canonical_family, layout
 
 
@@ -58,9 +62,9 @@ class EuclideanSinogram:
             raise GeometryViolation("support radius must be positive")
         if self.support_radius >= 0.5:
             raise GeometryViolation("support radius must be < 1/2 to fit one fundamental domain")
-        rows: dict[PrimitiveDirection, int] = {}
+        rows: dict[tuple[int, ...], int] = {}
         for i, v in enumerate(self.directions):
-            rows.setdefault(v, i)
+            rows.setdefault(v.v, i)
         object.__setattr__(self, "_rows", rows)
 
     @property
@@ -69,15 +73,21 @@ class EuclideanSinogram:
 
     def row(self, v: PrimitiveDirection) -> np.ndarray:
         """The data row of direction v (its first one, if listed twice)."""
-        try:
-            return self.values[self._rows[v]]
-        except KeyError:
-            raise MissingAngle(f"no Euclidean data for direction {v.v}") from None
+        return self.values[self.row_index([v.v])[0]]
+
+    def row_index(self, vs) -> np.ndarray:
+        """The row of each direction vector in vs (its first one, if listed
+        twice); MissingAngle names the first vector without data."""
+        rows = [self._rows.get(v, -1) for v in vs]
+        if -1 in rows:
+            raise MissingAngle(f"no Euclidean data for direction {vs[rows.index(-1)]}")
+        return np.array(rows, dtype=np.intp)
 
 
-def _unit_normal_offset(v: PrimitiveDirection, point) -> float:
-    speed = math.sqrt(v.v[0] ** 2 + v.v[1] ** 2)
-    return (-v.v[1] * point[0] + v.v[0] * point[1]) / speed
+def _unit_normal_offset(v1, v2, point):
+    """The offset of point along the unit normal (-v2, v1) / |v|, for
+    integer direction components or arrays of them."""
+    return (-v2 * point[0] + v1 * point[1]) / np.sqrt(v1 * v1 + v2 * v2)
 
 
 def disk_sinogram(directions, n_offsets: int, radius: float,
@@ -91,7 +101,7 @@ def disk_sinogram(directions, n_offsets: int, radius: float,
     s = np.arange(n_offsets) / n_offsets
     values = np.zeros((len(dirs), n_offsets))
     for i, v in enumerate(dirs):
-        c = _unit_normal_offset(v, center)
+        c = _unit_normal_offset(*v.v, center)
         for shift in range(-2, 3):
             t = s + shift - c
             inside = np.abs(t) <= radius
@@ -99,41 +109,43 @@ def disk_sinogram(directions, n_offsets: int, radius: float,
     return EuclideanSinogram(dirs, n_offsets, values, radius, tuple(center))
 
 
-def _symmetric_spectrum(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, c_f) for the 1-periodic trigonometric interpolant of uniform real
-    samples, f = -floor(N/2) .. floor(N/2), with c_-f = conj(c_f); for even
-    N the Nyquist mode is split in half between f = +-N/2."""
-    N = samples.shape[0]
+# rows of Dirichlet kernels built per pass: each pass's temporaries stay a
+# few hundred kB, so the call's memory does not grow with the family, and
+# larger chunks measured slower (192 rows at K = 16: 1.3x the time, 2.6 MB peak)
+_CHUNK_ROWS = 48
+
+
+def _symmetric_spectra(samples: np.ndarray) -> np.ndarray:
+    """c_f for the 1-periodic trigonometric interpolant of each row of
+    uniform real samples, f = -floor(N/2) .. floor(N/2), with
+    c_-f = conj(c_f); for even N the Nyquist mode is split in half between
+    f = +-N/2."""
+    N = samples.shape[1]
     half = np.fft.rfft(samples) / N
     if N % 2 == 0:
-        half[-1] /= 2.0
-    f = np.arange(1 - half.size, half.size)
-    return f, np.concatenate([np.conj(half[:0:-1]), half])
-
-
-def _windowed_transform(f, c, nu, h: float, q_lo: int, q_hi: int) -> np.ndarray:
-    """h * sum over q_lo <= q <= q_hi of P(qh) exp(-2 pi i nu qh) at each
-    frequency nu, for P(t) = sum_f c_f exp(2 pi i f t). The sum over q is
-    geometric, so each term is the Dirichlet kernel in a = (f - nu) h,
-    exp(i pi a (q_lo + q_hi)) sin(pi Q a) / sin(pi a), with its limit Q
-    where sin(pi a) = 0 (f = nu, which integer |v| allows)."""
-    Q = q_hi - q_lo + 1
-    a = (f[None, :] - nu[:, None]) * h
-    den = np.sin(np.pi * a)
-    ratio = np.divide(np.sin(np.pi * Q * a), den, out=np.full_like(den, float(Q)),
-                      where=den != 0)
-    return h * ((np.exp(1j * np.pi * (q_lo + q_hi) * a) * ratio) @ c)
+        half[:, -1] /= 2.0
+    return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
 
 
 def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     """Resample Euclidean parallel-beam data onto torus transform data.
 
-    Per direction v, slice coefficient m is the windowed strand-sum
-    quadrature g(m) = h sum_q P(qh) exp(-2 pi i m|v| qh) of the module
-    docstring, summed in closed form by `_windowed_transform` and written
-    straight into the slice's block of the family's flat layout. The shared
-    mean is the equal-weight average of the per-direction m = 0 values,
-    summed in sorted subspace order.
+    Slice coefficient m of direction v is the windowed strand-sum quadrature
+    g(m) = h sum_q P(qh) exp(-2 pi i m|v| qh) of the module docstring. For
+    P(t) = sum_f c_f exp(2 pi i f t) the sum over q_lo <= q <= q_hi is
+    geometric: g(m) = h sum_f c_f D(a), a = (f - m|v|) h, with the windowed
+    Dirichlet kernel D(a) = exp(i pi S a) sin(pi Q a) / sin(pi a),
+    S = q_lo + q_hi, Q = q_hi - q_lo + 1, and its limit Q where
+    sin(pi a) = 0 (f = m|v|, which integer |v| allows).
+
+    Each (direction, m) pair, 0 <= m <= m_max, is one row. The rows are
+    summed in chunks of `_CHUNK_ROWS`, each with one rfft over its
+    directions' profiles and one row-wise reduction against their spectra;
+    the phase exp(i pi S a) = exp(i pi S h f) exp(-i pi S h m|v|) is applied
+    once per direction and once per row. One gather then fills the family's
+    flat layout, with g(-m) = conj(g(m)) since the profile is real. The
+    shared mean is the equal-weight average of the real m = 0 values, summed
+    in sorted subspace order.
     """
     rho = sino.support_radius
     members = canonical_family(family)
@@ -141,28 +153,46 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         raise ValueError("family must be nonempty")
     if (members[0].n, members[0].d) != (2, 1):
         raise DimensionMismatch("the bridge is a planar (n=2) line operation")
+    vs = [A.basis[0] for A in members]
+    profile = sino.row_index(vs)
+    # the per-direction scalars of the quadrature, as arrays over the members
+    v1, v2 = np.array(vs).T
+    norm_sq = v1 * v1 + v2 * v2
+    speed = np.sqrt(norm_sq)
+    c_v = _unit_normal_offset(v1, v2, sino.center)
+    m_max = K // np.maximum(np.abs(v1), np.abs(v2))
+    # quadrature grid no coarser than the stored offsets, so it adds no
+    # aliasing beyond the offset grid's own
+    h = 1.0 / (np.maximum(2 * m_max + 2, sino.n_offsets) * speed)
+    q_lo, q_hi = np.ceil((c_v - rho) / h), np.floor((c_v + rho) / h)
+    S, Q = q_lo + q_hi, q_hi - q_lo + 1
+    # direction i owns rows start[i] + m, m = 0..m_max[i]
+    owner = np.repeat(np.arange(len(members)), m_max + 1)
+    start = np.cumsum(m_max + 1) - (m_max + 1)
+    nu = (np.arange(owner.size) - start[owner]) * speed[owner]
+    f = np.arange(-(sino.n_offsets // 2), sino.n_offsets // 2 + 1)
+    g = np.empty(owner.size, np.complex128)
+    for lo in range(0, owner.size, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        i = owner[rows]
+        d = slice(i[0], i[-1] + 1)  # the chunk's directions
+        c = _symmetric_spectra(sino.values[profile[d]])
+        c *= np.exp(1j * np.pi * S[d, None] * h[d, None] * f)
+        a = (f - nu[rows, None]) * h[i, None]
+        den = np.sin(np.pi * a)
+        ratio = np.divide(np.sin(np.pi * Q[i, None] * a), den,
+                          out=np.broadcast_to(Q[i, None], a.shape).copy(), where=den != 0)
+        phase = np.exp(-1j * np.pi * S[i] * h[i] * nu[rows])
+        g[rows] = h[i] * phase * np.einsum("rf,rf->r", ratio, c[i - i[0]])
     index, offsets, _ = layout(members, K)
     k1, k2 = band_frequencies(2, K)[:, index]
-    values, means = np.empty(index.size, np.complex128), []
-    for A, lo, hi in zip(members, offsets.tolist(), offsets[1:].tolist()):
-        v = direction_of(A)
-        f, c = _symmetric_spectrum(sino.row(v))
-        norm_sq = v.v[0] ** 2 + v.v[1] ** 2
-        speed = math.sqrt(norm_sq)
-        c_v = _unit_normal_offset(v, sino.center)
-        m_max = K // max(abs(x) for x in v.v)
-        # quadrature grid no coarser than the stored offsets, so it adds
-        # no aliasing beyond the offset grid's own
-        h = 1.0 / (max(2 * m_max + 2, sino.n_offsets) * speed)
-        q_lo, q_hi = math.ceil((c_v - rho) / h), math.floor((c_v + rho) / h)
-        g = _windowed_transform(f, c, np.arange(m_max + 1) * speed, h, q_lo, q_hi)
-        # the profile is real: g(-m) = conj(g(m)) and g(0) is real
-        means.append(g[0].real)
-        # k = m (-v2, v1) on the support; pick each entry's m from its k
-        m = (k1[lo:hi] * -v.v[1] + k2[lo:hi] * v.v[0]) // norm_sq
-        values[lo:hi] = np.where(m > 0, g[np.abs(m)], np.conj(g[np.abs(m)]))
-    mean = sum(means) / len(means)
-    return TorusSinogram(members, K, mean, values)
+    # k = m (-v2, v1) on the support; pick each entry's m from its k
+    i = np.repeat(np.arange(len(members)), np.diff(offsets))
+    m = (k1 * -v2[i] + k2 * v1[i]) // norm_sq[i]
+    picked = g[start[i] + np.abs(m)]
+    values = np.where(m > 0, picked, np.conj(picked))
+    # sum() adds in member order, one float at a time
+    return TorusSinogram(members, K, sum(g[start].real.tolist()) / len(members), values)
 
 
 # --- CSV exchange format -------------------------------------------------------

@@ -1,5 +1,5 @@
 """Inversion paths: axis-integral slice reconstruction (a periodic
-midpoint quadrature on 2K + 1 nodes, one product over all lines), adjoint
+midpoint quadrature on 2K + 1 nodes, one product per block of lines), adjoint
 and normal operators, filtered and normalized-weight inversion, and the
 filter-free hyperplane summation formula.
 """
@@ -73,15 +73,34 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
     return complex(np.mean(vals * phase))
 
 
+# lines per product of reconstruct_slices: B and its samples are then at
+# most (2K + 1) x 1,024, however large the family
+_BLOCK_LINES = 1024
+
+
+def _read_back(P, P_back, rows, cols, width: int, values, mean) -> np.ndarray:
+    """One block of reconstruct_slices: B, of `width` lines, holds the
+    values at (rows, cols), and they come back from P_back @ (P @ B + mean).
+    Its two (2K + 1) x width arrays are freed on return, before the next
+    block is built."""
+    B = np.zeros((P.shape[1], width), dtype=np.complex128)
+    B[rows, cols] = values
+    samples = P @ B
+    samples += mean
+    np.matmul(P_back, samples, out=B)  # B now holds the coefficients read back
+    return B[rows, cols]
+
+
 def reconstruct_slices(g: TorusSinogram) -> TorusField:
     """Full-field reconstruction through the axis integrals: the quadrature
     of `slice_reconstruct_coeff` on its 2K + 1 nodes t, exact on the band,
-    as one product over all lines. Column l of B holds line l's coefficients
-    at their axis frequencies; one phase matrix P = e^{2 pi i k_axis t_j}
-    samples every slice plus the shared mean as P @ B + mean, and every
-    coefficient is read off P^H (P @ B + mean) / (2K + 1). k = 0 is the
-    average along the first line's valid axis. Raises IncompleteCover if a
-    band frequency has no stored orthogonal line."""
+    as one product per block of `_BLOCK_LINES` lines. Column l of B holds
+    line l's coefficients at their axis frequencies; one phase matrix
+    P = e^{2 pi i k_axis t_j} samples every slice of the block plus the
+    shared mean as P @ B + mean, and every coefficient is read off
+    P^H (P @ B + mean) / (2K + 1). k = 0 is the average along the first
+    line's valid axis. Raises IncompleteCover if a band frequency has no
+    stored orthogonal line."""
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     K = g.K
@@ -94,15 +113,17 @@ def reconstruct_slices(g: TorusSinogram) -> TorusField:
     k_axis = np.where(np.abs(ks[0]) > np.abs(ks[1]), ks[0], ks[1]) + K
     lines = np.repeat(np.arange(len(g.members)), np.diff(offsets))
     P = np.exp(2j * np.pi * np.outer(t, np.arange(-K, K + 1)))
-    B = np.zeros((2 * K + 1, len(g.members)), dtype=np.complex128)
-    B[k_axis, lines] = g.values
-    samples = P @ B
-    samples += g.mean
-    np.matmul(P.conj().T / t.size, samples, out=B)  # B now holds the coefficients read back
+    P_back = P.conj().T / t.size
+    coeffs = np.empty_like(g.values)
+    for lo in range(0, len(g.members), _BLOCK_LINES):
+        hi = min(lo + _BLOCK_LINES, len(g.members))
+        entries = slice(offsets[lo], offsets[hi])
+        coeffs[entries] = _read_back(P, P_back, k_axis[entries], lines[entries] - lo,
+                                     hi - lo, g.values[entries], g.mean)
     first = slice(offsets[0], offsets[1])
     axis = _default_axis((0, 0), PrimitiveDirection(g.members[0].basis[0]))
     mean = np.mean(P[:, ks[axis, first] + K] @ g.values[first] + g.mean)
-    return TorusField(2, K, _dense(2, K, index, B[k_axis, lines], mean))
+    return TorusField(2, K, _dense(2, K, index, coeffs, mean))
 
 
 def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:

@@ -299,8 +299,9 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
     family, K, params) and shared. A custom table must give every member's
     w(0, A) and w(k, A) on support(A, K); ValueError names the first
     missing pair, in member order with k = 0 first; so is a weight whose
-    square is 0 or inf in floats. Certification rejects a vanishing normal
-    multiplier on the band."""
+    square is 0 or inf in floats, and a table whose squares sum to inf at
+    some k (the first such k is named). Certification rejects a vanishing
+    normal multiplier on the band."""
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
@@ -338,11 +339,15 @@ def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: t
             per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
         w = np.repeat(per_member, np.diff(offsets))
         zero = [1.0 / math.sqrt(len(fam))] * len(fam) if kind == CANONICAL else per_member
-    with np.errstate(over="ignore"):  # an inf square, or a 0 one, is refused below
+    with np.errstate(over="ignore"):  # an inf square or sum, or a 0 square, is refused below
         w2, w2_zero = np.asarray(w, np.float64) ** 2, np.asarray(zero, np.float64) ** 2
+        zero_sum = w2_zero.sum()
     if not all(np.all((a > 0) & (a < np.inf)) for a in (w2, w2_zero)):
         raise ValueError("weights must be finite and positive")
-    W = scatter(K, fam, w2, w2_zero.sum())
+    W = scatter(K, fam, w2, zero_sum)
+    if float(W.max()) == math.inf:  # np.bincount's per-k sums overflow without a warning
+        k = tuple(int(i) - K for i in np.argwhere(W == np.inf)[0])
+        raise ValueError(f"weights must be finite and positive; their squares sum to inf at k={k}")
     return WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params,
                       w2=frozen(w2), w2_zero=frozen(w2_zero), normal_array=frozen(W),
                       c_w=math.sqrt(float(W.min())), C_w=math.sqrt(float(W.max())))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,21 +189,25 @@ def strand_sum_oracle(sino, family, K):
     return out
 
 
-def oracle_defect(K, n_offsets, center, skip=()):
+def ingest_defect(sino, family, K):
     """Largest |closed form - strand loop| over every slice coefficient and
-    the shared mean, on direction_cover(K) for a disk of radius 0.2."""
-    cover = [v for v in direction_cover(K) if v.v not in skip]
-    sino = disk_sinogram(cover, n_offsets, 0.2, center)
-    g = bridge_ingest(sino, cover, K)
-    want = strand_sum_oracle(sino, cover, K)
+    the shared mean of bridge_ingest(sino, family, K)."""
+    g = bridge_ingest(sino, family, K)
+    want = strand_sum_oracle(sino, family, K)
     zero = {A: coeffs[coeffs.size // 2] for A, coeffs in want.items()}
     worst = abs(g.mean - sum(zero[A] for A in sorted(zero)) / len(zero))
     for A, expected in want.items():
         v1, v2 = A.basis[0]
         ms = np.arange(expected.size) - expected.size // 2
         got = g.slices[A].coeffs[K - ms * v2, K + ms * v1]
-        worst = max(worst, float(np.max(np.abs(got - expected)[ms != 0])))
+        worst = max(worst, float(np.max(np.abs(got - expected)[ms != 0], initial=0.0)))
     return worst
+
+
+def oracle_defect(K, n_offsets, center, skip=()):
+    """ingest_defect on direction_cover(K) for a disk of radius 0.2."""
+    cover = [v for v in direction_cover(K) if v.v not in skip]
+    return ingest_defect(disk_sinogram(cover, n_offsets, 0.2, center), cover, K)
 
 
 @pytest.mark.parametrize("center", [(0.5, 0.5), (0.57, 0.44)])
@@ -218,18 +223,67 @@ def test_closed_form_matches_strand_loop_on_cover_32():
     assert oracle_defect(32, 64, (0.5, 0.5), skip=[(7, 24)]) < 1e-13
 
 
-def test_ingest_peak_memory():
+@pytest.mark.parametrize("n_offsets, center", [
+    (255, (0.5, 0.5)),  # odd: no Nyquist mode to split
+    (16, (0.5, 0.5)),  # M_u = 2 m_max + 2 = 34 > 16 for the axis directions
+    (256, (0.31, 0.66)),  # far off centre: every window moves
+])
+def test_closed_form_matches_strand_loop_edge_cases(n_offsets, center):
+    assert oracle_defect(16, n_offsets, center) < 1e-13
+
+
+def test_ingest_reads_rows_by_direction_not_position():
     cover = direction_cover(16)
+    sino = disk_sinogram(cover, 256, 0.2, (0.57, 0.44))
+    backwards = EuclideanSinogram(sino.directions[::-1], 256, sino.values[::-1], 0.2, sino.center)
+    assert np.array_equal(bridge_ingest(backwards, cover, 16).values,
+                          bridge_ingest(sino, cover, 16).values)
+    assert ingest_defect(backwards, cover, 16) < 1e-13
+
+
+def test_ingest_at_band_zero_stores_only_the_mean():
+    cover = direction_cover(4)
+    sino = disk_sinogram(cover, 64, 0.2)
+    g = bridge_ingest(sino, cover, 0)
+    assert g.values.size == 0
+    assert g.mean.real > 0  # the disk's mass, pi rho^2 up to the quadrature
+    assert ingest_defect(sino, cover, 0) < 1e-13
+
+
+def test_missing_angle_names_the_first_missing_member():
+    # members are read in sorted subspace order, not in the given order
+    cover = direction_cover(4)
+    missing = sorted([line(v) for v in cover if v.v in ((1, 1), (3, 4), (1, -4))])
+    assert len(missing) == 3
+    sino = disk_sinogram([v for v in cover if line(v) not in missing], 64, 0.2)
+    first = missing[0].basis[0]
+    with pytest.raises(MissingAngle, match=re.escape(f"direction {first}")):
+        bridge_ingest(sino, cover[::-1], 4)
+
+
+def ingest_peak(K):
+    cover = direction_cover(K)
     sino = disk_sinogram(cover, 256, 0.2)
-    bridge_ingest(sino, cover, 16)  # fills the layout cache
+    bridge_ingest(sino, cover, K)  # fills the layout cache
     tracemalloc.start()
     try:
-        bridge_ingest(sino, cover, 16)
+        bridge_ingest(sino, cover, K)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cover) == 320
+    return len(cover), peak
+
+
+def test_ingest_peak_memory():
+    members, peak = ingest_peak(16)
+    assert members == 320
     assert peak < 2e6  # the result holds 1,088 values
+
+
+def test_ingest_peak_memory_does_not_grow_with_the_family():
+    members, peak = ingest_peak(32)
+    assert members == 1296
+    assert peak < 2e6  # chunks of rows: the same bound as 320 members
 
 
 def test_row_lookup_first_occurrence_wins():

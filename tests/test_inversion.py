@@ -199,7 +199,15 @@ def test_reconstruct_slices_at_scale(rng):
     rec = reconstruct_slices(g)
     elapsed = time.perf_counter() - start
     assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-12
-    assert elapsed < 0.5  # one product over the 5,040 lines
+    assert elapsed < 0.5  # five products over blocks of the 5,040 lines
+    tracemalloc.start()
+    try:
+        rec = reconstruct_slices(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-12
+    assert peak < 8e6  # blocks of 1,024 lines; one (2K + 1) x 5,040 pair held 22 MB
 
 
 def test_reconstruct_slices_peak_memory(rng):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -528,6 +530,22 @@ def test_rule_refuses_a_member_outside_its_family(rng):
 def test_weight_parameters_are_validated(kind, params):
     with pytest.raises(ValueError):
         weight_on_family(kind, direction_cover(2), 2, params=params, certify=False)
+
+
+@pytest.mark.parametrize("family, k", [
+    ([line(v) for v in direction_cover(2)], (0, 0)),  # eight w(0, A)^2 of 1e308 at k = 0
+    (line_cover(1, 3), (-1, -1, -1)),  # three lines are orthogonal to the first k
+])
+def test_table_whose_squares_sum_past_the_float_range_is_refused(family, k):
+    # every w^2 = 1e308 is finite, but W sums them: the build refuses the
+    # table, naming the first k where W is inf, with no overflow warning
+    K = 1 if family[0].n == 3 else 2
+    fam = sorted(family)
+    table = tuple(((kk, A), 1e154) for _, kk, A in band_pairs(fam, K))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"squares sum to inf at k={k}")):
+            weight_on_family(CUSTOM, fam, K, params=table, certify=False)
 
 
 @pytest.mark.parametrize("value", [1e-200, 1e200])
