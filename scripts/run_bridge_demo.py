@@ -11,7 +11,7 @@ import numpy as np
 from torusradon.bridge import bridge_ingest, disk_sinogram, sinogram_to_csv
 from torusradon.fields import sobolev_norm, to_samples
 from torusradon.inversion import invert_filtered
-from torusradon.io import write_csv, write_pgm
+from torusradon.io import write_csv, write_in_place, write_pgm
 from torusradon.lattice import direction_cover
 from torusradon.phantoms import phantom
 from torusradon.sinogram import canonical_weight
@@ -35,7 +35,7 @@ def main():
           f"(band-truncation residual {ph.truncation_residual:.3f})")
 
     sino = disk_sinogram(cover, N, rho)
-    (out / "euclidean.csv").write_text(sinogram_to_csv(sino))
+    write_in_place(out / "euclidean.csv", sinogram_to_csv(sino))
     g = bridge_ingest(sino, cover, K)
     rec = invert_filtered(g, w)
 

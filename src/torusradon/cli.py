@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bridge import bridge_ingest, disk_sinogram, sinogram_from_csv, sinogram_to_csv
 from .errors import CorruptInput, TorusRadonError
 from .experiments import METHODS, ExperimentConfig, run_experiment, selftest
 from .fields import to_samples
-from .io import output_root, read_field, read_sinogram, write_field, write_pgm, write_sinogram
+from .io import (output_root, read_field, read_sinogram, write_field, write_in_place, write_pgm,
+                 write_sinogram)
 from .lattice import direction_cover
 from .phantoms import phantom
 from .transforms import forward_sinogram
@@ -35,16 +37,24 @@ def _out_path(arg: str | None, default_name: str) -> Path:
     return output_root() / default_name
 
 
+@contextmanager
+def _removed_if_refused(path):
+    """Remove the file at path (if any) when the block raises: a run whose
+    second output is refused leaves no output."""
+    try:
+        yield
+    except BaseException:
+        if path:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def _write_field_and_image(field, path: Path, image_path, image) -> None:
-    """The field file, then the image if asked for; a refused image write
-    removes the field file too, so a refused run leaves no output."""
+    """The field file, then the image if asked for."""
     write_field(field, path)
     if image_path:
-        try:
+        with _removed_if_refused(path):
             write_pgm(image, image_path)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
 
 
 def cmd_phantom(args) -> int:
@@ -116,11 +126,13 @@ def cmd_bridge(args) -> int:
         sino = sinogram_from_csv(text, args.radius)
     else:
         sino = disk_sinogram(cover, args.offsets, args.radius)
-        if args.emit_csv:
-            Path(args.emit_csv).write_text(sinogram_to_csv(sino))
     g = bridge_ingest(sino, cover, args.band)
     path = _out_path(args.out, "bridged_sinogram")
-    write_sinogram(g, path)
+    emit = None if args.csv else args.emit_csv
+    if emit:
+        write_in_place(emit, sinogram_to_csv(sino))
+    with _removed_if_refused(emit):
+        write_sinogram(g, path)
     print(f"wrote {path} ({len(g.members)} slices)")
     return 0
 

@@ -25,7 +25,7 @@ from .inversion import (
     invert_sum,
     reconstruct_slices,
 )
-from .io import write_csv, write_pgm
+from .io import write_csv, write_in_place, write_pgm
 from .lattice import direction_cover, line, orthogonal_primitive
 from .phantoms import phantom
 from .regularization import (
@@ -320,8 +320,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
         write_pgm(to_samples(truth, cfg.grid).real, outdir / "truth.pgm")
         write_csv(outdir / "sweep.csv", "eps,alpha,err_Hr,bound,ratio", rows)
         payload = [r.payload for r in reports]
-        (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        (outdir / "errors.csv").write_text(reports[-1].errors_csv())
+        write_in_place(outdir / "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_in_place(outdir / "errors.csv", reports[-1].errors_csv())
     return reports
 
 
@@ -483,8 +483,7 @@ def selftest(output: str | None = None, seed: int = 20190614) -> tuple[bool, dic
     if output is not None:
         out = Path(output)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "selftest_report.json").write_text(
-            json.dumps(results, sort_keys=True, indent=2) + "\n")
+        write_in_place(out / "selftest_report.json", json.dumps(results, sort_keys=True, indent=2) + "\n")
         cfg = ExperimentConfig.from_dict({
             "phantom": {"kind": "harmonic", "frequencies": [[1, 2]], "amplitudes": [1.0]},
             "band": 6, "grid": 16, "method": "filtered",

@@ -7,14 +7,18 @@ basis: the field header, then only the member's block of `g.values`, so
 data off A^perp or at k = 0 cannot be written; earlier dense slice
 directories are refused. Images: 16-bit P5 PGM with the linear scaling in
 the header comment. All writers are pure functions of their inputs, so
-identical runs give identical bytes. Readers raise CorruptInput on
-malformed or unreadable files.
+identical runs give identical bytes, and all go through write_in_place:
+an existing file is overwritten and then cut to length, never truncated
+to zero first, because on ext4 (auto_da_alloc) a file truncated to zero
+is flushed at its close. Readers raise CorruptInput on malformed or
+unreadable files.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +31,28 @@ from .sinogram import TorusSinogram, canonical_family, layout
 SINOGRAM_FORMAT = 2
 
 
+def write_in_place(path, data: bytes | str) -> None:
+    """Write data (a str as UTF-8) to path in one write, over the old bytes
+    of an existing file, then cut a regular file to the new length.
+    A new file gets mode 0o666 & ~umask, as Path.write_bytes gives; targets
+    that are not regular files, such as /dev/null, are never cut. A run
+    killed before the cut can leave new bytes over an old tail; README
+    "File formats" lists what the readers then refuse. No fsync, as with
+    open(path, "wb")."""
+    if isinstance(data, str):
+        data = data.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _header(n: int, K: int, real: bool) -> bytes:
     return json.dumps({"K": K, "n": n, "real": bool(real)}, sort_keys=True).encode("ascii") + b"\n"
 
 
 def write_field(f: TorusField, path) -> None:
-    Path(path).write_bytes(_header(f.n, f.K, f.real) + np.asarray(f.coeffs, "<c16").tobytes())
+    write_in_place(path, _header(f.n, f.K, f.real) + np.asarray(f.coeffs, "<c16").tobytes())
 
 
 def _read_values(path) -> tuple[int, int, bool, bytes]:
@@ -84,12 +104,11 @@ def write_sinogram(g: TorusSinogram, directory) -> None:
         (d / stale).unlink()
     meta = {"format": SINOGRAM_FORMAT, "n": g.n, "d": g.d, "K": g.K,
             "subspaces": [A.serialize() for A in g.members]}
-    (d / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    (d / "mean.txt").write_text(f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
+    write_in_place(d / "meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_in_place(d / "mean.txt", f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
     header = _header(g.n, g.K, False)
     for A, block in g.blocks.items():
-        with open(os.path.join(d, names[A]), "wb") as fh:
-            fh.write(header + g.values[block].astype("<c16").tobytes())
+        write_in_place(os.path.join(d, names[A]), header + g.values[block].astype("<c16").tobytes())
 
 
 def read_sinogram(directory) -> TorusSinogram:
@@ -145,7 +164,7 @@ def write_pgm(image: np.ndarray, path) -> None:
     scaled = np.round((img - lo) / (hi - lo) * 65535.0) if hi > lo else np.zeros_like(img)
     header = (f"P5\n# linear scale min={lo:.17g} max={hi:.17g}\n"
               f"{img.shape[1]} {img.shape[0]}\n65535\n")
-    Path(path).write_bytes(header.encode("ascii") + scaled.astype(">u2").tobytes())
+    write_in_place(path, header.encode("ascii") + scaled.astype(">u2").tobytes())
 
 
 def read_pgm(path) -> tuple[np.ndarray, float, float]:
@@ -173,7 +192,7 @@ def read_pgm(path) -> tuple[np.ndarray, float, float]:
 
 def write_csv(path, header: str, rows) -> None:
     lines = [",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) for row in rows]
-    Path(path).write_text("\n".join([header, *lines]) + "\n")
+    write_in_place(path, "\n".join([header, *lines]) + "\n")
 
 
 def output_root(default: str = ".") -> Path:

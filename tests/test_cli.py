@@ -129,6 +129,25 @@ def test_refused_output_leaves_no_file(tmp_path, capsys, command, refused):
     assert not (tmp_path / "nodir").exists()
 
 
+def test_refused_bridge_leaves_no_emitted_csv(tmp_path, capsys):
+    # the sinogram directory cannot be made under a file: exit 2 and no CSV
+    (tmp_path / "afile").touch()
+    csv = tmp_path / "b.csv"
+    assert run(["bridge", "--cover", "4", "--band", "4", "--emit-csv", csv,
+                "--out", tmp_path / "afile" / "sub"]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_outputs_to_dev_null(tmp_path):
+    # not a regular file: written, never cut
+    field, sino = tmp_path / "f.tfield", tmp_path / "sino"
+    run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])
+    run(["forward", "--field", field, "--out", sino])
+    assert run(["reconstruct", "--sinogram", sino, "--grid", "8",
+                "--out", "/dev/null", "--image", "/dev/null"]) == 0
+
+
 def test_sweep_deterministic(tmp_path):
     cfg = {
         "phantom": {"kind": "disk", "radius": 0.25},
@@ -181,6 +200,15 @@ def test_selftest_deterministic_and_green(tmp_path, capsys):
     assert set(ta) == set(tb)
     for rel in ta:
         assert ta[rel] == tb[rel], rel
+
+
+def test_selftest_over_an_earlier_run_equals_a_fresh_one(tmp_path):
+    # another seed's artifacts first: the rewrite leaves none of their bytes
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    assert run(["selftest", "--out", over, "--seed", "1"]) == 0
+    assert run(["selftest", "--out", over]) == 0
+    assert run(["selftest", "--out", fresh]) == 0
+    assert tree_bytes(over) == tree_bytes(fresh)
 
 
 def test_output_root_env(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 import json
+import os
 import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from torusradon.io import (
     read_sinogram,
     write_csv,
     write_field,
+    write_in_place,
     write_pgm,
     write_sinogram,
 )
@@ -73,6 +77,76 @@ def test_sinogram_rewrite_leaves_no_stale_slice_files(tmp_path, rng):
     back = read_sinogram(tmp_path)
     assert back.members == g.members and back.mean == g.mean
     assert np.array_equal(back.values, g.values)
+
+
+def test_field_written_over_a_larger_field_equals_a_fresh_write(tmp_path, rng):
+    # outputs are rewritten in place, then cut: no tail of the K = 4 file stays
+    small = random_field(2, 2, rng)
+    write_field(random_field(2, 4, rng), tmp_path / "over.tfield")
+    write_field(small, tmp_path / "over.tfield")
+    write_field(small, tmp_path / "fresh.tfield")
+    assert (tmp_path / "over.tfield").read_bytes() == (tmp_path / "fresh.tfield").read_bytes()
+    assert read_field(tmp_path / "over.tfield").K == 2
+
+
+def test_sinogram_written_over_a_larger_one_equals_a_fresh_write(tmp_path, rng):
+    f = random_field(2, 4, rng)
+    write_sinogram(forward_sinogram(f, direction_cover(4)), tmp_path / "over")
+    g = forward_sinogram(f, direction_cover(2))
+    write_sinogram(g, tmp_path / "over")
+    write_sinogram(g, tmp_path / "fresh")
+    over, fresh = ({p.name: p.read_bytes() for p in d.iterdir()} for d in (tmp_path / "over", tmp_path / "fresh"))
+    assert over["meta.json"] == fresh["meta.json"]  # 8 subspaces written over 24
+    assert over == fresh
+
+
+def test_new_file_mode_is_that_of_write_bytes(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_in_place(tmp_path / "helper", b"x")
+        (tmp_path / "path").write_bytes(b"x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "helper").stat().st_mode == (tmp_path / "path").stat().st_mode
+    assert (tmp_path / "helper").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_non_regular_targets_are_written_and_never_cut(rng):
+    # ftruncate on /dev/null raises EINVAL: only regular files are cut
+    write_field(random_field(2, 2, rng), "/dev/null")
+    write_pgm(rng.standard_normal((4, 4)), "/dev/null")
+    write_in_place(os.devnull, "text\n")
+
+
+@contextmanager
+def _file_modes_apply():
+    """Root is not bound by file modes: as root, the block runs with the
+    effective uid of an unprivileged user (65534), which reaches files only
+    by names relative to the working directory."""
+    if os.geteuid() != 0:
+        yield
+        return
+    os.seteuid(65534)
+    try:
+        yield
+    finally:
+        os.seteuid(0)
+
+
+def test_read_only_file_is_refused(tmp_path, monkeypatch, capsys, rng):
+    d = tmp_path / "ro"
+    d.mkdir()
+    d.chmod(0o755)
+    monkeypatch.chdir(d)
+    write_field(random_field(2, 2, rng), "r.tfield")
+    before = Path("r.tfield").read_bytes()
+    Path("r.tfield").chmod(0o444)
+    with _file_modes_apply():
+        with pytest.raises(PermissionError):
+            write_field(random_field(2, 1, rng), "r.tfield")
+        code = main(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", "r.tfield"])
+    assert code == 2 and "Permission denied" in capsys.readouterr().err
+    assert Path("r.tfield").read_bytes() == before
 
 
 @pytest.mark.parametrize("n, K, family", [
