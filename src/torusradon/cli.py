@@ -128,10 +128,12 @@ def cmd_bridge(args) -> int:
         sino = disk_sinogram(cover, args.offsets, args.radius)
     g = bridge_ingest(sino, cover, args.band)
     path = _out_path(args.out, "bridged_sinogram")
-    emit = None if args.csv else args.emit_csv
-    if emit:
+    emit = args.emit_csv
+    if emit:  # a --csv input written by --emit-csv comes out byte for byte
         write_in_place(emit, sinogram_to_csv(sino))
-    with _removed_if_refused(emit):
+    # a refused run removes the CSV it wrote, but never the --csv input
+    rewrote_input = bool(emit and args.csv) and Path(emit) == Path(args.csv)
+    with _removed_if_refused(None if rewrote_input else emit):
         write_sinogram(g, path)
     print(f"wrote {path} ({len(g.members)} slices)")
     return 0
@@ -203,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--offsets", type=_int_at_least(1), default=256)
     q.add_argument("--cover", type=_int_at_least(0), default=16)
     q.add_argument("--band", type=_int_at_least(0), default=16)
-    q.add_argument("--emit-csv", help="write the generated analytic sinogram here")
+    q.add_argument("--emit-csv", help="write the Euclidean sinogram the run used here "
+                   "(the generated one, or the --csv input)")
     q.add_argument("--out")
     q.set_defaults(fn=cmd_bridge)
 

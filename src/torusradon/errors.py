@@ -29,14 +29,6 @@ class WeightUndefined(TorusRadonError):
     """Weight rule has no value for a stored (frequency, subspace) pair."""
 
 
-class DegenerateWeight(TorusRadonError):
-    """Certified lower weight constant c_w vanishes on the band."""
-
-
-class SingularFilter(TorusRadonError):
-    """Normal multiplier vanishes at some band frequency; cannot divide."""
-
-
 class IncompleteCover(TorusRadonError):
     """Some band frequency lacks its orthogonal subspace in the family."""
 

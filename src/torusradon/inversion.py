@@ -11,18 +11,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AxisDegenerate,
-    DimensionMismatch,
-    IncompleteCover,
-    SingularFilter,
-)
+from .errors import AxisDegenerate, DimensionMismatch, IncompleteCover
 from .fields import TorusField, band_frequencies, evaluate_at
 from .lattice import IntVec, PrimitiveDirection
 from .sinogram import (
     TorusSinogram,
     WeightRule,
     _check_band,
+    _data_weight,
     _dense,
     layout,
     scatter,
@@ -105,7 +101,7 @@ def reconstruct_slices(g: TorusSinogram) -> TorusField:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     K = g.K
     t = _midpoint_nodes(2 * K, None)  # the nodes of slice_reconstruct_coeff
-    _check_cover(g)
+    _check_cover(_data_weight(g).normal_array, K)
     index, offsets, _ = layout(g.members, K)
     ks = band_frequencies(2, K)[:, index]
     # the axis of _default_axis, entry by entry; the entries of a line are
@@ -140,28 +136,23 @@ def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
     return float(w.normal_array[tuple(int(x) + w.K for x in k)])
 
 
-def _first_frequency(mask: np.ndarray, K: int) -> IntVec:
-    return tuple(int(i) - K for i in np.argwhere(mask)[0])
-
-
-def _check_cover(g: TorusSinogram) -> None:
-    """IncompleteCover naming the first band frequency k != 0 that no
-    stored member of g is orthogonal to."""
-    covered = scatter(g.K, g.members, np.ones(g.values.size), 1.0)
-    if float(covered.min()) == 0.0:
-        k = _first_frequency(covered == 0.0, g.K)
+def _check_cover(W: np.ndarray, K: int) -> None:
+    """IncompleteCover naming the first band frequency k (in argwhere order)
+    where the normal multiplier W is not positive. Every weight is positive,
+    so W(k) = 0 exactly where no stored subspace is orthogonal to k."""
+    if float(W.min()) <= 0.0:
+        k = tuple(int(i) - K for i in np.argwhere(W <= 0.0)[0])
         raise IncompleteCover(f"no stored subspace is orthogonal to k={k}")
 
 
 def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Exact left inverse on range data: adjoint followed by division by the
-    normal multiplier over the members stored in g (the rule's certified W
-    when g lives on its whole family). Raises SingularFilter if W vanishes
-    on the band, DimensionMismatch if the rule is at another band."""
+    normal multiplier over the members stored in g (the rule's W when g
+    lives on its whole family). Raises IncompleteCover if W vanishes on the
+    band, DimensionMismatch if the rule is at another band."""
     back = adjoint(g, w)
     W = weighted_scatter(g.members, w)
-    if float(W.min()) <= 0.0:
-        raise SingularFilter(f"normal multiplier vanishes at k={_first_frequency(W <= 0.0, g.K)}")
+    _check_cover(W, g.K)
     return TorusField(g.n, g.K, back.coeffs / W)
 
 
@@ -183,7 +174,7 @@ def invert_sum(g: TorusSinogram) -> TorusField:
     missing coverage raises rather than returning a silently wrong field."""
     if g.d != g.n - 1:
         raise DimensionMismatch("summation inversion needs hyperplane data (d = n-1)")
-    _check_cover(g)
+    _check_cover(_data_weight(g).normal_array, g.K)
     # 0j + mean writes a -0.0 part of the mean as +0.0, so the field's bytes
     # do not depend on the sign of a zero
     return TorusField(g.n, g.K, scatter(g.K, g.members, g.values, 0j + g.mean))

@@ -55,6 +55,15 @@ def write_field(f: TorusField, path) -> None:
     write_in_place(path, _header(f.n, f.K, f.real) + np.asarray(f.coeffs, "<c16").tobytes())
 
 
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key] if its JSON type is exactly kind (int or bool, so that true
+    is no integer and "false" no boolean); TypeError otherwise."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _read_values(path) -> tuple[int, int, bool, bytes]:
     """(n, K, real, payload bytes) of a field or slice file, its header checked."""
     try:
@@ -65,7 +74,7 @@ def _read_values(path) -> tuple[int, int, bool, bytes]:
         raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
     try:
         header = json.loads(head.decode("ascii"))
-        n, K, real = int(header["n"]), int(header["K"]), bool(header["real"])
+        n, K, real = _typed(header, "n", int), _typed(header, "K", int), _typed(header, "real", bool)
     except (ValueError, KeyError, TypeError) as e:
         raise CorruptInput(f"{path}: bad field header: {e!r}") from e
     if n < 1 or K < 0:
@@ -117,7 +126,7 @@ def read_sinogram(directory) -> TorusSinogram:
     d = Path(directory)
     try:
         meta = json.loads((d / "meta.json").read_text())
-        n, dim, K = int(meta["n"]), int(meta["d"]), int(meta["K"])
+        n, dim, K = (_typed(meta, key, int) for key in ("n", "d", "K"))
         members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
     except (OSError, ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
         raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
@@ -195,6 +204,6 @@ def write_csv(path, header: str, rows) -> None:
     write_in_place(path, "\n".join([header, *lines]) + "\n")
 
 
-def output_root(default: str = ".") -> Path:
-    """Output directory root, overridable through TORUSRADON_OUT."""
-    return Path(os.environ.get("TORUSRADON_OUT", default))
+def output_root() -> Path:
+    """Output directory root: TORUSRADON_OUT, or the working directory."""
+    return Path(os.environ.get("TORUSRADON_OUT", "."))

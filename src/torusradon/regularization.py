@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
 from .fields import TorusField, bracket_sq, sobolev_norm
-from .inversion import adjoint
+from .inversion import _check_cover, adjoint
 from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm, weighted_scatter
 from .transforms import forward_sinogram
 
@@ -38,11 +38,14 @@ def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> 
     """Closed-form minimizer of the Tikhonov functional in the planar
     unweighted setting: the weighted minimizer under the canonical rule,
     where W = 1 on the band (each k != 0 has one orthogonal line), so the
-    adjoint is smoothed by exponent s - r."""
+    adjoint is smoothed by exponent s - r. Raises IncompleteCover where a
+    band frequency has no stored line, since W = 0 there."""
     _check_minimizer_params(r, s, alpha)
     if g.n != 2 or g.d != 1:
         raise ParamViolation("the closed-form minimizer is the n=2, d=1 unweighted setting")
-    return tikhonov_reconstruct_weighted(g, canonical_weight(g.members, g.K), r, s, alpha)
+    w = canonical_weight(g.members, g.K)
+    _check_cover(w.normal_array, g.K)
+    return tikhonov_reconstruct_weighted(g, w, r, s, alpha)
 
 
 def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: float,

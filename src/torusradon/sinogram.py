@@ -15,10 +15,10 @@ out of it in one bincount (`scatter`). Member A's vector is
 `slices` is the one dense view, built on request.
 
 A weight rule lives on an explicit finite subspace family (the working
-truncation of the Grassmannian) and is built once, its constants certified
-on the band by exhaustive summation. It is total on its family and band: its
-squared weights are one flat array of positive values on layout(family, K)
-plus one w(0, A)^2 per member. A sub-family reads its blocks, another band
+truncation of the Grassmannian) and is built once, its constants c_w and
+C_w computed on the band by exhaustive summation. It is total on its
+family and band: its squared weights are one flat array of positive values
+on layout(family, K) plus one w(0, A)^2 per member. A sub-family reads its blocks, another band
 is refused, and every operator on transform data is one numpy expression.
 """
 
@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeight, DimensionMismatch, WeightUndefined
+from .errors import DimensionMismatch, WeightUndefined
 from .fields import (TorusField, band_frequencies, bessel_norm, bracket_sq, frozen,
                      orthogonality_mask, unit_harmonic)
 from .lattice import (
@@ -231,10 +231,11 @@ class TorusSinogram:
 @dataclass(frozen=True)
 class WeightRule:
     """A positive weight w(k, A) on band frequencies and a finite subspace
-    family, with its certified normal-multiplier constants. Plain read-only
-    data built once by `weight_on_family`: w(k, A)^2 on layout(family, K)
+    family, with its normal-multiplier constants. Plain read-only data
+    built once by `weight_on_family`: w(k, A)^2 on layout(family, K)
     (`w2`) and w(0, A)^2 per member (`w2_zero`), the multiplier W
-    (`normal_array`), c_w = sqrt(min W) and C_w = sqrt(max W).
+    (`normal_array`), c_w = sqrt(min W) and C_w = sqrt(max W); c_w = 0
+    when the family misses part of the band.
 
     kind 'canonical-singleton' (d = n-1): w = 1 off the mean and
     1/sqrt(|family|) at k = 0, so the data norm is the unweighted one.
@@ -293,15 +294,14 @@ def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex =
     return scatter(w.K, members, w2 if values is None else w2 * values, w0.sum() * mean)
 
 
-def weight_on_family(kind: str, family, K: int, params: tuple = (),
-                     certify: bool = True) -> WeightRule:
+def weight_on_family(kind: str, family, K: int, params: tuple = ()) -> WeightRule:
     """The weight rule on an explicit subspace family, built once per (kind,
     family, K, params) and shared. A custom table must give every member's
     w(0, A) and w(k, A) on support(A, K); ValueError names the first
     missing pair, in member order with k = 0 first; so is a weight whose
     square is 0 or inf in floats, and a table whose squares sum to inf at
-    some k (the first such k is named). Certification rejects a vanishing
-    normal multiplier on the band."""
+    some k (the first such k is named). A family that misses part of the
+    band still has its rule, with c_w = 0; the inversions refuse it."""
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
@@ -315,10 +315,7 @@ def weight_on_family(kind: str, family, K: int, params: tuple = (),
         raise ValueError(f"too many parameters for {kind!r} weights: {params!r}")
     if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v > 0 for v in values):
         raise ValueError("weights must be finite and positive")
-    rule = _weight_rule(kind, fam, K, tuple(params))
-    if certify and rule.c_w == 0.0:
-        raise DegenerateWeight("normal multiplier vanishes somewhere on the band; the family does not cover it")
-    return rule
+    return _weight_rule(kind, fam, K, tuple(params))
 
 
 @lru_cache(maxsize=64)
@@ -359,17 +356,17 @@ def weight_build(kind: str, params: tuple, d: int, n: int, H: int, K: int) -> We
 
 
 def canonical_weight(family, K: int) -> WeightRule:
-    """The unweighted data-space rule (w = 1 off the mean), certified and
-    shared by every caller with the same members and K."""
+    """The unweighted data-space rule (w = 1 off the mean), shared by every
+    caller with the same members and K."""
     return weight_on_family(CANONICAL, family, K)
 
 
 def _data_weight(g: TorusSinogram) -> WeightRule:
     """The data rule of g's family: canonical for hyperplane data, height-decay
-    otherwise. Uncertified: a family that misses part of the band still has
-    a norm, and invert_filtered refuses its vanishing multiplier."""
+    otherwise. Its normal_array is 0 exactly where no member of g is
+    orthogonal to k, which is what the inversions check."""
     kind = CANONICAL if g.d == g.n - 1 else HEIGHT_DECAY
-    return weight_on_family(kind, g.members, g.K, certify=False)
+    return weight_on_family(kind, g.members, g.K)
 
 
 # --- norms and the moment constraint ------------------------------------------

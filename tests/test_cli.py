@@ -61,8 +61,8 @@ def test_mean_only_band_reconstructs_the_mean(tmp_path, method):
 @pytest.mark.parametrize("method", ["filtered", "normalized"])
 def test_line_family_reconstructs_with_height_decay_weights(tmp_path, capsys, method):
     # lines in T^3 have no canonical rule: the default is height-decay, and
-    # a family that misses part of the band meets its vanishing multiplier
-    # in the inversion, a typed error
+    # a family that misses part of the band is refused by the inversion,
+    # naming the first k no stored line is orthogonal to
     from torusradon.fields import random_field
     from torusradon.io import read_field, write_sinogram
     from torusradon.lattice import line, line_cover
@@ -77,7 +77,7 @@ def test_line_family_reconstructs_with_height_decay_weights(tmp_path, capsys, me
     assert np.max(np.abs(read_field(recon).coeffs - f.coeffs)) < 1e-12
     assert run(["reconstruct", "--sinogram", tmp_path / "one", "--method", method,
                 "--out", recon]) == 2
-    assert "error: normal multiplier vanishes" in capsys.readouterr().err
+    assert "error: no stored subspace is orthogonal to k=(-2, -2, -2)\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"), ("--r", "nan"),
@@ -173,6 +173,33 @@ def test_sweep_invalid_config_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({"method": "bogus"}))
     assert run(["sweep", "--config", bad]) == 2
     assert "method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["slice", "filtered", "normalized", "sum", "tikhonov"])
+def test_every_method_refuses_a_partial_cover_alike(tmp_path, capsys, method):
+    # a cover of radius 4 misses part of a K = 12 band: one check, one
+    # message naming the first uncovered k, exit 2 and no output file
+    field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
+    assert run(["phantom", "--band", "12", "--grid", "32", "--out", field]) == 0
+    assert run(["forward", "--field", field, "--cover", "4", "--out", sino]) == 0
+    capsys.readouterr()
+    assert run(["reconstruct", "--sinogram", sino, "--method", method, "--out", recon]) == 2
+    assert capsys.readouterr().err == "error: no stored subspace is orthogonal to k=(-12, -11)\n"
+    assert not recon.exists()
+
+
+def test_bridge_csv_input_is_emitted_again(tmp_path, capsys):
+    d, e = tmp_path / "d.csv", tmp_path / "e.csv"
+    common = ["--cover", "4", "--band", "4", "--radius", "0.2"]
+    assert run(["bridge", *common, "--offsets", "64", "--emit-csv", d, "--out", tmp_path / "a"]) == 0
+    assert run(["bridge", "--csv", d, *common, "--emit-csv", e, "--out", tmp_path / "b"]) == 0
+    assert filecmp.cmp(d, e, shallow=False)
+    # a refused run removes the CSV it wrote, never its own --csv input
+    (tmp_path / "afile").touch()
+    for target in (e, d):
+        assert run(["bridge", "--csv", d, *common, "--emit-csv", target,
+                    "--out", tmp_path / "afile" / "sub"]) == 2
+    assert not e.exists() and d.read_bytes().startswith(b"angle_vx,angle_vy,offset,value")
 
 
 def test_bridge_command(tmp_path):

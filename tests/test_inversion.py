@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusradon.errors import IncompleteCover, QuadratureTooCoarse, SingularFilter
+from torusradon.errors import AxisDegenerate, IncompleteCover, QuadratureTooCoarse
 from torusradon.fields import (
     TorusField,
     bessel_norm,
@@ -73,6 +73,22 @@ def test_slice_reconstruct_constant_both_axes():
         field = field_from_coeffs(2, K, {(0, 0): g.mean})
         got = slice_reconstruct_coeff(field, (0, 0), vv, axis=axis)
         assert got == pytest.approx(5.0, abs=1e-12)
+
+
+def test_slice_reconstruct_axis_degenerate():
+    K = 2
+    v = primitive_reduce((2, -1))
+    field = forward_sinogram(random_field(2, K, np.random.default_rng(1)), [v]).slices[line(v)]
+    # a forced axis on which k has no component
+    with pytest.raises(AxisDegenerate, match=re.escape("axis 0 formula needs k[0] != 0")):
+        slice_reconstruct_coeff(field, (0, 2), primitive_reduce((1, 0)), axis=0)
+    with pytest.raises(AxisDegenerate, match=re.escape("axis 1 formula needs k[1] != 0")):
+        slice_reconstruct_coeff(field, (2, 0), primitive_reduce((0, 1)), axis=1)
+    # k = 0 along an axis the line runs parallel to: v[1 - axis] == 0
+    with pytest.raises(AxisDegenerate, match=re.escape("needs v[1] != 0, got v=(1, 0)")):
+        slice_reconstruct_coeff(field, (0, 0), primitive_reduce((1, 0)), axis=0)
+    with pytest.raises(AxisDegenerate, match=re.escape("needs v[0] != 0, got v=(0, 1)")):
+        slice_reconstruct_coeff(field, (0, 0), primitive_reduce((0, 1)), axis=1)
 
 
 def test_slice_reconstruct_all_band(rng):
@@ -322,7 +338,8 @@ def test_invert_filtered_singular():
     cover = direction_cover(K)
     w = canonical_weight(cover, K)
     partial = forward_sinogram(random_field(2, K, np.random.default_rng(0)), cover[:2])
-    with pytest.raises(SingularFilter):
+    # lines (0, 1) and (1, -1) cover k = (-2, -2) but not (-2, -1)
+    with pytest.raises(IncompleteCover, match=re.escape("no stored subspace is orthogonal to k=(-2, -1)")):
         invert_filtered(partial, w)
 
 

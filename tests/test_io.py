@@ -279,6 +279,29 @@ def test_read_sinogram_raises_corrupt_input(tmp_path, fault):
         read_sinogram(tmp_path / "sino")
 
 
+@pytest.mark.parametrize("key, value", [("K", 2.9), ("K", "2"), ("K", True), ("n", 2.0),
+                                        ("real", "false"), ("real", 0), ("real", None)])
+def test_field_header_fields_of_another_json_type_are_refused(tmp_path, rng, key, value):
+    # n and K must be JSON integers (true is none) and real a JSON boolean;
+    # nothing is cast, so "K": 2.9 never reads as K = 2
+    path = tmp_path / "f.tfield"
+    write_field(random_field(2, 2, rng, real=True), path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head) | {key: value}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(CorruptInput, match=f"must be a JSON {'bool' if key == 'real' else 'int'}"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("key, value", [("K", 3.0), ("K", "3"), ("n", True), ("d", 1.5)])
+def test_meta_json_fields_of_another_json_type_are_refused(tmp_path, key, value):
+    _corrupt_sinogram(tmp_path / "sino", None)
+    meta = json.loads((tmp_path / "sino" / "meta.json").read_text()) | {key: value}
+    (tmp_path / "sino" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CorruptInput, match="must be a JSON int"):
+        read_sinogram(tmp_path / "sino")
+
+
 def test_dense_slice_directory_is_refused_by_name(tmp_path):
     # the earlier format: no "format" in meta.json, one dense field per slice
     _corrupt_sinogram(tmp_path / "sino", "dense slice directory")

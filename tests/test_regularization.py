@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torusradon.errors import ParamViolation
+from torusradon.errors import IncompleteCover, ParamViolation
 from torusradon.fields import (
     TorusField,
     field_from_coeffs,
@@ -22,7 +22,13 @@ from torusradon.regularization import (
     tikhonov_reconstruct,
     tikhonov_reconstruct_weighted,
 )
-from torusradon.sinogram import HEIGHT_DECAY, TorusSinogram, weight_on_family
+from torusradon.sinogram import (
+    HEIGHT_DECAY,
+    TorusSinogram,
+    canonical_weight,
+    sinogram_norm,
+    weight_on_family,
+)
 from torusradon.transforms import forward_sinogram
 
 
@@ -91,6 +97,21 @@ def test_tikhonov_param_violation():
         tikhonov_reconstruct(g, r=2.0, s=1.0, alpha=0.5)
     with pytest.raises(ParamViolation):
         tikhonov_reconstruct(g, r=0.0, s=1.0, alpha=0.0)
+
+
+def test_partial_family_is_refused_by_the_minimizer_not_the_objective(rng):
+    # the closed form needs W = 1 on the band; a cover that misses a line
+    # has its canonical rule (c_w = 0), on which the objective and the data
+    # norm still compute, since neither divides by W
+    K = 3
+    partial = direction_cover(K)[:-1]
+    f = random_field(2, K, rng)
+    g = forward_sinogram(f, partial)
+    assert canonical_weight(partial, K).c_w == 0.0
+    with pytest.raises(IncompleteCover, match="no stored subspace is orthogonal to k="):
+        tikhonov_reconstruct(g, 0.0, 1.0, 0.5)
+    assert math.isfinite(tikhonov_objective(f, g, 0.0, 1.0, 0.5))
+    assert math.isfinite(sinogram_norm(g, 1.0, canonical_weight(partial, K)))
 
 
 def test_objective_zero():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusradon.errors import DegenerateWeight, DimensionMismatch, WeightUndefined
+from torusradon.errors import DimensionMismatch, IncompleteCover, WeightUndefined
 from torusradon.fields import (
     band_frequencies,
     bracket_sq,
@@ -91,22 +91,26 @@ def test_normalized_weight_sums_to_one():
 @pytest.mark.parametrize("n, K, family, kind", [(3, 2, line_cover(2, 3), HEIGHT_DECAY),
                                                 (2, 4, direction_cover(4)[:3], CANONICAL)])
 def test_default_rule_is_the_uncertified_data_rule(rng, n, K, family, kind):
-    # with no rule given the norms take the family's data rule, uncertified:
+    # with no rule given the norms take the family's data rule, built even at c_w = 0:
     # height-decay for lines in T^3 (no canonical rule), canonical for three
     # lines that miss part of the plane's band
     g, h = (forward_sinogram(random_field(n, K, rng), family) for _ in range(2))
-    w = weight_on_family(kind, family, K, certify=False)
+    w = weight_on_family(kind, family, K)
     for s in (-1.0, 0.0, 1.5):
         assert sinogram_norm(g, s) == sinogram_norm(g, s, w)
         assert sinogram_inner(g, h, s) == sinogram_inner(g, h, s, w)
     assert sinogram_norm(g, 0.5, p=3, l=1) == sinogram_norm(g, 0.5, w, p=3, l=1)
 
 
-def test_degenerate_weight_raises():
-    # a single hyperplane cannot cover the whole band
+def test_degenerate_weight_raises(rng):
+    # a single hyperplane cannot cover the whole band: its rule is built,
+    # with c_w = 0, and the inversion refuses it, naming the first k
     fam = [orthogonal_complement((1, 0, 0))]
-    with pytest.raises(DegenerateWeight):
-        weight_on_family(HEIGHT_DECAY, fam, K=2)
+    w = weight_on_family(HEIGHT_DECAY, fam, K=2)
+    assert w.c_w == 0.0 and w.C_w > 0.0
+    g = forward_sinogram(random_field(3, 2, rng), fam)
+    with pytest.raises(IncompleteCover, match=re.escape("orthogonal to k=(-2, -2, -2)")):
+        invert_filtered(g, w)
 
 
 def test_decay_certificate_positive():
@@ -153,9 +157,9 @@ def test_incomplete_table_is_refused_at_build():
     A = line((0, 1))
     table = {((0, 0), A): 1.0}  # w(0, A) alone; support(A, 1) holds k = (-1, 0) and (1, 0)
     with pytest.raises(ValueError, match=r"k=\(-1, 0\)"):
-        weight_on_family(CUSTOM, [A], K, params=tuple(table.items()), certify=False)
+        weight_on_family(CUSTOM, [A], K, params=tuple(table.items()))
     table[(1, 0), A] = table[(-1, 0), A] = 2.0
-    w = weight_on_family(CUSTOM, [A], K, params=tuple(table.items()), certify=False)
+    w = weight_on_family(CUSTOM, [A], K, params=tuple(table.items()))
     assert (w.weight((0, 0), A), w.weight((1, 0), A)) == (1.0, 2.0)
     with pytest.raises(WeightUndefined):  # off A's support
         w.weight((0, 1), A)
@@ -453,7 +457,7 @@ def test_canonical_rule_is_shared_and_read_only():
     for kind in (CANONICAL, HEIGHT_DECAY):
         w = weight_on_family(kind, cover, K)
         assert weight_on_family(kind, list(reversed(cover)), K) is w
-        assert weight_on_family(kind, [line(v) for v in cover], K, certify=False) is w
+        assert weight_on_family(kind, [line(v) for v in cover], K) is w
         assert weight_on_family(kind, cover, K - 1) is not w
         assert all(a is b for a, b in zip(w.squared(w.family), (w.w2, w.w2_zero)))
         for arr in (w.normal_array, *w.squared(w.family), *w.squared(w.family[1::3])):
@@ -491,7 +495,7 @@ def test_constructor_takes_only_a_canonical_family():
 def test_rule_refuses_a_member_outside_its_family(rng):
     K = 3
     cover = direction_cover(K)
-    w = weight_on_family(HEIGHT_DECAY, cover[:-1], K, certify=False)
+    w = weight_on_family(HEIGHT_DECAY, cover[:-1], K)
     outside = line(cover[-1])
     for call in (lambda: w.squared((w.family[0], outside)), lambda: w.weight((0, 0), outside),
                  lambda: w.decay_certificate(outside), lambda: w.decay_certificate(line((1, 0, 0)))):
@@ -501,7 +505,7 @@ def test_rule_refuses_a_member_outside_its_family(rng):
     with pytest.raises(DimensionMismatch):
         weighted_scatter(g.members, w, g.values, g.mean)
     for other in (K - 1, K + 1):  # a rule on g's family at another band
-        w = weight_on_family(HEIGHT_DECAY, cover, other, certify=False)
+        w = weight_on_family(HEIGHT_DECAY, cover, other)
         for call in (lambda: invert_filtered(g, w), lambda: adjoint(g, w),
                      lambda: sinogram_norm(g, 0.0, w), lambda: sinogram_norm(g, 0.0, w, p=3),
                      lambda: sinogram_inner(g, g, 0.0, w),
@@ -529,7 +533,7 @@ def test_rule_refuses_a_member_outside_its_family(rng):
         "canonical with a base", "nan value", "string value", "None value", "negative value"])
 def test_weight_parameters_are_validated(kind, params):
     with pytest.raises(ValueError):
-        weight_on_family(kind, direction_cover(2), 2, params=params, certify=False)
+        weight_on_family(kind, direction_cover(2), 2, params=params)
 
 
 @pytest.mark.parametrize("family, k", [
@@ -545,7 +549,7 @@ def test_table_whose_squares_sum_past_the_float_range_is_refused(family, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"squares sum to inf at k={k}")):
-            weight_on_family(CUSTOM, fam, K, params=table, certify=False)
+            weight_on_family(CUSTOM, fam, K, params=table)
 
 
 @pytest.mark.parametrize("value", [1e-200, 1e200])
