@@ -17,12 +17,11 @@ from .lattice import IntVec, PrimitiveDirection
 from .sinogram import (
     TorusSinogram,
     WeightRule,
-    _check_band,
+    _check_rule,
     _data_weight,
     _dense,
     layout,
     scatter,
-    weighted_scatter,
 )
 from .transforms import _midpoint_nodes
 
@@ -126,8 +125,8 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Data-space adjoint: coefficient k collects w(k,A)^2 g^(k,A) over the
     stored subspaces orthogonal to k; the k = 0 slot gets the shared mean
     against the summed squared zero-frequency weights."""
-    _check_band(g, w)
-    return TorusField(g.n, g.K, weighted_scatter(g.members, w, g.values, g.mean))
+    _check_rule(g, w)
+    return TorusField(g.n, g.K, scatter(g.K, g.members, w.w2 * g.values, w.w2_zero.sum() * g.mean))
 
 
 def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
@@ -147,13 +146,11 @@ def _check_cover(W: np.ndarray, K: int) -> None:
 
 def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Exact left inverse on range data: adjoint followed by division by the
-    normal multiplier over the members stored in g (the rule's W when g
-    lives on its whole family). Raises IncompleteCover if W vanishes on the
-    band, DimensionMismatch if the rule is at another band."""
+    rule's normal multiplier W. Raises IncompleteCover if W vanishes on the
+    band, DimensionMismatch if the rule is not on g's family and band."""
     back = adjoint(g, w)
-    W = weighted_scatter(g.members, w)
-    _check_cover(W, g.K)
-    return TorusField(g.n, g.K, back.coeffs / W)
+    _check_cover(w.normal_array, g.K)
+    return TorusField(g.n, g.K, back.coeffs / w.normal_array)
 
 
 def adjoint_normalized(g: TorusSinogram, w: WeightRule) -> TorusField:

@@ -151,7 +151,10 @@ def read_sinogram(directory) -> TorusSinogram:
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
         if i == 0:  # built only once a slice file has confirmed meta.json's band
-            offsets = layout(members, K)[1].tolist()
+            try:
+                offsets = layout(members, K)[1].tolist()
+            except (MemoryError, ValueError) as e:  # numpy refuses a huge band before touching memory
+                raise CorruptInput(f"{d / 'meta.json'}: band (n={n}, K={K}) cannot be laid out: {e}") from e
         lo, hi = offsets[i : i + 2]
         if len(raw) != 16 * (hi - lo):
             raise CorruptInput(f"{path}: payload is {len(raw)} bytes, want {16 * (hi - lo)}")

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DimensionMismatch, ParamViolation
 from .fields import TorusField, bracket_sq, sobolev_norm
 from .inversion import _check_cover, adjoint
-from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm, weighted_scatter
+from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm
 from .transforms import forward_sinogram
 
 
@@ -51,11 +51,11 @@ def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> 
 def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: float,
                                   alpha: float) -> TorusField:
     """Weighted d-plane analogue (experimental, beyond the planar theory):
-    per-coefficient minimizer adjoint / (W + alpha <k>^(2(s-r)))."""
+    per-coefficient minimizer adjoint / (W + alpha <k>^(2(s-r))), with W
+    the rule's normal multiplier."""
     _check_minimizer_params(r, s, alpha)
-    W = weighted_scatter(g.members, w)
     back = adjoint(g, w)
-    denom = W + alpha * bracket_sq(g.n, g.K) ** float(s - r)
+    denom = w.normal_array + alpha * bracket_sq(g.n, g.K) ** float(s - r)
     return TorusField(g.n, g.K, back.coeffs / denom)
 
 

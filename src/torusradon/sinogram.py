@@ -18,8 +18,9 @@ A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and is built once, its constants c_w and
 C_w computed on the band by exhaustive summation. It is total on its
 family and band: its squared weights are one flat array of positive values
-on layout(family, K) plus one w(0, A)^2 per member. A sub-family reads its blocks, another band
-is refused, and every operator on transform data is one numpy expression.
+on layout(family, K) plus one w(0, A)^2 per member. It is read only on data
+whose members are its family, at its band, so every operator on transform
+data is one numpy expression on the rule's own arrays.
 """
 
 from __future__ import annotations
@@ -256,42 +257,35 @@ class WeightRule:
     c_w: float = field(compare=False)
     C_w: float = field(compare=False)
 
-    def squared(self, members: tuple[RationalSubspace, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(w2, w2_zero) on layout(members, K): the rule's own arrays for its
-        family, their members' blocks for a sub-family."""
-        if members is self.family or members == self.family:
-            return self.w2, self.w2_zero
-        at = [bisect_left(self.family, A) for A in members]
-        if any(i == len(self.family) or self.family[i] != A for i, A in zip(at, members)):
+    def _block(self, A: RationalSubspace) -> tuple[np.ndarray, float]:
+        """(w(., A)^2 on support(A, K), w(0, A)^2): member A's block of the
+        rule's arrays; DimensionMismatch if A is not a member."""
+        i = bisect_left(self.family, A)
+        if i == len(self.family) or self.family[i] != A:
             raise DimensionMismatch("a member lies outside the weight rule's family")
         off = layout(self.family, self.K)[1]
-        return (frozen(np.concatenate([np.zeros(0), *(self.w2[off[i]:off[i + 1]] for i in at)])),
-                frozen(self.w2_zero[at]))
+        return self.w2[off[i]:off[i + 1]], self.w2_zero[i]
 
     def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
         """w(k, A) for k = 0 or k on support(A, K), else WeightUndefined."""
         kk = tuple(int(x) for x in k)
-        w2, w0 = self.squared((A,))
-        ks = band_frequencies(self.n, self.K)[:, support(A, self.K)].T
-        hit = [j for j, row in enumerate(ks.tolist()) if tuple(row) == kk]
-        if any(kk) and not hit:
+        w2, w0 = self._block(A)
+        if not any(kk):
+            return math.sqrt(w0)
+        idx = support(A, self.K)
+        flat = (np.ravel_multi_index(tuple(x + self.K for x in kk), (2 * self.K + 1,) * self.n)
+                if len(kk) == self.n and max(map(abs, kk)) <= self.K else -1)
+        j = int(np.searchsorted(idx, flat))
+        if j == idx.size or idx[j] != flat:
             raise WeightUndefined(f"no weight value for k={kk}, A={A.serialize()!r}")
-        return math.sqrt(w2[hit[0]] if any(kk) else w0[0])
+        return math.sqrt(w2[j])
 
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band:
         c_A is A's least weight, k = 0 included, and m_A = 0. Reads A's
         block of the rule's arrays, so no one-member layout is built."""
-        return math.sqrt(float(np.concatenate(self.squared((A,))).min())), 0.0
-
-
-def weighted_scatter(members: tuple, w: WeightRule, values=None, mean: complex = 1.0) -> np.ndarray:
-    """Sum over the members of w(k, A)^2 times the flat values on
-    layout(members, K) (ones when values is None), with mean times the
-    summed w(0, A)^2 at k = 0. With data values this is the adjoint,
-    without them the normal multiplier W."""
-    w2, w0 = w.squared(members)
-    return scatter(w.K, members, w2 if values is None else w2 * values, w0.sum() * mean)
+        w2, w0 = self._block(A)
+        return math.sqrt(float(np.min(w2, initial=w0))), 0.0
 
 
 def weight_on_family(kind: str, family, K: int, params: tuple = ()) -> WeightRule:
@@ -372,9 +366,12 @@ def _data_weight(g: TorusSinogram) -> WeightRule:
 # --- norms and the moment constraint ------------------------------------------
 
 
-def _check_band(g: TorusSinogram, w: WeightRule) -> None:
+def _check_rule(g: TorusSinogram, w: WeightRule) -> None:
+    """DimensionMismatch unless w is a rule on g's own band and family."""
     if w.K != g.K:
         raise DimensionMismatch(f"weight rule at K={w.K} read on data at K={g.K}")
+    if w.family is not g.members and w.family != g.members:
+        raise DimensionMismatch("the data's members are not the weight rule's family")
 
 
 def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
@@ -390,8 +387,8 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     if p == 2 and l == 2:
         return math.sqrt(sinogram_inner(g, g, s, w).real)
     w = w or _data_weight(g)
-    _check_band(g, w)
-    wk, w0 = (np.sqrt(a) for a in w.squared(g.members))
+    _check_rule(g, w)
+    wk, w0 = np.sqrt(w.w2), np.sqrt(w.w2_zero)
     index, offsets, _ = layout(g.members, g.K)
     vals = wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0) * g.values
     dense = (_dense(g.n, g.K, index[lo:hi], vals[lo:hi], c * g.mean)
@@ -408,11 +405,10 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
     """The p = l = 2 weighted inner product, default rule as in sinogram_norm."""
     g._check_compatible(h)
     w = w or _data_weight(g)
-    _check_band(g, w)
-    w2, w0 = w.squared(g.members)
+    _check_rule(g, w)
     bs = bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s)
-    return complex(w0.sum() * g.mean * np.conj(h.mean)
-                   + np.sum(bs * w2 * g.values * np.conj(h.values)))
+    return complex(w.w2_zero.sum() * g.mean * np.conj(h.mean)
+                   + np.sum(bs * w.w2 * g.values * np.conj(h.values)))
 
 
 def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
@@ -420,14 +416,16 @@ def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
     """Project raw per-slice data onto the shared-average constraint.
 
     The shared mean is the w(0,.)^2-weighted average of the per-slice means,
-    which is the norm-minimizing projection under the p = l = 2 norm."""
+    which is the norm-minimizing projection under the p = l = 2 norm; a
+    rule w must be on the slices' own family and band."""
     store = {as_subspace(A): f for A, f in raw.items()}
     if not store:
         raise ValueError("no slices given")
-    members = canonical_family(store)
-    zero = (0,) * members[0].n
-    wA = np.ones(len(members)) if w is None else w.squared(members)[1]
-    mean = np.dot(wA, [store[A].coeff(zero) for A in members]) / wA.sum()
-    return TorusSinogram.from_slices(
-        mean, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
+    zero = (0,) * canonical_family(store)[0].n
+    g = TorusSinogram.from_slices(
+        0j, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
+    if w is not None:
+        _check_rule(g, w)
+    wA = np.ones(len(g.members)) if w is None else w.w2_zero
+    return g.with_mean(np.dot(wA, [store[A].coeff(zero) for A in g.members]) / wA.sum())
 

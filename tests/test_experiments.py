@@ -1,4 +1,5 @@
 import json
+import re
 import runpy
 import sys
 import time
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusradon.cli import main
-from torusradon.errors import ConfigInvalid, TorusRadonError
+from torusradon.errors import ConfigInvalid, DimensionMismatch, TorusRadonError
 from torusradon.experiments import (
     METHODS,
     ExperimentConfig,
@@ -104,6 +105,14 @@ def test_probe_noise_positions(rng):
         flat = [np.ravel_multi_index((K + s * k[0], K + s * k[1]), (2 * K + 1,) * 2) for s in (1, -1)]
         assert np.array_equal(np.flatnonzero(diff.values), np.flatnonzero(np.isin(index, flat)))
         assert diff.mean == 0
+
+
+def test_probe_noise_refuses_a_family_without_the_orthogonal_direction(rng):
+    # direction_cover(1) has no (2, -1), the direction orthogonal to k = (1, 2)
+    g = forward_sinogram(random_field(2, 2, rng), direction_cover(1))
+    with pytest.raises(ConfigInvalid,
+                       match=re.escape("family lacks the direction orthogonal to probe frequency (1, 2)")):
+        probe_noise(g, 0.1, 0.0, (1, 2))
 
 
 def test_noise_sweep_script_config_errors_are_typed(tmp_path, monkeypatch, capsys):
@@ -356,6 +365,10 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
     # w = None is the `reconstruct` command's default rule for g's family
     for method, rule in [(m, rule) for m in METHODS for rule in (w, None)]:
         expected = tikhonov if method == "tikhonov" else f.coeffs
+        if rule is w and len(family) > len(members) and method in ("filtered", "normalized"):
+            with pytest.raises(DimensionMismatch):  # a rule is read only on its own family
+                METHODS[method](g, rule, {})
+            continue
         try:
             rec = METHODS[method](g, rule, {"r": 0.0, "s": 1.0, "alpha": alpha})
         except TorusRadonError:

@@ -361,3 +361,21 @@ def test_read_sinogram_checks_meta_band_before_its_layout(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6, f"peak {peak / 1e6:.1f} MB before refusing the band"
+
+
+def test_read_sinogram_refuses_a_band_too_large_to_lay_out(tmp_path):
+    # meta.json and every slice header claim K = 10**7 over K = 0 slice files:
+    # numpy refuses the band's layout (petabytes) before touching memory,
+    # and the reader names meta.json and the band instead of failing
+    d = tmp_path / "sino"
+    write_sinogram(forward_sinogram(random_field(2, 0, np.random.default_rng(5)), direction_cover(2)), d)
+    meta = json.loads((d / "meta.json").read_text())
+    (d / "meta.json").write_text(json.dumps({**meta, "K": 10**7}))
+    for path in d.glob("slice_*.tfield"):
+        head, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(json.loads(head) | {"K": 10**7}).encode() + b"\n" + payload)
+    with pytest.raises(CorruptInput, match=r"meta\.json: band \(n=2, K=10000000\) cannot be laid out"):
+        read_sinogram(d)
+    out = tmp_path / "r.tfield"
+    assert main(["reconstruct", "--sinogram", str(d), "--method", "filtered", "--out", str(out)]) == 2
+    assert not out.exists()

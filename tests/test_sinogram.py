@@ -15,7 +15,7 @@ from torusradon.fields import (
     sobolev_norm,
     unit_harmonic,
 )
-from torusradon.inversion import adjoint, invert_filtered, normal_multiplier
+from torusradon.inversion import adjoint, adjoint_normalized, invert_filtered, normal_multiplier
 from torusradon.lattice import (
     direction_cover,
     hyperplane_cover,
@@ -34,7 +34,6 @@ from torusradon.sinogram import (
     sinogram_inner,
     sinogram_norm,
     support,
-    weighted_scatter,
     weight_build,
     weight_on_family,
 )
@@ -331,7 +330,7 @@ def oracle_weights(w, A):
     return np.array([w.weight(k, A) for k in ks]), w.weight((0,) * w.n, A)
 
 
-def weighted_scatter_oracle(g, w, with_data):
+def weighted_sum_oracle(g, w, with_data):
     """Per-member loop: sum of w^2 times each member's vector (ones without
     data) at its frequencies, the summed w(0, A)^2 times the mean at k = 0."""
     out = np.zeros((2 * g.K + 1) ** g.n, dtype=np.complex128)
@@ -375,8 +374,8 @@ def table_params(family, K, rng, skip=lambda k, j: False):
 
 def flat_layout_cases(rng):
     """(label, sinogram, rule): a complete k-dependent custom table,
-    height-decay on line_cover(2, 3), and sinograms on strict subsets of
-    the family."""
+    height-decay on line_cover(2, 3), and rules built on strict subsets of
+    those families, the table's from its whole-family parameters."""
     K = 3
     cover = [line(v) for v in direction_cover(K)]
     table = weight_on_family(CUSTOM, cover, K, params=table_params(cover, K, rng))
@@ -386,21 +385,21 @@ def flat_layout_cases(rng):
     yield "height-decay lines in T^3", forward_sinogram(random_field(3, 2, rng), lines3), \
         weight_on_family(HEIGHT_DECAY, lines3, 2)
     yield "subset of a height-decay family", forward_sinogram(random_field(3, 2, rng), lines3[::3]), \
-        weight_on_family(HEIGHT_DECAY, lines3, 2)
-    yield "subset of a custom table", forward_sinogram(random_field(2, K, rng), cover[1::2]), table
+        weight_on_family(HEIGHT_DECAY, lines3[::3], 2)
+    yield "subset of a custom table", forward_sinogram(random_field(2, K, rng), cover[1::2]), \
+        weight_on_family(CUSTOM, cover[1::2], K, params=table.params)
     yield "subset of the canonical rule", forward_sinogram(random_field(2, K, rng), cover[::2]), \
-        canonical_weight(cover, K)
+        canonical_weight(cover[::2], K)
 
 
 def close(a, b):
     return np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-14 * max(1.0, np.max(np.abs(b)))
 
 
-def test_weighted_scatter_matches_member_loop(rng):
+def test_adjoint_and_normal_multiplier_match_member_loop(rng):
     for label, g, w in flat_layout_cases(rng):
-        assert close(weighted_scatter(g.members, w, g.values, g.mean),
-                     weighted_scatter_oracle(g, w, True)), label
-        assert close(weighted_scatter(g.members, w), weighted_scatter_oracle(g, w, False).real), label
+        assert close(adjoint(g, w).coeffs, weighted_sum_oracle(g, w, True)), label
+        assert close(w.normal_array, weighted_sum_oracle(g, w, False).real), label
 
 
 def test_inner_matches_member_loop(rng):
@@ -459,8 +458,7 @@ def test_canonical_rule_is_shared_and_read_only():
         assert weight_on_family(kind, list(reversed(cover)), K) is w
         assert weight_on_family(kind, [line(v) for v in cover], K) is w
         assert weight_on_family(kind, cover, K - 1) is not w
-        assert all(a is b for a, b in zip(w.squared(w.family), (w.w2, w.w2_zero)))
-        for arr in (w.normal_array, *w.squared(w.family), *w.squared(w.family[1::3])):
+        for arr in (w.normal_array, w.w2, w.w2_zero):
             with pytest.raises(ValueError):
                 arr[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -497,21 +495,24 @@ def test_rule_refuses_a_member_outside_its_family(rng):
     cover = direction_cover(K)
     w = weight_on_family(HEIGHT_DECAY, cover[:-1], K)
     outside = line(cover[-1])
-    for call in (lambda: w.squared((w.family[0], outside)), lambda: w.weight((0, 0), outside),
-                 lambda: w.decay_certificate(outside), lambda: w.decay_certificate(line((1, 0, 0)))):
+    for call in (lambda: w.weight((0, 0), outside), lambda: w.decay_certificate(outside),
+                 lambda: w.decay_certificate(line((1, 0, 0)))):
         with pytest.raises(DimensionMismatch):
             call()
     g = forward_sinogram(random_field(2, K, rng), cover)
-    with pytest.raises(DimensionMismatch):
-        weighted_scatter(g.members, w, g.values, g.mean)
-    for other in (K - 1, K + 1):  # a rule on g's family at another band
-        w = weight_on_family(HEIGHT_DECAY, cover, other)
-        for call in (lambda: invert_filtered(g, w), lambda: adjoint(g, w),
-                     lambda: sinogram_norm(g, 0.0, w), lambda: sinogram_norm(g, 0.0, w, p=3),
-                     lambda: sinogram_inner(g, g, 0.0, w),
-                     lambda: tikhonov_reconstruct_weighted(g, w, 0.0, 1.0, 0.5)):
+    part = forward_sinogram(random_field(2, K, rng), cover[:-1])
+    cases = [(g, w),  # a rule on a strict subset of the data's members
+             (part, weight_on_family(HEIGHT_DECAY, cover, K))]  # and on a strict superset
+    cases += [(g, weight_on_family(HEIGHT_DECAY, cover, other)) for other in (K - 1, K + 1)]
+    for data, rule in cases:  # the last two: a rule on the data's family at another band
+        for read in (lambda: adjoint(data, rule), lambda: invert_filtered(data, rule),
+                     lambda: adjoint_normalized(data, rule),
+                     lambda: sinogram_norm(data, 0.0, rule), lambda: sinogram_norm(data, 0.0, rule, p=3),
+                     lambda: sinogram_inner(data, data, 0.0, rule),
+                     lambda: tikhonov_reconstruct_weighted(data, rule, 0.0, 1.0, 0.5),
+                     lambda: enforce_moment_constraint(dict(data.slices), rule)):
             with pytest.raises(DimensionMismatch):
-                call()
+                read()
 
 
 @pytest.mark.parametrize("kind,params", [
