@@ -1,8 +1,14 @@
 """Integer-lattice engine: primitive directions, rational subspaces in
 Hermite normal form, orthogonality sets and direction covers.
 
-All arithmetic here is exact (Python integers). Subspaces are canonical:
-two values compare equal iff they are the same rational subspace.
+All arithmetic here is exact (Python integers). A subspace has one
+canonical form, the HNF basis of its saturated lattice, computed as the
+kernel of the kernel (`_saturated_hnf`); two values compare equal iff
+they are the same rational subspace. Subspaces are built by one of two
+constructors: `RationalSubspace(n, d, basis)` checks that the basis is
+that canonical form, and the trusted `_subspace(n, d, basis)`, for
+builders whose basis is canonical by construction, checks only the
+dimension.
 """
 
 from __future__ import annotations
@@ -84,12 +90,12 @@ def orthogonal_primitive(k: Sequence[int]) -> PrimitiveDirection:
 
 def enumerate_directions(n: int, H: int) -> list[PrimitiveDirection]:
     """All canonical primitive vectors with sup-norm at most H, sorted
-    lexicographically."""
+    lexicographically (the order itertools.product yields them in)."""
     if H < 1:
         raise ValueError("H must be >= 1")
     # v > 0 lexicographically iff its first nonzero entry is positive
-    return sorted(PrimitiveDirection(v) for v in itertools.product(range(-H, H + 1), repeat=n)
-                  if v > (0,) * n and gcd(*v) == 1)
+    return [PrimitiveDirection(v) for v in itertools.product(range(-H, H + 1), repeat=n)
+            if v > (0,) * n and gcd(*v) == 1]
 
 
 # --- exact row operations -------------------------------------------------
@@ -144,37 +150,10 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
     return row_hnf(ker, n)
 
 
-def int_det(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(map(int, r)) for r in mat]
-    m = len(a)
-    sign = 1
-    prev = 1
-    for i in range(m - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, m):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, m):
-            for c in range(i + 1, m):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-        prev = a[i][i]
-    return sign * a[-1][-1]
-
-
-def _is_saturated(basis: Sequence[IntVec], n: int) -> bool:
-    d = len(basis)
-    g = 0
-    for cols in itertools.combinations(range(n), d):
-        minor = [[row[c] for c in cols] for row in basis]
-        g = gcd(g, abs(int_det(minor)))
-        if g == 1:
-            return True
-    return g == 1
+def _saturated_hnf(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
+    """HNF basis of span_Q(rows) intersected with Z^n: the kernel of the
+    kernel, the one canonical form of a rational subspace."""
+    return tuple(integer_kernel(integer_kernel(rows, n), n))
 
 
 @dataclass(frozen=True, order=True)
@@ -191,10 +170,8 @@ class RationalSubspace:
             raise ValueError(f"need 1 <= d <= n-1, got d={self.d}, n={self.n}")
         if len(self.basis) != self.d or any(len(r) != self.n for r in self.basis):
             raise ValueError("basis shape does not match (d, n)")
-        if tuple(row_hnf(self.basis, self.n)) != self.basis:
-            raise ValueError("basis is not in Hermite normal form")
-        if not _is_saturated(self.basis, self.n):
-            raise ValueError("basis lattice is not saturated")
+        if _saturated_hnf(self.basis, self.n) != self.basis:
+            raise ValueError("basis is not the HNF basis of a saturated lattice")
         object.__setattr__(self, "_hash", hash((self.n, self.d, self.basis)))
 
     def __hash__(self) -> int:
@@ -221,12 +198,26 @@ class RationalSubspace:
         basis = tuple(_as_intvec(int(t) for t in r.split()) for r in rows)
         # a line's canonical basis is its primitive direction: the interned
         # line is the value when it spells the same basis, and anything
-        # else takes the full checks (and their ValueError) below
-        if d == 1 and n >= 2 and len(basis) == 1 and len(basis[0]) == n and any(basis[0]):
+        # else takes the checked constructor (and its ValueError) below
+        if d == 1 and len(basis) == 1 and len(basis[0]) == n and any(basis[0]):
             A = line(basis[0])
             if A.basis == basis:
                 return A
         return RationalSubspace(n=n, d=d, basis=basis)
+
+
+def _subspace(n: int, d: int, basis: tuple[IntVec, ...]) -> RationalSubspace:
+    """The trusted constructor: for a basis that is canonical by
+    construction. Checks the dimension only and stores the fields as the
+    dataclass does."""
+    if not (1 <= d <= n - 1):
+        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    A = object.__new__(RationalSubspace)
+    object.__setattr__(A, "n", n)
+    object.__setattr__(A, "d", d)
+    object.__setattr__(A, "basis", basis)
+    object.__setattr__(A, "_hash", hash((n, d, basis)))
+    return A
 
 
 def line(v: PrimitiveDirection | Sequence[int]) -> RationalSubspace:
@@ -238,9 +229,7 @@ def line(v: PrimitiveDirection | Sequence[int]) -> RationalSubspace:
 @lru_cache(maxsize=1 << 16)  # room for a whole family: direction_cover(64) has 5,040 lines
 def _line(v: PrimitiveDirection) -> RationalSubspace:
     # v's own checks are those of a one-row HNF basis of a saturated lattice
-    A = object.__new__(RationalSubspace)
-    A.__dict__.update(n=v.n, d=1, basis=(v.v,), _hash=hash((v.n, 1, (v.v,))))
-    return A
+    return _subspace(v.n, 1, (v.v,))
 
 
 def direction_of(A: RationalSubspace) -> PrimitiveDirection:
@@ -259,10 +248,10 @@ def canonicalize_subspace(rows: Sequence[Sequence[int]], d: int) -> RationalSubs
     if not mats:
         raise RankMismatch("no generators given")
     n = len(mats[0])
-    sat = integer_kernel(integer_kernel(mats, n), n)  # span_Q(rows) intersected with Z^n
+    sat = _saturated_hnf(mats, n)
     if len(sat) != d:
         raise RankMismatch(f"rank {len(sat)} != requested d={d}")
-    return RationalSubspace(n=n, d=d, basis=tuple(sat))
+    return _subspace(n, d, sat)
 
 
 def orthogonal_complement(k: Sequence[int]) -> RationalSubspace:
@@ -271,8 +260,7 @@ def orthogonal_complement(k: Sequence[int]) -> RationalSubspace:
     if not any(kk):
         raise ZeroVector("frequency must be nonzero")
     n = len(kk)
-    ker = integer_kernel([kk], n)
-    return RationalSubspace(n=n, d=n - 1, basis=tuple(ker))
+    return _subspace(n, n - 1, tuple(integer_kernel([kk], n)))  # a kernel is saturated
 
 
 def enumerate_grassmannian(d: int, n: int, H: int) -> list[RationalSubspace]:
@@ -301,8 +289,8 @@ def _enumerate_grassmannian_cached(d: int, n: int, H: int) -> tuple[RationalSubs
                       for i in range(d) for c in range(n)]
             for flat in itertools.product(*ranges):
                 basis = tuple(flat[i * n:(i + 1) * n] for i in range(d))
-                if _is_saturated(basis, n):
-                    out.append(RationalSubspace(n=n, d=d, basis=basis))
+                if _saturated_hnf(basis, n) == basis:
+                    out.append(_subspace(n, d, basis))
     out.sort()
     return tuple(out)
 
@@ -338,15 +326,17 @@ def direction_cover(R: int) -> list[PrimitiveDirection]:
         raise ValueError("R must be >= 0")
     if R == 0:
         return [PrimitiveDirection((1, 0))]
-    scored = sorted((-2 * (R // max(abs(x) for x in ell.v)), orthogonal_primitive(ell.v))
-                    for ell in enumerate_directions(2, R))
-    return [v for _, v in scored]
+    # a direction covers its orthogonal line; that line's primitive vector
+    # is the direction turned a quarter, with the same sup-norm, so the
+    # directions score as themselves
+    return sorted(enumerate_directions(2, R), key=lambda v: (-(R // max(map(abs, v.v))), v.v))
 
 
 def hyperplane_cover(K: int, n: int) -> list[RationalSubspace]:
-    """All hyperplanes k-perp for 0 < |k|_inf <= K, deduplicated and sorted.
+    """All hyperplanes k-perp for 0 < |k|_inf <= K, sorted; distinct
+    primitive normals give distinct hyperplanes, so none repeats.
     The minimal family on which the full-band hyperplane sum inverts."""
-    return sorted({orthogonal_complement(v.v) for v in enumerate_directions(n, K)})
+    return sorted(orthogonal_complement(v.v) for v in enumerate_directions(n, K))
 
 
 def orthogonal_line(k: Sequence[int]) -> RationalSubspace:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,7 +24,7 @@ from torusradon.io import (
     write_pgm,
     write_sinogram,
 )
-from torusradon.lattice import direction_cover, enumerate_grassmannian, line_cover
+from torusradon.lattice import RationalSubspace, direction_cover, enumerate_grassmannian, line_cover
 from torusradon.transforms import forward_sinogram
 
 
@@ -361,6 +362,22 @@ def test_read_sinogram_checks_meta_band_before_its_layout(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1e6, f"peak {peak / 1e6:.1f} MB before refusing the band"
+
+
+def test_unsaturated_subspace_in_meta_is_refused_at_once(tmp_path):
+    # rows 2 e_i of Z^30: in HNF but not saturated. The canonical-form check is
+    # two integer kernels; a gcd over the C(30, 15) = 155,117,520 maximal
+    # minors would run for hours
+    text = "15 30; " + "; ".join(" ".join("2" if j == i else "0" for j in range(30)) for i in range(15))
+    with pytest.raises(ValueError):
+        RationalSubspace.parse(text)
+    d = tmp_path / "sino"
+    d.mkdir()
+    (d / "meta.json").write_text(json.dumps({"format": 2, "n": 30, "d": 15, "K": 0, "subspaces": [text]}))
+    start = time.perf_counter()
+    with pytest.raises(CorruptInput, match="saturated"):
+        read_sinogram(d)
+    assert time.perf_counter() - start < 2
 
 
 def test_read_sinogram_refuses_a_band_too_large_to_lay_out(tmp_path):

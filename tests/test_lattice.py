@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -254,14 +254,93 @@ def test_row_hnf_canonical_form():
     assert h == [(1, 1, 1), (0, 2, 4)]
 
 
+def _assert_is_the_checked_subspace(A):
+    checked = RationalSubspace(A.n, A.d, A.basis)
+    assert A == checked and hash(A) == hash(checked) and vars(A) == vars(checked)
+
+
 def test_line_of_a_direction_equals_the_checked_subspace():
-    """line(v) skips the HNF and saturation checks for a direction; it must
-    still be the value the checked constructor builds, hash included."""
+    """The trusted builders skip the canonical-form check; each value must
+    still be the one the checked constructor builds, hash and fields
+    included."""
     for v in [*direction_cover(32), *enumerate_directions(3, 4)]:
         A = line(v)
-        checked = RationalSubspace(v.n, 1, (v.v,))
-        assert A == checked and hash(A) == hash(checked)
+        _assert_is_the_checked_subspace(A)
         assert line(v) is A and line(list(v.v)) is A and line(tuple(-x for x in v.v)) is A
+    for k in [*frequency_band(3, 2, punctured=True), (2, -3, 5), (1, 0, -4, 2), (0, 6, 0, 9)]:
+        _assert_is_the_checked_subspace(orthogonal_complement(k))
+    for family in [hyperplane_cover(3, 3), enumerate_grassmannian(2, 3, 2), enumerate_grassmannian(2, 4, 2)]:
+        for A in family:
+            _assert_is_the_checked_subspace(A)
+
+
+@pytest.mark.parametrize("build, args", [(line, ((5,),)), (enumerate_grassmannian, (1, 1, 2)),
+                                         (enumerate_grassmannian, (0, 2, 1)),
+                                         (orthogonal_complement, ((5,),)),
+                                         (enumerate_grassmannian, (2, 2, 1))])
+def test_builders_refuse_dimensions_outside_one_to_n_minus_one(build, args):
+    with pytest.raises(ValueError, match="need 1 <= d <= n-1"):
+        build(*args)
+
+
+def leibniz_det(m):
+    """Exact determinant by the Leibniz formula; enough for d <= 3."""
+    k = len(m)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+               * prod(m[i][p[i]] for i in range(k)) for p in itertools.permutations(range(k)))
+
+
+@st.composite
+def integer_bases(draw):
+    """(n, d, basis): any integer rows, or an echelon shape near HNF (above-
+    pivot entries drawn from [-1, pivot], so some are not reduced)."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n - 1))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(d)]
+    if draw(st.booleans()):
+        cols = sorted(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True)))
+        for i, c in enumerate(cols):
+            rows[i][:c + 1] = [0] * c + [draw(st.integers(1, 3))]
+        for i in range(d):
+            for m in range(i + 1, d):
+                rows[i][cols[m]] = draw(st.integers(-1, rows[m][cols[m]]))
+    return n, d, tuple(map(tuple, rows))
+
+
+@given(integer_bases())
+def test_checked_constructor_accepts_exactly_saturated_hnf_bases(case):
+    """The one canonical-form check against its definition: the basis is
+    its own row HNF and the gcd of its maximal minors is 1."""
+    n, d, basis = case
+    minors = (leibniz_det([[r[c] for c in cols] for r in basis])
+              for cols in itertools.combinations(range(n), d))
+    canonical = tuple(row_hnf(basis, n)) == basis and gcd(*minors) == 1
+    try:
+        RationalSubspace(n, d, basis)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == canonical
+
+
+def old_direction_cover(R):
+    """The cover as it was first written: score each candidate's orthogonal
+    direction by the multiples it covers."""
+    if R == 0:
+        return [PrimitiveDirection((1, 0))]
+    scored = sorted((-2 * (R // max(abs(x) for x in ell.v)), orthogonal_primitive(ell.v))
+                    for ell in enumerate_directions(2, R))
+    return [v for _, v in scored]
+
+
+@pytest.mark.parametrize("R", [0, 1, 2, 8, 32])
+def test_direction_cover_equals_the_rotate_and_score_cover(R):
+    assert direction_cover(R) == old_direction_cover(R)
+
+
+@pytest.mark.parametrize("K, n", [(2, 3), (6, 3), (3, 4)])
+def test_hyperplane_cover_equals_the_deduplicated_cover(K, n):
+    assert hyperplane_cover(K, n) == sorted({orthogonal_complement(v.v) for v in enumerate_directions(n, K)})
 
 
 def test_direction_hash_is_by_value():
