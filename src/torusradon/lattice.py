@@ -2,13 +2,14 @@
 Hermite normal form, orthogonality sets and direction covers.
 
 All arithmetic here is exact (Python integers). A subspace has one
-canonical form, the HNF basis of its saturated lattice, computed as the
-kernel of the kernel (`_saturated_hnf`); two values compare equal iff
-they are the same rational subspace. Subspaces are built by one of two
-constructors: `RationalSubspace(n, d, basis)` checks that the basis is
-that canonical form, and the trusted `_subspace(n, d, basis)`, for
-builders whose basis is canonical by construction, checks only the
-dimension.
+canonical form, the HNF basis of its saturated lattice; two values
+compare equal iff they are the same rational subspace. One check,
+`_is_canonical`, decides whether a basis is that form, and
+`canonicalize_subspace` computes it from any spanning rows as the kernel
+of the kernel. Subspaces are built by one of two constructors:
+`RationalSubspace(n, d, basis)` makes the check, and the trusted
+`_subspace(n, d, basis)`, for builders whose basis is canonical by
+construction, checks only the dimension.
 """
 
 from __future__ import annotations
@@ -150,10 +151,12 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
     return row_hnf(ker, n)
 
 
-def _saturated_hnf(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
-    """HNF basis of span_Q(rows) intersected with Z^n: the kernel of the
-    kernel, the one canonical form of a rational subspace."""
-    return tuple(integer_kernel(integer_kernel(rows, n), n))
+def _is_canonical(basis: tuple[IntVec, ...], n: int, d: int) -> bool:
+    """Whether d rows are the HNF basis of their saturated lattice: they are
+    their own row HNF, and their columns generate Z^d (which holds iff the
+    gcd of the maximal minors is 1). Two HNFs, O(n d^2); no minor is walked."""
+    return (tuple(row_hnf(basis, n)) == basis
+            and row_hnf(zip(*basis), d) == [tuple(int(i == j) for j in range(d)) for i in range(d)])
 
 
 @dataclass(frozen=True, order=True)
@@ -170,7 +173,7 @@ class RationalSubspace:
             raise ValueError(f"need 1 <= d <= n-1, got d={self.d}, n={self.n}")
         if len(self.basis) != self.d or any(len(r) != self.n for r in self.basis):
             raise ValueError("basis shape does not match (d, n)")
-        if _saturated_hnf(self.basis, self.n) != self.basis:
+        if not _is_canonical(self.basis, self.n, self.d):
             raise ValueError("basis is not the HNF basis of a saturated lattice")
         object.__setattr__(self, "_hash", hash((self.n, self.d, self.basis)))
 
@@ -248,7 +251,7 @@ def canonicalize_subspace(rows: Sequence[Sequence[int]], d: int) -> RationalSubs
     if not mats:
         raise RankMismatch("no generators given")
     n = len(mats[0])
-    sat = _saturated_hnf(mats, n)
+    sat = tuple(integer_kernel(integer_kernel(mats, n), n))  # span_Q(rows) meet Z^n
     if len(sat) != d:
         raise RankMismatch(f"rank {len(sat)} != requested d={d}")
     return _subspace(n, d, sat)
@@ -289,7 +292,7 @@ def _enumerate_grassmannian_cached(d: int, n: int, H: int) -> tuple[RationalSubs
                       for i in range(d) for c in range(n)]
             for flat in itertools.product(*ranges):
                 basis = tuple(flat[i * n:(i + 1) * n] for i in range(d))
-                if _saturated_hnf(basis, n) == basis:
+                if _is_canonical(basis, n, d):
                     out.append(_subspace(n, d, basis))
     out.sort()
     return tuple(out)

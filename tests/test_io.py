@@ -364,19 +364,34 @@ def test_read_sinogram_checks_meta_band_before_its_layout(tmp_path):
     assert peak < 1e6, f"peak {peak / 1e6:.1f} MB before refusing the band"
 
 
-def test_unsaturated_subspace_in_meta_is_refused_at_once(tmp_path):
-    # rows 2 e_i of Z^30: in HNF but not saturated. The canonical-form check is
-    # two integer kernels; a gcd over the C(30, 15) = 155,117,520 maximal
-    # minors would run for hours
-    text = "15 30; " + "; ".join(" ".join("2" if j == i else "0" for j in range(30)) for i in range(15))
-    with pytest.raises(ValueError):
-        RationalSubspace.parse(text)
-    d = tmp_path / "sino"
-    d.mkdir()
-    (d / "meta.json").write_text(json.dumps({"format": 2, "n": 30, "d": 15, "K": 0, "subspaces": [text]}))
+def _rows(n, *rows):
+    return f"{len(rows)} {n}; " + "; ".join(" ".join(map(str, r)) for r in rows)
+
+
+SATURATED_WIDE_PLANE = _rows(3000, [1, 0, *(i % 7 - 3 for i in range(2998))], [0, 1, *(i % 5 - 2 for i in range(2998))])
+
+
+@pytest.mark.parametrize("n, d, text, refusal", [
+    # rows 2 e_i of Z^30: in HNF but not saturated. A gcd over the
+    # C(30, 15) = 155,117,520 maximal minors would run for hours
+    (30, 15, _rows(30, *([2 * (j == i) for j in range(30)] for i in range(15))), "saturated"),
+    # n comes from meta.json unbounded: the check must not grow as n^3 (two
+    # n x n integer kernels take minutes at n = 3000)
+    (3000, 1, _rows(3000, [2] + [0] * 2999), "saturated"),
+    # a saturated plane parses; its directory is refused for want of its slice file
+    (3000, 2, SATURATED_WIDE_PLANE, "cannot read"),
+])
+def test_meta_subspaces_are_checked_at_once(tmp_path, n, d, text, refusal):
     start = time.perf_counter()
-    with pytest.raises(CorruptInput, match="saturated"):
-        read_sinogram(d)
+    if refusal == "saturated":
+        with pytest.raises(ValueError):
+            RationalSubspace.parse(text)
+    else:
+        assert RationalSubspace.parse(text).serialize() == text
+    (tmp_path / "meta.json").write_text(json.dumps({"format": 2, "n": n, "d": d, "K": 0, "subspaces": [text]}))
+    (tmp_path / "mean.txt").write_text("0 0\n")
+    with pytest.raises(CorruptInput, match=refusal):
+        read_sinogram(tmp_path)
     assert time.perf_counter() - start < 2
 
 
