@@ -222,8 +222,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TorusRadonError, OSError) as e:  # OSError: an output path that cannot be written
-        print(f"error: {e}", file=sys.stderr)
+    except (TorusRadonError, OSError, MemoryError) as e:  # an unwritable path, a band too large
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

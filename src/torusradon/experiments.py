@@ -17,14 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadParams, ConfigInvalid, ParamViolation
-from .fields import TorusField, evaluate_at, random_field, sobolev_norm, to_samples, unit_harmonic
-from .inversion import (
-    ReconstructionReport,
-    adjoint_normalized,
-    invert_filtered,
-    invert_sum,
-    reconstruct_slices,
-)
+from .fields import (TorusField, band_index, evaluate_at, random_field, sobolev_norm, to_samples,
+                     unit_harmonic)
+from .inversion import (ReconstructionReport, adjoint_normalized, invert_filtered, invert_sum,
+                        reconstruct_slices)
 from .io import write_csv, write_in_place, write_pgm
 from .lattice import direction_cover, line, orthogonal_primitive
 from .phantoms import phantom
@@ -94,13 +90,14 @@ def probe_noise(g: TorusSinogram, eps: float, t: float, k_star) -> TorusSinogram
     which spread-out random noise cannot reach on a finite band."""
     if eps <= 0:
         raise ParamViolation("probe needs eps > 0")
-    k = tuple(int(x) for x in k_star)
-    block = g.blocks.get(line(orthogonal_primitive(k)))
+    flat = band_index(g.n, g.K, k_star)
+    if flat is None:
+        raise ConfigInvalid(f"probe frequency {k_star} lies off the band K={g.K}")
+    block = g.blocks.get(line(orthogonal_primitive(k_star)))
     if block is None:
-        raise ConfigInvalid(f"family lacks the direction orthogonal to probe frequency {k}")
+        raise ConfigInvalid(f"family lacks the direction orthogonal to probe frequency {k_star}")
     index, _, mirror = layout(g.members, g.K)
-    at = block.start + np.searchsorted(
-        index[block], np.ravel_multi_index(tuple(x + g.K for x in k), (2 * g.K + 1,) * g.n))
+    at = block.start + np.searchsorted(index[block], flat)
     values = np.zeros(g.values.size, np.complex128)
     values[[at, mirror[at]]] = 1.0
     noise = TorusSinogram(g.members, g.K, 0j, values)

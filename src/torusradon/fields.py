@@ -1,7 +1,9 @@
 """Band-limited periodic fields on T^n and their norms.
 
 A field is a truncated Fourier series: complex coefficients on the sup-norm
-band |k|_inf <= K, stored densely with index offset K. On the band every
+band |k|_inf <= K, stored densely in C order: k sits at flat index
+`band_index(n, K, k)` (None off the band; k = 0 at the centre, size // 2),
+and `band_frequencies` decodes an index. On the band every
 spectral statement is exact; grids only enter through the DFT bridge.
 """
 
@@ -14,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BandTooLarge, DimensionMismatch
-from .lattice import IntVec, RationalSubspace
+from .lattice import IntVec, RationalSubspace, _as_intvec
 
 HERMITIAN_TOL = 1e-10
 
@@ -30,6 +32,20 @@ def band_frequencies(n: int, K: int) -> np.ndarray:
     """Read-only n x (2K+1)^n int64 table whose column i is the frequency k
     at flat band index i (C order): the one decoder of flat band indices."""
     return frozen(np.indices((2 * K + 1,) * n).reshape(n, -1) - K)
+
+
+def band_index(n: int, K: int, k: Sequence[int]) -> int | None:
+    """The encoder: C-order flat index of frequency k in the (2K+1)^n band,
+    None off it; DimensionMismatch unless k has n entries."""
+    kk = _as_intvec(k)
+    if len(kk) != n:
+        raise DimensionMismatch(f"frequency {kk} has {len(kk)} entries, need n={n}")
+    i = 0
+    for x in kk:
+        if not -K <= x <= K:
+            return None
+        i = i * (2 * K + 1) + x + K
+    return i
 
 
 @lru_cache(maxsize=128)
@@ -79,17 +95,14 @@ class TorusField:
             raise ValueError("field flagged real but coefficients are not Hermitian")
 
     def coeff(self, k: Sequence[int]) -> complex:
-        idx = tuple(int(x) + self.K for x in k)
-        if any(i < 0 or i > 2 * self.K for i in idx):
-            return 0j
-        return complex(self.coeffs[idx])
+        i = band_index(self.n, self.K, k)
+        return 0j if i is None else self.coeffs.item(i)
 
     def items(self) -> Iterator[tuple[IntVec, complex]]:
         """Nonzero coefficients in lexicographic frequency order."""
-        nz = np.argwhere(self.coeffs != 0)
-        for idx in nz:
-            k = tuple(int(i) - self.K for i in idx)
-            yield k, complex(self.coeffs[tuple(idx)])
+        flat = self.coeffs.ravel()
+        nz = np.flatnonzero(flat)
+        return zip(map(tuple, band_frequencies(self.n, self.K)[:, nz].T.tolist()), flat[nz].tolist())
 
     def _check_compatible(self, other: "TorusField") -> None:
         if self.n != other.n or self.K != other.K:
@@ -124,18 +137,18 @@ def zero_field(n: int, K: int, real: bool = False) -> TorusField:
 
 
 def field_from_coeffs(n: int, K: int, entries: dict, real: bool = False) -> TorusField:
-    arr = np.zeros((2 * K + 1,) * n, dtype=np.complex128)
+    arr = np.zeros((2 * K + 1) ** n, dtype=np.complex128)
     for k, val in entries.items():
-        idx = tuple(int(x) + K for x in k)
-        if any(i < 0 or i > 2 * K for i in idx):
+        i = band_index(n, K, k)
+        if i is None:
             raise ValueError(f"frequency {k} outside band K={K}")
-        arr[idx] = val
-    return TorusField(n, K, arr, real)
+        arr[i] = val
+    return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real)
 
 
 def unit_harmonic(n: int, K: int, k: Sequence[int]) -> TorusField:
     """The single complex harmonic exp(2 pi i k.x)."""
-    return field_from_coeffs(n, K, {tuple(int(x) for x in k): 1.0})
+    return field_from_coeffs(n, K, {tuple(k): 1.0})
 
 
 def random_field(n: int, K: int, rng: np.random.Generator, real: bool = False,
@@ -191,13 +204,10 @@ def to_samples(f: TorusField, N: int) -> np.ndarray:
 def evaluate_at(f: TorusField, points: np.ndarray) -> np.ndarray:
     """Direct series evaluation at arbitrary points, shape (m, n)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    nz = np.argwhere(f.coeffs != 0)
-    if nz.size == 0:
-        return np.zeros(pts.shape[0], dtype=np.complex128)
-    freqs = nz - f.K
-    vals = f.coeffs[tuple(nz.T)]
-    phases = np.exp(2j * np.pi * (pts @ freqs.T))
-    return phases @ vals
+    flat = f.coeffs.ravel()
+    nz = np.flatnonzero(flat)
+    phases = np.exp(2j * np.pi * (pts @ band_frequencies(f.n, f.K)[:, nz]))
+    return phases @ flat[nz]
 
 
 # --- norms -------------------------------------------------------------------

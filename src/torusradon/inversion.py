@@ -12,17 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxisDegenerate, DimensionMismatch, IncompleteCover
-from .fields import TorusField, band_frequencies, evaluate_at
-from .lattice import IntVec, PrimitiveDirection
-from .sinogram import (
-    TorusSinogram,
-    WeightRule,
-    _check_rule,
-    _data_weight,
-    _dense,
-    layout,
-    scatter,
-)
+from .fields import TorusField, band_frequencies, band_index, evaluate_at
+from .lattice import IntVec, PrimitiveDirection, _as_intvec
+from .sinogram import TorusSinogram, WeightRule, _check_rule, _data_weight, _dense, layout, scatter
 from .transforms import _midpoint_nodes
 
 
@@ -47,7 +39,7 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
     plain average along the valid axis. Exact on the band."""
     if g_v.n != 2:
         raise DimensionMismatch("slice reconstruction is a planar (n=2) operation")
-    kk = tuple(int(x) for x in k)
+    kk = _as_intvec(k)
     if v.dot(kk) != 0:
         raise ValueError(f"direction {v.v} is not orthogonal to k={kk}")
     if axis is None:
@@ -131,16 +123,17 @@ def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:
 
 def normal_multiplier(w: WeightRule, k: Sequence[int]) -> float:
     """W(k): the diagonal symbol of the normal operator over the rule's
-    family, read from the rule's bandwide `normal_array`."""
-    return float(w.normal_array[tuple(int(x) + w.K for x in k)])
+    family, read from the rule's bandwide `normal_array`; 0.0 off the band."""
+    i = band_index(w.n, w.K, k)
+    return 0.0 if i is None else w.normal_array.item(i)
 
 
 def _check_cover(W: np.ndarray, K: int) -> None:
-    """IncompleteCover naming the first band frequency k (in argwhere order)
+    """IncompleteCover naming the first band frequency k (in flat order)
     where the normal multiplier W is not positive. Every weight is positive,
     so W(k) = 0 exactly where no stored subspace is orthogonal to k."""
     if float(W.min()) <= 0.0:
-        k = tuple(int(i) - K for i in np.argwhere(W <= 0.0)[0])
+        k = tuple(band_frequencies(W.ndim, K)[:, np.flatnonzero(W <= 0.0)[0]].tolist())
         raise IncompleteCover(f"no stored subspace is orthogonal to k={k}")
 
 

@@ -15,6 +15,7 @@ construction, checks only the dimension.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -26,7 +27,8 @@ IntVec = tuple[int, ...]
 
 
 def _as_intvec(v: Sequence[int]) -> IntVec:
-    return tuple(int(x) for x in v)
+    """Ints and numpy integers pass; a float (even 2.0) or a string is a TypeError."""
+    return tuple(map(operator.index, v))
 
 
 def _canonical_sign(v: IntVec) -> IntVec:
@@ -60,7 +62,7 @@ class PrimitiveDirection:
         return len(self.v)
 
     def dot(self, k: Sequence[int]) -> int:
-        return sum(a * int(b) for a, b in zip(self.v, k))
+        return sum(a * b for a, b in zip(self.v, _as_intvec(k)))
 
     def serialize(self) -> str:
         return ",".join(str(x) for x in self.v)
@@ -247,7 +249,7 @@ def canonicalize_subspace(rows: Sequence[Sequence[int]], d: int) -> RationalSubs
     Saturates the lattice and reduces to HNF, so the output depends only
     on the span. Raises RankMismatch if the span is not d-dimensional.
     """
-    mats = [list(map(int, r)) for r in rows]
+    mats = [_as_intvec(r) for r in rows]
     if not mats:
         raise RankMismatch("no generators given")
     n = len(mats[0])

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams
-from .fields import TorusField, to_coefficients, to_samples
+from .errors import BadParams, DimensionMismatch
+from .fields import TorusField, band_index, to_coefficients, to_samples
 
 
 @dataclass(frozen=True)
@@ -28,25 +28,35 @@ class Phantom:
     truncation_residual: float | None = None
 
 
+def _require_finite(**values) -> None:
+    """BadParams naming the first parameter that holds a number not finite."""
+    for name, v in values.items():
+        if not np.isfinite(v).all():
+            raise BadParams(f"phantom {name} must be finite, got {v!r}")
+
+
 def _harmonic(params, K, N):
     freqs = params.get("frequencies")
     amps = params.get("amplitudes")
     if not freqs or amps is None or len(freqs) != len(amps):
         raise BadParams("harmonic phantom needs matching frequencies and amplitudes")
-    arr = np.zeros((2 * K + 1,) * 2, dtype=np.complex128)
+    _require_finite(amplitudes=amps)
+    arr = np.zeros((2 * K + 1) ** 2, dtype=np.complex128)
     for k, a in zip(freqs, amps):
-        k = tuple(int(x) for x in k)
-        if max(abs(x) for x in k) > K or not any(k):
-            raise BadParams(f"harmonic frequency {k} must be nonzero and inside the band")
-        arr[k[0] + K, k[1] + K] += a
-        arr[-k[0] + K, -k[1] + K] += np.conj(a)
-    f = TorusField(2, K, arr, real=True)
+        i = band_index(2, K, k)
+        if i is None or i == arr.size // 2:
+            raise BadParams(f"harmonic frequency {tuple(k)} must be nonzero and inside the band")
+        arr[i] += a
+        arr[arr.size - 1 - i] += np.conj(a)  # -k reverses flat order
+    f = TorusField(2, K, arr.reshape(2 * K + 1, 2 * K + 1), real=True)
     return Phantom("harmonic", dict(params), f)
 
 
-def _grid(N):
+def _dist2(N, center):
+    """Squared distance from grid point (i, j)/N to the nearest image of center."""
     x = (np.arange(N) + 0.0) / N
-    return np.meshgrid(x, x, indexing="ij")
+    dx, dy = ((x - c + 0.5) % 1.0 - 0.5 for c in center)
+    return dx[:, None] ** 2 + dy[None, :] ** 2
 
 
 def _disk(params, K, N):
@@ -54,8 +64,8 @@ def _disk(params, K, N):
     center = tuple(params.get("center", (0.5, 0.5)))
     if not (0 < radius < 0.5):
         raise BadParams("disk radius must lie in (0, 1/2)")
-    X, Y = _grid(N)
-    samples = (((X - center[0]) ** 2 + (Y - center[1]) ** 2) <= radius**2).astype(float)
+    _require_finite(center=center)
+    samples = (_dist2(N, center) <= radius**2).astype(float)
     f = to_coefficients(samples, K)
     resid = np.sqrt(np.mean(np.abs(samples - to_samples(f, N)) ** 2))
     rel = float(resid / max(np.sqrt(np.mean(samples**2)), 1e-300))
@@ -65,18 +75,16 @@ def _disk(params, K, N):
 
 def _multi_bump(params, K, N):
     bumps = params.get("bumps", [])
-    X, Y = _grid(N)
     samples = np.zeros((N, N))
     for b in bumps:
-        cx, cy = b.get("center", (0.5, 0.5))
+        center = tuple(b.get("center", (0.5, 0.5)))
         width = float(b.get("width", 0.1))
         amp = float(b.get("amplitude", 1.0))
+        _require_finite(center=center, width=width, amplitude=amp)
         if width <= 0:
             raise BadParams("bump width must be positive")
         # periodized Gaussian: sum over the nearest image in each direction
-        dx = (X - cx + 0.5) % 1.0 - 0.5
-        dy = (Y - cy + 0.5) % 1.0 - 0.5
-        samples += amp * np.exp(-(dx**2 + dy**2) / (2 * width**2))
+        samples += amp * np.exp(-_dist2(N, center) / (2 * width**2))
     f = to_coefficients(samples, K)
     resid = np.sqrt(np.mean(np.abs(samples - to_samples(f, N)) ** 2))
     scale = np.sqrt(np.mean(samples**2))
@@ -96,5 +104,6 @@ def phantom(kind: str, params: dict, K: int, N: int) -> Phantom:
         raise BadParams(f"grid N={N} too coarse for band K={K}")
     try:
         return _KINDS[kind](params, K, N)
-    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as e:
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError,
+            DimensionMismatch) as e:
         raise BadParams(f"malformed {kind} phantom parameters: {e!r}") from e

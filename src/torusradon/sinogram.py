@@ -36,14 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, WeightUndefined
-from .fields import (TorusField, band_frequencies, bessel_norm, bracket_sq, frozen,
+from .fields import (TorusField, band_frequencies, band_index, bessel_norm, bracket_sq, frozen,
                      orthogonality_mask, unit_harmonic)
-from .lattice import (
-    PrimitiveDirection,
-    RationalSubspace,
-    enumerate_grassmannian,
-    line,
-)
+from .lattice import PrimitiveDirection, RationalSubspace, _as_intvec, enumerate_grassmannian, line
 
 CANONICAL = "canonical-singleton"
 HEIGHT_DECAY = "height-decay"
@@ -257,35 +252,33 @@ class WeightRule:
     c_w: float = field(compare=False)
     C_w: float = field(compare=False)
 
-    def _block(self, A: RationalSubspace) -> tuple[np.ndarray, float]:
-        """(w(., A)^2 on support(A, K), w(0, A)^2): member A's block of the
-        rule's arrays; DimensionMismatch if A is not a member."""
+    def _block(self, A: RationalSubspace) -> tuple[slice, float]:
+        """(member A's block of w2 and of layout(family, K), w(0, A)^2);
+        DimensionMismatch if A is not a member."""
         i = bisect_left(self.family, A)
         if i == len(self.family) or self.family[i] != A:
             raise DimensionMismatch("a member lies outside the weight rule's family")
         off = layout(self.family, self.K)[1]
-        return self.w2[off[i]:off[i + 1]], self.w2_zero[i]
+        return slice(off[i], off[i + 1]), self.w2_zero[i]
 
     def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
-        """w(k, A) for k = 0 or k on support(A, K), else WeightUndefined."""
-        kk = tuple(int(x) for x in k)
-        w2, w0 = self._block(A)
-        if not any(kk):
+        """w(k, A) for k = 0 or k on support(A, K), else WeightUndefined;
+        DimensionMismatch unless k has n entries."""
+        block, w0 = self._block(A)
+        flat = band_index(self.n, self.K, k)
+        if flat == (2 * self.K + 1) ** self.n // 2:
             return math.sqrt(w0)
-        idx = support(A, self.K)
-        flat = (np.ravel_multi_index(tuple(x + self.K for x in kk), (2 * self.K + 1,) * self.n)
-                if len(kk) == self.n and max(map(abs, kk)) <= self.K else -1)
-        j = int(np.searchsorted(idx, flat))
-        if j == idx.size or idx[j] != flat:
-            raise WeightUndefined(f"no weight value for k={kk}, A={A.serialize()!r}")
-        return math.sqrt(w2[j])
+        hit = np.flatnonzero(layout(self.family, self.K)[0][block] == flat)  # none if flat is None
+        if not hit.size:
+            raise WeightUndefined(f"no weight value for k={_as_intvec(k)}, A={A.serialize()!r}")
+        return math.sqrt(self.w2[block][hit[0]])
 
     def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
         """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band:
         c_A is A's least weight, k = 0 included, and m_A = 0. Reads A's
         block of the rule's arrays, so no one-member layout is built."""
-        w2, w0 = self._block(A)
-        return math.sqrt(float(np.min(w2, initial=w0))), 0.0
+        block, w0 = self._block(A)
+        return math.sqrt(float(np.min(self.w2[block], initial=w0))), 0.0
 
 
 def weight_on_family(kind: str, family, K: int, params: tuple = ()) -> WeightRule:
@@ -337,7 +330,7 @@ def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: t
         raise ValueError("weights must be finite and positive")
     W = scatter(K, fam, w2, zero_sum)
     if float(W.max()) == math.inf:  # np.bincount's per-k sums overflow without a warning
-        k = tuple(int(i) - K for i in np.argwhere(W == np.inf)[0])
+        k = tuple(band_frequencies(fam[0].n, K)[:, np.flatnonzero(W == np.inf)[0]].tolist())
         raise ValueError(f"weights must be finite and positive; their squares sum to inf at k={k}")
     return WeightRule(kind=kind, d=fam[0].d, n=fam[0].n, K=K, family=fam, params=params,
                       w2=frozen(w2), w2_zero=frozen(w2_zero), normal_array=frozen(W),

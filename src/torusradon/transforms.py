@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, QuadratureTooCoarse
 from .fields import TorusField, evaluate_at
-from .lattice import PrimitiveDirection, RationalSubspace
+from .lattice import PrimitiveDirection, RationalSubspace, _as_intvec
 from .sinogram import TorusSinogram, _dense, as_subspace, canonical_family, layout, support
 
 
@@ -77,7 +77,7 @@ def quadrature_line_integral(f: TorusField, spec: GeodesicSpec, N_q: int | None 
         raise DimensionMismatch("geodesic spec does not match the field dimension")
     # the line-restricted frequencies satisfy |k.v| <= K |v|_1, and nodes
     # above twice that bound are exact for band-limited integrands
-    t = _midpoint_nodes(2 * f.K * max(sum(abs(int(x)) for x in row) for row in rows), N_q)
+    t = _midpoint_nodes(2 * f.K * max(sum(map(abs, row)) for row in rows), N_q)
     d = len(rows)
     grids = np.meshgrid(*[t] * d, indexing="ij")
     pts = np.array(spec.x)[None, :] + sum(
@@ -104,7 +104,7 @@ def rescale_convention(value: complex, v: PrimitiveDirection | Sequence[int],
                        target: str) -> complex:
     """Convert a line datum between the period-1 and arc-length conventions;
     the period-1 value is |v|^-1 times the arc-length value."""
-    vec = v.v if isinstance(v, PrimitiveDirection) else tuple(int(x) for x in v)
+    vec = v.v if isinstance(v, PrimitiveDirection) else _as_intvec(v)
     speed = float(np.sqrt(sum(x * x for x in vec)))
     if target == "arc-length":
         return complex(value) * speed

@@ -15,9 +15,9 @@ from torusradon.bridge import (
     sinogram_from_csv,
     sinogram_to_csv,
 )
-from torusradon.errors import CorruptInput, GeometryViolation, MissingAngle
+from torusradon.errors import CorruptInput, DimensionMismatch, GeometryViolation, MissingAngle
 from torusradon.fields import sobolev_norm
-from torusradon.lattice import direction_cover, line, primitive_reduce
+from torusradon.lattice import PrimitiveDirection, direction_cover, line, line_cover, primitive_reduce
 from torusradon.phantoms import phantom
 from torusradon.sinogram import sinogram_norm, canonical_weight
 from torusradon.transforms import forward_sinogram
@@ -325,3 +325,20 @@ def test_csv_truncation_parses_or_raises_corrupt_input(cut):
     except CorruptInput:
         return
     assert np.all(np.isfinite(sino.values))
+
+
+# each refusal of the bridge module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: EuclideanSinogram((PrimitiveDirection((1, 0)),), 4, np.zeros((1, 3)), 0.2), ValueError,
+     "values shape does not match directions x offsets"),
+    (lambda: EuclideanSinogram((PrimitiveDirection((1, 0)),), 4, np.zeros((1, 4)), 0.0),
+     GeometryViolation, "support radius must be positive"),
+    (lambda: bridge_ingest(disk_sinogram(direction_cover(1), 8, 0.2), [], 1), ValueError,
+     "family must be nonempty"),
+    (lambda: bridge_ingest(disk_sinogram(direction_cover(1), 8, 0.2), line_cover(1, 3), 1),
+     DimensionMismatch, "the bridge is a planar (n=2) line operation"),
+])
+def test_bridge_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)

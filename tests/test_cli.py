@@ -378,3 +378,35 @@ def test_params_error_names_its_source(tmp_path, capsys):
     config.write_text("{bad")
     assert run(["sweep", "--config", config, "--output", tmp_path / "sweep"]) == 2
     assert "error: config is not valid JSON" in capsys.readouterr().err
+
+
+# harmonic frequencies of the wrong length or not integers were once read as
+# the (1, 2) harmonic, a NaN disk centre as an all-zero field, and a bump
+# width whose square overflows ended in a traceback: each is now refused
+# with exit code 2, one error line and no file
+@pytest.mark.parametrize("kind, params", [
+    ("harmonic", '{"frequencies": [[1, 2, 3]], "amplitudes": [1.0]}'),
+    ("harmonic", '{"frequencies": [[1.7, 2]], "amplitudes": [1.0]}'),
+    ("disk", '{"radius": 0.2, "center": [NaN, 0.5]}'),
+    ("multi-bump", '{"bumps": [{"width": 1e200}]}'),
+])
+def test_phantom_refuses_malformed_parameters(tmp_path, capsys, kind, params):
+    out = tmp_path / "p.tfield"
+    assert run(["phantom", "--kind", kind, "--params", params, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+# a band too large to allocate is reported like any refusal (the command is
+# replaced, so nothing is allocated)
+@pytest.mark.parametrize("raised, message", [
+    (MemoryError("Unable to allocate 2.84 PiB for an array"), "Unable to allocate 2.84 PiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch, raised, message):
+    def exhausted(args):
+        raise raised
+    monkeypatch.setattr("torusradon.cli.cmd_phantom", exhausted)
+    assert run(["phantom", "--band", "10000000", "--grid", "20000002", "--out", tmp_path / "p"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

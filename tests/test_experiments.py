@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusradon.cli import main
-from torusradon.errors import ConfigInvalid, DimensionMismatch, TorusRadonError
+from torusradon.errors import ConfigInvalid, DimensionMismatch, ParamViolation, TorusRadonError
 from torusradon.experiments import (
     METHODS,
     ExperimentConfig,
@@ -382,3 +382,24 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
         return
     assert back.members == g.members
     assert np.max(np.abs(back.values - g.values), initial=abs(back.mean - g.mean)) < 1e-10
+
+
+def _cover_data(K=2):
+    return forward_sinogram(random_field(2, K, np.random.default_rng(0), real=True), direction_cover(K))
+
+
+# each refusal of the experiments module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: add_noise(_cover_data(), -1.0, 0.0, 1), ParamViolation, "eps must be nonnegative"),
+    (lambda: probe_noise(_cover_data(), 0.0, 0.0, (0, 1)), ParamViolation, "probe needs eps > 0"),
+    (lambda: probe_noise(_cover_data(), 0.1, 0.0, (0, 3)), ConfigInvalid,
+     "probe frequency (0, 3) lies off the band K=2"),
+    (lambda: strategy_bound_experiment([0.1], [3.0], s=1.0, K=2), ParamViolation,
+     "delta=3.0 violates 0 < delta < 2s"),
+    (lambda: ExperimentConfig.from_dict({"band": 4, "grid": 9}), ConfigInvalid,
+     "grid: need an integer >= 2*band+2 = 10"),
+])
+def test_experiments_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)

@@ -9,6 +9,7 @@ from torusradon.errors import BandTooLarge, DimensionMismatch
 from torusradon.fields import (
     TorusField,
     band_frequencies,
+    band_index,
     bessel_norm,
     evaluate_at,
     field_from_coeffs,
@@ -166,3 +167,40 @@ def test_items_order_and_values():
     f = field_from_coeffs(2, 1, {(1, 0): 2.0, (-1, 1): 1j})
     got = list(f.items())
     assert got == [((-1, 1), 1j), ((1, 0), 2.0 + 0j)]
+
+
+# each refusal of the fields module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: TorusField(2, 1, np.zeros((3, 4))), ValueError, "coefficient array shape (3, 4)"),
+    (lambda: field_from_coeffs(2, 1, {(2, 0): 1.0}), ValueError, "frequency (2, 0) outside band K=1"),
+    (lambda: to_coefficients(np.zeros((4, 5)), 1), ValueError, "sample grid must be square"),
+])
+def test_fields_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)
+
+
+def test_band_index_encodes_what_band_frequencies_decodes():
+    ks = band_frequencies(3, 2)
+    assert [band_index(3, 2, k) for k in ks.T] == list(range(ks.shape[1]))
+    assert band_index(2, 2, (3, 0)) is None and band_index(2, 2, (0, -3)) is None
+
+
+# a frequency with fewer entries than n once addressed a whole row of the
+# band: field_from_coeffs(2, 2, {(1,): 1.0}) set the five coefficients k_1 = 1
+def test_a_frequency_of_the_wrong_length_is_refused(rng):
+    f = random_field(2, 2, rng)
+    calls = [lambda: field_from_coeffs(2, 2, {(1,): 1.0}), lambda: unit_harmonic(2, 2, (1,)),
+             lambda: f.coeff((1,)), lambda: f.coeff((1, 0, 0)), lambda: band_index(3, 2, (0, 0))]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="^frequency .* entries, need n="):
+            call()
+
+
+def test_coeff_off_the_band_is_zero(rng):
+    f = random_field(2, 2, rng)
+    assert f.coeff((3, 0)) == 0j and f.coeff((0, -3)) == 0j and f.coeff((-9, 9)) == 0j
+    assert f.coeff((2, -2)) == f.coeffs[4, 0] and f.coeff(np.array([-1, 1])) == f.coeffs[1, 3]
+    with pytest.raises(TypeError):
+        f.coeff((1.0, 0))

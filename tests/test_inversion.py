@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusradon.errors import AxisDegenerate, IncompleteCover, QuadratureTooCoarse
+from torusradon.errors import AxisDegenerate, DimensionMismatch, IncompleteCover, QuadratureTooCoarse
 from torusradon.fields import (
     TorusField,
     bessel_norm,
@@ -16,6 +16,7 @@ from torusradon.fields import (
     unit_harmonic,
 )
 from torusradon.inversion import (
+    ReconstructionReport,
     adjoint,
     adjoint_normalized,
     invert_filtered,
@@ -477,3 +478,33 @@ def test_sum_pairing_equals_field_pairing(rng):
     lhs = sum_pairing(g, table, h)
     rhs = field_pairing(f, h)
     assert abs(lhs - rhs) < 1e-10
+
+
+# each refusal of the inversion module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: slice_reconstruct_coeff(random_field(3, 1, np.random.default_rng(0)), (0, 0, 0),
+                                     PrimitiveDirection((0, 0, 1))),
+     DimensionMismatch, "slice reconstruction is a planar (n=2) operation"),
+    (lambda: slice_reconstruct_coeff(random_field(2, 1, np.random.default_rng(0)), (1, 0),
+                                     PrimitiveDirection((1, 0))),
+     ValueError, "direction (1, 0) is not orthogonal to k=(1, 0)"),
+    (lambda: slice_reconstruct_coeff(random_field(2, 1, np.random.default_rng(0)), (1, 0),
+                                     PrimitiveDirection((0, 1)), axis=2),
+     ValueError, "axis must be 0 or 1"),
+    (lambda: ReconstructionReport("filtered", errors={"H0": -1.0}), ValueError,
+     "errors must be nonnegative"),
+])
+def test_inversion_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)
+
+
+# W(k) off the band was once read at a wrapped index: (-4, 0) at K = 3 gave
+# W(3, 0) = 1.0, and (4, 0) raised a bare IndexError
+def test_normal_multiplier_is_zero_off_the_band():
+    w = canonical_weight(direction_cover(3), 3)
+    assert normal_multiplier(w, (-4, 0)) == 0.0 and normal_multiplier(w, (4, 0)) == 0.0
+    assert normal_multiplier(w, (3, 0)) == 1.0 and normal_multiplier(w, (0, 0)) == 1.0
+    with pytest.raises(DimensionMismatch):
+        normal_multiplier(w, (1,))

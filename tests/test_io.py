@@ -411,3 +411,39 @@ def test_read_sinogram_refuses_a_band_too_large_to_lay_out(tmp_path):
     out = tmp_path / "r.tfield"
     assert main(["reconstruct", "--sinogram", str(d), "--method", "filtered", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _field_file(tmp_path, header, payload=b""):
+    path = tmp_path / "f.tfield"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
+
+
+def _sinogram_with_mean(tmp_path, text):
+    d = tmp_path / "sino"
+    write_sinogram(forward_sinogram(random_field(2, 1, np.random.default_rng(0), real=True),
+                                    direction_cover(1)), d)
+    if text is None:
+        (d / "mean.txt").unlink()
+    else:
+        (d / "mean.txt").write_text(text)
+    return d
+
+
+# each refusal of the io module, with its typed error and the start of its
+# message ({tmp} is the test's directory)
+@pytest.mark.parametrize("call, error, start", [
+    (lambda t: read_field(_field_file(t, {"K": 1, "n": 0, "real": False})), CorruptInput,
+     "{tmp}/f.tfield: bad band n=0, K=1"),
+    (lambda t: read_field(_field_file(t, {"K": 1, "n": 1, "real": True},
+                                      np.array([1, 2, 3], "<c16").tobytes())),
+     CorruptInput, "{tmp}/f.tfield: flagged real but coefficients are not Hermitian"),
+    (lambda t: read_sinogram(_sinogram_with_mean(t, None)), CorruptInput, "{tmp}/sino/mean.txt: cannot read"),
+    (lambda t: read_sinogram(_sinogram_with_mean(t, "nan 0\n")), CorruptInput,
+     "{tmp}/sino/mean.txt: non-finite mean"),
+    (lambda t: write_pgm(np.zeros(3), t / "x.pgm"), ValueError, "image must be two-dimensional"),
+])
+def test_io_refusals(tmp_path, call, error, start):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value).startswith(start.format(tmp=tmp_path))

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -357,3 +358,39 @@ def test_subspace_hash_is_by_value():
     B = RationalSubspace.parse(A.serialize())
     assert A == B and A is not B and hash(A) == hash(B) == hash((3, 2, A.basis))
     assert len({A, B, line((1, 2)), line((1, 2))}) == 2
+
+
+# each refusal of the lattice module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: PrimitiveDirection((0, 0)), ZeroVector, "primitive direction must be nonzero"),
+    (lambda: PrimitiveDirection((-1, 2)), ValueError, "sign not canonical: (-1, 2)"),
+    (lambda: orthogonal_primitive((1, 2, 3)), ValueError, "orthogonal_primitive is a planar"),
+    (lambda: enumerate_directions(2, 0), ValueError, "H must be >= 1"),
+    (lambda: RationalSubspace(2, 2, ((1, 0), (0, 1))), ValueError, "need 1 <= d <= n-1, got d=2"),
+    (lambda: direction_of(orthogonal_complement((1, 1, 1))), ValueError, "direction_of needs a one-"),
+    (lambda: canonicalize_subspace([], 1), RankMismatch, "no generators given"),
+    (lambda: orthogonal_complement((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
+    (lambda: enumerate_grassmannian(2, 3, 0), ValueError, "H must be >= 1"),
+    (lambda: omega_k((1, 2), 1, 3, 2), ValueError, "frequency length does not match n"),
+    (lambda: direction_cover(-1), ValueError, "R must be >= 0"),
+    (lambda: orthogonal_line((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
+])
+def test_lattice_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)
+
+
+# an integer vector is read with operator.index: a float entry, even 2.0,
+# was once truncated toward zero, so (1.5, 2) was silently the line (1, 2)
+@pytest.mark.parametrize("v", [(1.5, 2), (2.0, 1), ("1", 2)])
+def test_a_direction_must_have_integer_entries(v):
+    with pytest.raises(TypeError):
+        line(v)
+    with pytest.raises(TypeError):
+        canonicalize_subspace([v], 1)
+
+
+def test_numpy_integers_are_integers():
+    assert line(np.array([2, 4])) == line((1, 2))
+    assert PrimitiveDirection((1, 2)).dot(np.array([2, -1])) == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,3 +58,33 @@ def test_bad_params():
         phantom("disk", {"radius": 0.2}, K=8, N=16)
     with pytest.raises(BadParams):
         phantom("harmonic", {"frequencies": [(9, 0)], "amplitudes": [1.0]}, K=4, N=16)
+
+
+# a parameter that is not finite is refused by name: a NaN disk centre once
+# gave an all-zero field, a NaN width or amplitude a misleading Hermitian
+# error, and an infinite amplitude a numpy RuntimeWarning
+@pytest.mark.parametrize("kind, params, name", [
+    ("disk", {"center": (math.nan, 0.5)}, "center"),
+    ("disk", {"center": (0.5, math.inf)}, "center"),
+    ("multi-bump", {"bumps": [{"center": (0.5, -math.inf)}]}, "center"),
+    ("multi-bump", {"bumps": [{"width": math.nan}]}, "width"),
+    ("multi-bump", {"bumps": [{"width": math.inf}]}, "width"),
+    ("multi-bump", {"bumps": [{"amplitude": math.nan}]}, "amplitude"),
+    ("multi-bump", {"bumps": [{"amplitude": math.inf}]}, "amplitude"),
+    ("harmonic", {"frequencies": [(1, 2)], "amplitudes": [math.nan]}, "amplitudes"),
+    ("harmonic", {"frequencies": [(1, 2)], "amplitudes": [-math.inf]}, "amplitudes"),
+])
+def test_phantom_parameters_must_be_finite(kind, params, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match=f"^phantom {name} must be finite"):
+            phantom(kind, params, K=4, N=16)
+
+
+# a disk across the edge x = 1 keeps its whole area; it was once cut there,
+# with mean 0.0997 against the analytic pi r^2 = 0.1257
+def test_disk_wraps_round_the_torus():
+    ph = phantom("disk", {"radius": 0.2, "center": (0.9, 0.5)}, K=16, N=128)
+    assert ph.field.mean().real == pytest.approx(ph.analytic_mean, rel=0.02)
+    centred = phantom("disk", {"radius": 0.2}, K=16, N=128)
+    assert abs(ph.field.mean() - centred.field.mean()) < 1e-3

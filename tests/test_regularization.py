@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torusradon.errors import IncompleteCover, ParamViolation
+from torusradon.errors import DimensionMismatch, IncompleteCover, ParamViolation
 from torusradon.fields import (
     TorusField,
     field_from_coeffs,
@@ -216,3 +216,19 @@ def test_post_process_multiplier_symmetry_keeps_real(rng):
     f = random_field(2, 3, rng, real=True)
     out = post_process(f, 1.5, 0.3)
     assert out.real
+
+
+# each refusal of the regularization module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: tikhonov_objective(random_field(3, 1, np.random.default_rng(0)),
+                                forward_sinogram(random_field(2, 1, np.random.default_rng(0)),
+                                                 direction_cover(1)), 0.0, 1.0, 0.1),
+     DimensionMismatch, "field and data dimensions differ"),
+    (lambda: alpha_schedule(0.1, mode="fast"), ParamViolation, "unknown schedule mode 'fast'"),
+    (lambda: strategy_constant(1.0), ParamViolation, "the constant is defined for 0 < x < 1"),
+    (lambda: error_bound(0.5, -1.0, 1.0, 1.0, 1.0), ParamViolation, "eps must be nonnegative"),
+])
+def test_regularization_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)

@@ -14,6 +14,7 @@ from torusradon.fields import (
     random_field,
     sobolev_norm,
     unit_harmonic,
+    zero_field,
 )
 from torusradon.inversion import adjoint, adjoint_normalized, invert_filtered, normal_multiplier
 from torusradon.lattice import (
@@ -564,3 +565,27 @@ def test_table_values_whose_squares_leave_the_float_range_are_refused(rng, value
         table = params[:i] + ((params[i][0], value),) + params[i + 1:]
         with pytest.raises(ValueError, match="weights must be finite and positive"):
             weight_on_family(CUSTOM, cover, K, params=table)
+
+
+# each refusal of the sinogram module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: TorusSinogram(forward_sinogram(zero_field(2, 1), direction_cover(1)).members, 1, 0j,
+                           np.zeros(3)), DimensionMismatch,
+     "(3,) values do not fit the layout at K=1"),
+    (lambda: TorusSinogram.from_slices(0j, {line((1, 0)): zero_field(2, 1), line((0, 1)): zero_field(2, 2)}),
+     DimensionMismatch, "slices must share one band"),
+    (lambda: forward_sinogram(zero_field(2, 1), direction_cover(1))
+     + forward_sinogram(zero_field(2, 2), direction_cover(1)),
+     DimensionMismatch, "sinograms live on different bands or subspace families"),
+    (lambda: weight_on_family(CANONICAL, [], 1), ValueError, "family must be nonempty"),
+    (lambda: weight_on_family(CANONICAL, line_cover(1, 3), 1), ValueError,
+     "canonical-singleton weights are a d = n-1 construction"),
+    (lambda: weight_on_family("flat", direction_cover(1), 1), ValueError, "unknown weight kind 'flat'"),
+    (lambda: enforce_moment_constraint({}), ValueError, "no slices given"),
+    (lambda: canonical_weight(direction_cover(2), 2).weight((0,), line((1, 0))), DimensionMismatch,
+     "frequency (0,) has 1 entries, need n=2"),
+])
+def test_sinogram_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)

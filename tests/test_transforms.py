@@ -189,3 +189,17 @@ def test_forward_sinogram_rejects_mixed_or_mismatched_families():
         forward_sinogram(f, [(1, 0, 0)])
     with pytest.raises(ValueError):
         forward_sinogram(f, [])
+
+
+# each refusal of the transforms module, with its typed error and the start of its message
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: GeodesicSpec((1.0, 0.5), PrimitiveDirection((1, 0))), ValueError,
+     "base point components must lie in [0, 1)"),
+    (lambda: rescale_convention(1.0, (1, 1), "metric"), ValueError, "unknown convention 'metric'"),
+    (lambda: rescale_convention(1.0, (1.0, 1), "period-1"), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+])
+def test_transforms_refusals(call, error, start):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(start)
