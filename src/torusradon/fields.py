@@ -141,7 +141,7 @@ def field_from_coeffs(n: int, K: int, entries: dict, real: bool = False) -> Toru
     for k, val in entries.items():
         i = band_index(n, K, k)
         if i is None:
-            raise ValueError(f"frequency {k} outside band K={K}")
+            raise DimensionMismatch(f"frequency {k} outside band K={K}")
         arr[i] = val
     return TorusField(n, K, arr.reshape((2 * K + 1,) * n), real)
 

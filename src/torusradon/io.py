@@ -8,10 +8,13 @@ data off A^perp or at k = 0 cannot be written; earlier dense slice
 directories are refused. Images: 16-bit P5 PGM with the linear scaling in
 the header comment. All writers are pure functions of their inputs, so
 identical runs give identical bytes, and all go through write_in_place:
-an existing file is overwritten and then cut to length, never truncated
-to zero first, because on ext4 (auto_da_alloc) a file truncated to zero
-is flushed at its close. Readers raise CorruptInput on malformed or
-unreadable files.
+an existing file is overwritten with os.write on a raw descriptor and
+then cut to length, never truncated to zero first, because on ext4
+(auto_da_alloc) a file truncated to zero is flushed at its close.
+Readers raise CorruptInput on malformed or unreadable files. A field or
+slice file is read whole on a raw descriptor (open, fstat, read to the
+end, close), and a header line is parsed once per distinct line, so the
+slice files of one sinogram, which share their header, parse it once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +36,24 @@ SINOGRAM_FORMAT = 2
 
 
 def write_in_place(path, data: bytes | str) -> None:
-    """Write data (a str as UTF-8) to path in one write, over the old bytes
-    of an existing file, then cut a regular file to the new length.
+    """Write data (a str as UTF-8) to path with os.write on a raw
+    descriptor, over the old bytes of an existing file, then cut a regular
+    file to the new length. One write call, unless the kernel writes short.
     A new file gets mode 0o666 & ~umask, as Path.write_bytes gives; targets
     that are not regular files, such as /dev/null, are never cut. A run
     killed before the cut can leave new bytes over an old tail; README
-    "File formats" lists what the readers then refuse. No fsync, as with
-    open(path, "wb")."""
+    "File formats" lists what the readers then refuse. No fsync."""
     if isinstance(data, str):
         data = data.encode()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):  # the kernel wrote short
+            done += os.write(fd, memoryview(data)[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _header(n: int, K: int, real: bool) -> bytes:
@@ -64,17 +73,33 @@ def _typed(obj: dict, key: str, kind: type):
     return value
 
 
+@lru_cache(maxsize=8)  # every slice file of a sinogram has the same header bytes
+def _header_fields(head: bytes) -> tuple[int, int, bool]:
+    """(n, K, real) of a header line; exceptions are not cached."""
+    header = json.loads(head.decode("ascii"))
+    return _typed(header, "n", int), _typed(header, "K", int), _typed(header, "real", bool)
+
+
 def _read_values(path) -> tuple[int, int, bool, bytes]:
-    """(n, K, real, payload bytes) of a field or slice file, its header checked."""
+    """(n, K, real, payload bytes) of a field or slice file, its header
+    checked. The file is read on a raw descriptor in reads sized by its
+    length, so nothing past the file size plus one byte is asked for."""
     try:
-        with open(path, "rb") as fh:
-            head = fh.readline()
-            raw = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size + 1
+            blob = os.read(fd, size)  # EISDIR for a directory
+            while chunk := os.read(fd, size):
+                blob += chunk
+        finally:
+            os.close(fd)
     except OSError as e:
         raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
+    head, newline, raw = blob.partition(b"\n")
     try:
-        header = json.loads(head.decode("ascii"))
-        n, K, real = _typed(header, "n", int), _typed(header, "K", int), _typed(header, "real", bool)
+        if not newline:
+            raise ValueError("no header line")
+        n, K, real = _header_fields(head)
     except (ValueError, KeyError, TypeError) as e:
         raise CorruptInput(f"{path}: bad field header: {e!r}") from e
     if n < 1 or K < 0:
@@ -109,8 +134,9 @@ def write_sinogram(g: TorusSinogram, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     names = {A: _slice_filename(A) for A in g.members}
-    for stale in {p.name for p in d.glob("slice_*.tfield")} - set(names.values()):
-        (d / stale).unlink()
+    listed = {name for name in os.listdir(d) if name.startswith("slice_") and name.endswith(".tfield")}
+    for stale in listed - set(names.values()):
+        os.unlink(os.path.join(d, stale))
     meta = {"format": SINOGRAM_FORMAT, "n": g.n, "d": g.d, "K": g.K,
             "subspaces": [A.serialize() for A in g.members]}
     write_in_place(d / "meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -146,7 +172,8 @@ def read_sinogram(directory) -> TorusSinogram:
         raise CorruptInput(f"{d / 'mean.txt'}: non-finite mean")
     members = canonical_family(members)
     payloads, flagged = [], []
-    for i, path in enumerate(d / _slice_filename(A) for A in members):
+    prefix = os.path.join(d, "")  # d and a separator: the paths join as os.path.join does
+    for i, path in enumerate(prefix + _slice_filename(A) for A in members):
         sn, sK, real, raw = _read_values(path)
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")

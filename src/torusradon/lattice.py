@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import RankMismatch, ZeroVector
+from .errors import DimensionMismatch, RankMismatch, ZeroVector
 
 IntVec = tuple[int, ...]
 
@@ -85,7 +85,7 @@ def orthogonal_primitive(k: Sequence[int]) -> PrimitiveDirection:
     """The canonical direction orthogonal to a nonzero planar frequency."""
     kk = _as_intvec(k)
     if len(kk) != 2:
-        raise ValueError("orthogonal_primitive is a planar (n=2) operation")
+        raise DimensionMismatch("orthogonal_primitive is a planar (n=2) operation")
     if not any(kk):
         raise ZeroVector("frequency must be nonzero")
     return primitive_reduce((-kk[1], kk[0]))
@@ -175,6 +175,7 @@ class RationalSubspace:
             raise ValueError(f"need 1 <= d <= n-1, got d={self.d}, n={self.n}")
         if len(self.basis) != self.d or any(len(r) != self.n for r in self.basis):
             raise ValueError("basis shape does not match (d, n)")
+        object.__setattr__(self, "basis", tuple(map(_as_intvec, self.basis)))
         if not _is_canonical(self.basis, self.n, self.d):
             raise ValueError("basis is not the HNF basis of a saturated lattice")
         object.__setattr__(self, "_hash", hash((self.n, self.d, self.basis)))
@@ -198,16 +199,18 @@ class RationalSubspace:
 
     @staticmethod
     def parse(text: str) -> "RationalSubspace":
-        head, *rows = [part.strip() for part in text.split(";")]
-        d, n = (int(t) for t in head.split())
-        basis = tuple(_as_intvec(int(t) for t in r.split()) for r in rows)
-        # a line's canonical basis is its primitive direction: the interned
-        # line is the value when it spells the same basis, and anything
-        # else takes the checked constructor (and its ValueError) below
+        head, *rows = text.split(";")
+        d, n = map(int, head.split())
+        basis = tuple(tuple(map(int, r.split())) for r in rows)
+        # a line's canonical basis is its primitive direction: a nonzero row
+        # that PrimitiveDirection checks as coprime and of canonical sign is
+        # the interned line; anything else takes the checked constructor
+        # (and its ValueError) below
         if d == 1 and len(basis) == 1 and len(basis[0]) == n and any(basis[0]):
-            A = line(basis[0])
-            if A.basis == basis:
-                return A
+            try:
+                return _line(PrimitiveDirection(basis[0]))
+            except ValueError:
+                pass
         return RationalSubspace(n=n, d=d, basis=basis)
 
 
@@ -306,7 +309,7 @@ def omega_k(k: Sequence[int], d: int, n: int, H: int) -> list[RationalSubspace]:
     Grassmannian; for d = n-1 and k != 0 it is at most the one hyperplane."""
     kk = _as_intvec(k)
     if len(kk) != n:
-        raise ValueError("frequency length does not match n")
+        raise DimensionMismatch("frequency length does not match n")
     if not any(kk):
         return enumerate_grassmannian(d, n, H)
     if d == n - 1:

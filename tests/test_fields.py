@@ -172,7 +172,7 @@ def test_items_order_and_values():
 # each refusal of the fields module, with its typed error and the start of its message
 @pytest.mark.parametrize("call, error, start", [
     (lambda: TorusField(2, 1, np.zeros((3, 4))), ValueError, "coefficient array shape (3, 4)"),
-    (lambda: field_from_coeffs(2, 1, {(2, 0): 1.0}), ValueError, "frequency (2, 0) outside band K=1"),
+    (lambda: field_from_coeffs(2, 1, {(2, 0): 1.0}), DimensionMismatch, "frequency (2, 0) outside band K=1"),
     (lambda: to_coefficients(np.zeros((4, 5)), 1), ValueError, "sample grid must be square"),
 ])
 def test_fields_refusals(call, error, start):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -117,6 +118,44 @@ def test_non_regular_targets_are_written_and_never_cut(rng):
     write_field(random_field(2, 2, rng), "/dev/null")
     write_pgm(rng.standard_normal((4, 4)), "/dev/null")
     write_in_place(os.devnull, "text\n")
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_short_writes_give_the_same_bytes(tmp_path, rng, monkeypatch):
+    # the writer loops until the kernel has taken every byte: with at most
+    # 3 bytes per os.write, fresh files and files written over longer old
+    # ones hold the bytes of a normal write
+    f, image = random_field(2, 2, rng), rng.standard_normal((5, 7))
+    g = forward_sinogram(random_field(2, 2, rng), direction_cover(2))
+
+    def write_all(d):
+        d.mkdir(exist_ok=True)
+        write_field(f, d / "f.tfield")
+        write_pgm(image, d / "i.pgm")
+        write_sinogram(g, d / "sino")
+
+    normal, fresh, over = tmp_path / "normal", tmp_path / "fresh", tmp_path / "over"
+    write_all(normal)
+    over.mkdir()
+    write_field(random_field(2, 4, rng), over / "f.tfield")
+    write_pgm(rng.standard_normal((9, 9)), over / "i.pgm")
+    write_sinogram(forward_sinogram(random_field(2, 4, rng), direction_cover(4)), over / "sino")
+    real_write, asked = os.write, []
+
+    def short_write(fd, data):
+        asked.append(len(data))
+        return real_write(fd, data[:3])
+
+    monkeypatch.setattr("torusradon.io.os.write", short_write)
+    write_all(fresh)
+    write_all(over)
+    monkeypatch.undo()
+    assert max(asked) > 3  # some writes were cut short
+    assert _tree(fresh) == _tree(over) == _tree(normal)
+    assert len(_tree(normal)) == 2 + 2 + len(g.members)
 
 
 @contextmanager
@@ -281,7 +320,8 @@ def test_read_sinogram_raises_corrupt_input(tmp_path, fault):
 
 
 @pytest.mark.parametrize("key, value", [("K", 2.9), ("K", "2"), ("K", True), ("n", 2.0),
-                                        ("real", "false"), ("real", 0), ("real", None)])
+                                        ("real", "false"), ("real", 0), ("real", None),
+                                        ("K", 4.0), ("real", 1)])
 def test_field_header_fields_of_another_json_type_are_refused(tmp_path, rng, key, value):
     # n and K must be JSON integers (true is none) and real a JSON boolean;
     # nothing is cast, so "K": 2.9 never reads as K = 2
@@ -292,6 +332,72 @@ def test_field_header_fields_of_another_json_type_are_refused(tmp_path, rng, key
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(CorruptInput, match=f"must be a JSON {'bool' if key == 'real' else 'int'}"):
         read_field(path)
+
+
+@pytest.mark.parametrize("head", [
+    b'{"real": true, "n": 2, "K": 2}',                      # keys in another order
+    b'  { "K" :2,\t"n":  2 , "real":true }  ',             # extra whitespace
+])
+def test_field_headers_that_spell_the_same_fields_are_read(tmp_path, rng, head):
+    f = random_field(2, 2, rng, real=True)
+    path = tmp_path / "f.tfield"
+    write_field(f, path)
+    path.write_bytes(head + b"\n" + path.read_bytes().partition(b"\n")[2])
+    back = read_field(path)
+    assert (back.n, back.K, back.real) == (2, 2, True) and np.array_equal(back.coeffs, f.coeffs)
+
+
+@pytest.mark.parametrize("blob", [
+    b'{"K": 0, "n": 2, "real": false}',                      # no newline
+    b'',                                                     # zero bytes
+])
+def test_a_file_without_a_header_line_is_refused(tmp_path, blob):
+    # the header is refused before any payload is looked at; also as a slice
+    # file of a K = 0 sinogram, whose blocks are empty, so that a header
+    # without its newline would otherwise pass as a whole slice file
+    path = tmp_path / "f.tfield"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: bad field header"):
+        read_field(path)
+    g = forward_sinogram(random_field(2, 0, np.random.default_rng(5)), direction_cover(2))
+    write_sinogram(g, tmp_path / "sino")
+    path = tmp_path / "sino" / _slice_filename(g.members[0])
+    path.write_bytes(blob)
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: bad field header"):
+        read_sinogram(tmp_path / "sino")
+
+
+@pytest.mark.parametrize("fault", ["bad header", "payload one value short"])
+def test_a_bad_slice_after_good_ones_is_named(tmp_path, fault):
+    # the 719 slice files read first share one header line, parsed once; the
+    # refusal of the last still names that file
+    g = forward_sinogram(random_field(2, 24, np.random.default_rng(5)), direction_cover(24))
+    assert len(g.members) == 720
+    d = tmp_path / "sino"
+    write_sinogram(g, d)
+    last = d / _slice_filename(g.members[-1])
+    head, _, payload = last.read_bytes().partition(b"\n")
+    if fault == "bad header":
+        last.write_bytes(head.replace(b'"K": 24', b'"K": 24.0') + b"\n" + payload)
+    else:
+        last.write_bytes(head + b"\n" + payload[:-16])
+    with pytest.raises(CorruptInput) as info:
+        read_sinogram(d)
+    assert str(info.value).startswith(f"{last}: ")
+
+
+def test_a_slice_path_that_is_a_directory_is_refused(tmp_path, rng):
+    # os.open reaches a directory; the read of it fails (EISDIR)
+    g = forward_sinogram(random_field(2, 2, rng), direction_cover(2))
+    write_sinogram(g, tmp_path / "sino")
+    path = tmp_path / "sino" / _slice_filename(g.members[3])
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: cannot read"):
+        read_sinogram(tmp_path / "sino")
+    out = tmp_path / "r.tfield"
+    assert main(["reconstruct", "--sinogram", str(tmp_path / "sino"), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("K", 3.0), ("K", "3"), ("n", True), ("d", 1.5)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusradon.errors import RankMismatch, ZeroVector
+from torusradon.errors import DimensionMismatch, RankMismatch, ZeroVector
 from torusradon.lattice import (
     PrimitiveDirection,
     RationalSubspace,
@@ -364,14 +364,14 @@ def test_subspace_hash_is_by_value():
 @pytest.mark.parametrize("call, error, start", [
     (lambda: PrimitiveDirection((0, 0)), ZeroVector, "primitive direction must be nonzero"),
     (lambda: PrimitiveDirection((-1, 2)), ValueError, "sign not canonical: (-1, 2)"),
-    (lambda: orthogonal_primitive((1, 2, 3)), ValueError, "orthogonal_primitive is a planar"),
+    (lambda: orthogonal_primitive((1, 2, 3)), DimensionMismatch, "orthogonal_primitive is a planar"),
     (lambda: enumerate_directions(2, 0), ValueError, "H must be >= 1"),
     (lambda: RationalSubspace(2, 2, ((1, 0), (0, 1))), ValueError, "need 1 <= d <= n-1, got d=2"),
     (lambda: direction_of(orthogonal_complement((1, 1, 1))), ValueError, "direction_of needs a one-"),
     (lambda: canonicalize_subspace([], 1), RankMismatch, "no generators given"),
     (lambda: orthogonal_complement((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
     (lambda: enumerate_grassmannian(2, 3, 0), ValueError, "H must be >= 1"),
-    (lambda: omega_k((1, 2), 1, 3, 2), ValueError, "frequency length does not match n"),
+    (lambda: omega_k((1, 2), 1, 3, 2), DimensionMismatch, "frequency length does not match n"),
     (lambda: direction_cover(-1), ValueError, "R must be >= 0"),
     (lambda: orthogonal_line((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
 ])
@@ -389,6 +389,27 @@ def test_a_direction_must_have_integer_entries(v):
         line(v)
     with pytest.raises(TypeError):
         canonicalize_subspace([v], 1)
+
+
+@pytest.mark.parametrize("basis", [((1.0, 0.0),), ((1, 0.0),), (("1", "0"),)])
+def test_the_checked_constructor_refuses_entries_that_are_not_integers(basis):
+    # a float basis once built, equalled the line (1, 0) and serialized as
+    # "1 2; 1.0 0.0", which parse refuses
+    with pytest.raises(TypeError):
+        RationalSubspace(2, 1, basis)
+
+
+def test_the_checked_constructor_stores_python_integers():
+    A = RationalSubspace(2, 1, ((np.int64(1), np.int64(2)),))
+    assert A == line((1, 2)) and {type(x) for x in A.basis[0]} == {int}
+    assert A.serialize() == "1 2; 1 2"
+
+
+def test_parse_reads_a_line_with_extra_whitespace_and_refuses_others():
+    assert RationalSubspace.parse("  1 2 ;\t1   -2 ") is line((1, -2))
+    for text in ["1 2; 1 2; 0 1", "1 2; 1.0 2", "1 2;", "1; 1 2"]:
+        with pytest.raises(ValueError):
+            RationalSubspace.parse(text)
 
 
 def test_numpy_integers_are_integers():
