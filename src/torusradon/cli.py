@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: phantom, forward, reconstruct, sweep, bridge, selftest.
-Flags mirror the sweep config keys and override them; the output root can
-also come from the TORUSRADON_OUT environment variable. Exit code 0 means
-every enabled invariant check passed.
+A sweep is set by its JSON config alone; `sweep --output` names where its
+artifacts go. The output root can also come from the TORUSRADON_OUT
+environment variable. Exit code 0 means every enabled invariant check
+passed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .fields import to_samples
 from .io import (output_root, read_field, read_sinogram, write_field, write_in_place, write_pgm,
                  write_sinogram)
 from .lattice import direction_cover
-from .phantoms import phantom
+from .phantoms import DEFAULT_HARMONIC, phantom
 from .transforms import forward_sinogram
 
 # The layer functions behind METHODS stay importable from here: the
@@ -60,9 +61,7 @@ def _write_field_and_image(field, path: Path, image_path, image) -> None:
 def cmd_phantom(args) -> int:
     params = ExperimentConfig.json_object(args.params, "--params") if args.params else {}
     if args.kind == "harmonic" and not params:
-        params = {"frequencies": [[1, 2]], "amplitudes": [1.0]}
-    if args.kind == "disk" and "radius" not in params:
-        params["radius"] = args.radius
+        params = DEFAULT_HARMONIC
     ph = phantom(args.kind, params, args.band, args.grid)
     image = to_samples(ph.field, args.grid).real if args.image else None
     path = _out_path(args.out, "phantom.tfield")
@@ -100,10 +99,8 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = ExperimentConfig.json_file(args.config)
-    for key in ("seed", "band", "grid", "method", "output"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
+    if args.output is not None:
+        raw["output"] = args.output
     if raw.get("output") is None:
         raw["output"] = str(output_root() / "sweep")
     cfg = ExperimentConfig.from_dict(raw)
@@ -166,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("phantom", help="emit a band-limited phantom field")
     q.add_argument("--kind", default="disk", choices=["harmonic", "disk", "multi-bump"])
     q.add_argument("--params", help="JSON phantom parameters")
-    q.add_argument("--radius", type=float, default=0.2)
     q.add_argument("--band", type=_int_at_least(0), default=16)
     q.add_argument("--grid", type=int, default=128)
     q.add_argument("--out")
@@ -192,11 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("sweep", help="run a configured experiment sweep")
     q.add_argument("--config", required=True)
-    q.add_argument("--seed", type=int)
-    q.add_argument("--band", type=int)
-    q.add_argument("--grid", type=int)
-    q.add_argument("--method")
-    q.add_argument("--output")
+    q.add_argument("--output", help="artifact directory; replaces the config's output")
     q.set_defaults(fn=cmd_sweep)
 
     q = sub.add_parser("bridge", help="map Euclidean parallel-beam data onto the torus")

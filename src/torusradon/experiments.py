@@ -23,7 +23,7 @@ from .inversion import (ReconstructionReport, adjoint_normalized, invert_filtere
                         reconstruct_slices)
 from .io import write_csv, write_in_place, write_pgm
 from .lattice import direction_cover, line, orthogonal_primitive
-from .phantoms import phantom
+from .phantoms import DEFAULT_HARMONIC, phantom
 from .regularization import (
     _check_minimizer_params,
     alpha_schedule,
@@ -157,18 +157,14 @@ _REG = {
 
 @dataclass
 class ExperimentConfig:
-    phantom_kind: str = "harmonic"
-    phantom_params: dict = dc_field(default_factory=lambda: {
-        "frequencies": [[1, 2]], "amplitudes": [1.0]})
+    phantom: dict = dc_field(default_factory=lambda: {"kind": "harmonic", **DEFAULT_HARMONIC})
     band: int = 8
     grid: int = 64
     cover_radius: int | None = None
     weight: str = "canonical"
     method: str = "filtered"
     reg: dict = dc_field(default_factory=dict)
-    noise_eps: list = dc_field(default_factory=list)
-    noise_t: float = 0.0
-    noise_kind: str = "random"
+    noise: dict = dc_field(default_factory=dict)
     seed: int = 20190614
     output: str | None = None
     error_norms: list = dc_field(default_factory=lambda: [0.0])
@@ -185,15 +181,7 @@ class ExperimentConfig:
                     problems.append(f"{prefix}{key}: need {fields[key][1]}, got {val!r}")
         if problems:
             raise ConfigInvalid("; ".join(problems))
-        cfg = ExperimentConfig()
-        if "phantom" in raw:
-            cfg.phantom_kind = raw["phantom"]["kind"]
-            cfg.phantom_params = {k: v for k, v in raw["phantom"].items() if k != "kind"}
-        for key in raw.keys() - {"phantom", "noise"}:  # the rest are attributes by name
-            setattr(cfg, key, raw[key])
-        noise = raw.get("noise", {})
-        cfg.noise_eps, cfg.noise_t = list(noise.get("eps", [])), float(noise.get("t", 0.0))
-        cfg.noise_kind = noise.get("kind", "random")
+        cfg = ExperimentConfig(**raw)  # the config keys are the field names
         if cfg.grid < 2 * cfg.band + 2:
             problems.append(f"grid: need an integer >= 2*band+2 = {2 * cfg.band + 2}")
         if cfg.cover_radius is not None and cfg.cover_radius < cfg.band:
@@ -233,10 +221,6 @@ class ExperimentConfig:
             raise ConfigInvalid(f"{path}: cannot read: {e}") from e
         return ExperimentConfig.json_object(text)
 
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(ExperimentConfig.json_object(text))
-
 
 def _reg_params(cfg: ExperimentConfig, eps: float) -> dict:
     """The tikhonov r, s and alpha at one noise level; ParamViolation if
@@ -270,24 +254,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReconstructionReport]:
     """forward -> (noise) -> reconstruction -> error report, one report per
     noise level (a single noiseless run when none are configured). Artifacts
     (CSV curves, JSON report, PGM images) land in cfg.output if set."""
+    params = {k: v for k, v in cfg.phantom.items() if k != "kind"}
     try:
-        truth = phantom(cfg.phantom_kind, cfg.phantom_params, cfg.band, cfg.grid).field
+        truth = phantom(cfg.phantom["kind"], params, cfg.band, cfg.grid).field
     except BadParams as e:
         raise ConfigInvalid(f"phantom: {e}") from e
     cover = direction_cover(cfg.cover_radius)
     w = (canonical_weight(cover, cfg.band) if cfg.weight == "canonical"
          else weight_on_family(HEIGHT_DECAY, cover, cfg.band))
     g0 = forward_sinogram(truth, cover)
-    eps_list = cfg.noise_eps if cfg.noise_eps else [0.0]
+    eps_list = cfg.noise.get("eps") or [0.0]
+    t, kind = float(cfg.noise.get("t", 0.0)), cfg.noise.get("kind", "random")
     outdir = Path(cfg.output) if cfg.output else None
     reports = []
     rows = []
     for i, eps in enumerate(eps_list):
         t0 = time.perf_counter()
-        if eps > 0 and cfg.noise_kind == "random":
-            g = add_noise(g0, eps, cfg.noise_t, derive_seed(cfg.seed, i))
+        if eps > 0 and kind == "random":
+            g = add_noise(g0, eps, t, derive_seed(cfg.seed, i))
         elif eps > 0:
-            g = probe_noise(g0, eps, cfg.noise_t, (0, 1))
+            g = probe_noise(g0, eps, t, (0, 1))
         else:
             g = g0
         extra = _reg_params(cfg, eps) if cfg.method == "tikhonov" else {}
@@ -482,7 +468,6 @@ def selftest(output: str | None = None, seed: int = 20190614) -> tuple[bool, dic
         out.mkdir(parents=True, exist_ok=True)
         write_in_place(out / "selftest_report.json", json.dumps(results, sort_keys=True, indent=2) + "\n")
         cfg = ExperimentConfig.from_dict({
-            "phantom": {"kind": "harmonic", "frequencies": [[1, 2]], "amplitudes": [1.0]},
             "band": 6, "grid": 16, "method": "filtered",
             "noise": {"eps": [0.0, 0.01], "t": 0.0}, "seed": seed,
             "output": str(out / "demo_sweep"),

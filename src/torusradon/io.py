@@ -27,12 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptInput, TorusRadonError
+from .errors import CorruptInput, DimensionMismatch, TorusRadonError
 from .fields import TorusField, is_hermitian
 from .lattice import RationalSubspace
 from .sinogram import TorusSinogram, canonical_family, layout
 
 SINOGRAM_FORMAT = 2
+NAME_MAX = 255  # bytes in one file name on common file systems
 
 
 def write_in_place(path, data: bytes | str) -> None:
@@ -130,10 +131,17 @@ def _slice_filename(A: RationalSubspace) -> str:
 
 def write_sinogram(g: TorusSinogram, directory) -> None:
     """Write g into the directory; slice files of members g lacks, left by
-    an earlier sinogram, are deleted first, so the files name g's family."""
+    an earlier sinogram, are deleted first, so the files name g's family.
+    A member whose slice file name would pass NAME_MAX is refused with
+    DimensionMismatch before anything is made, deleted or written."""
+    names = {A: _slice_filename(A) for A in g.members}
+    for A, name in names.items():
+        if len(name) > NAME_MAX:
+            raise DimensionMismatch(f"the slice file name of an (n={A.n}, d={A.d}) subspace is "
+                                    f"{len(name)} bytes, over the {NAME_MAX}-byte limit: "
+                                    "the sinogram format cannot store it")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    names = {A: _slice_filename(A) for A in g.members}
     listed = {name for name in os.listdir(d) if name.startswith("slice_") and name.endswith(".tfield")}
     for stale in listed - set(names.values()):
         os.unlink(os.path.join(d, stale))

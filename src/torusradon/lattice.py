@@ -106,7 +106,7 @@ def enumerate_directions(n: int, H: int) -> list[PrimitiveDirection]:
 def row_hnf(rows: Iterable[Sequence[int]], n: int) -> list[IntVec]:
     """Row-style Hermite normal form: echelon with positive pivots and
     above-pivot entries reduced into [0, pivot)."""
-    work = [list(map(int, r)) for r in rows]
+    work = [list(map(operator.index, r)) for r in rows]
     work = [r for r in work if any(r)]
     pivots: list[tuple[int, list[int]]] = []
     col = 0
@@ -143,7 +143,7 @@ def row_hnf(rows: Iterable[Sequence[int]], n: int) -> list[IntVec]:
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
     """HNF basis of the saturated lattice {x in Z^n : rows @ x = 0}."""
-    mats = [list(map(int, r)) for r in rows]
+    mats = [list(map(operator.index, r)) for r in rows]
     m = len(mats)
     if m == 0:
         return row_hnf([[1 if j == i else 0 for j in range(n)] for i in range(n)], n)

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import BadParams, DimensionMismatch
 from .fields import TorusField, band_index, to_coefficients, to_samples
 
+# The harmonic phantom of a sweep config without a `phantom`, and of
+# `torusradon phantom --kind harmonic` without --params.
+DEFAULT_HARMONIC = {"frequencies": [[1, 2]], "amplitudes": [1.0]}
+
 
 @dataclass(frozen=True)
 class Phantom:
@@ -59,16 +63,22 @@ def _dist2(N, center):
     return dx[:, None] ** 2 + dy[None, :] ** 2
 
 
+def _band_limited(samples, K, N) -> tuple[TorusField, float]:
+    """The band-K field of N x N grid samples, and the relative RMS residual
+    of its truncation (0 for all-zero samples)."""
+    f = to_coefficients(samples, K)
+    resid = np.sqrt(np.mean(np.abs(samples - to_samples(f, N)) ** 2))
+    scale = np.sqrt(np.mean(samples**2))
+    return f, float(resid / scale) if scale > 0 else 0.0
+
+
 def _disk(params, K, N):
     radius = float(params.get("radius", 0.2))
     center = tuple(params.get("center", (0.5, 0.5)))
     if not (0 < radius < 0.5):
         raise BadParams("disk radius must lie in (0, 1/2)")
     _require_finite(center=center)
-    samples = (_dist2(N, center) <= radius**2).astype(float)
-    f = to_coefficients(samples, K)
-    resid = np.sqrt(np.mean(np.abs(samples - to_samples(f, N)) ** 2))
-    rel = float(resid / max(np.sqrt(np.mean(samples**2)), 1e-300))
+    f, rel = _band_limited((_dist2(N, center) <= radius**2).astype(float), K, N)
     return Phantom("disk", {"radius": radius, "center": center}, f,
                    analytic_mean=math.pi * radius**2, truncation_residual=rel)
 
@@ -85,10 +95,7 @@ def _multi_bump(params, K, N):
             raise BadParams("bump width must be positive")
         # periodized Gaussian: sum over the nearest image in each direction
         samples += amp * np.exp(-_dist2(N, center) / (2 * width**2))
-    f = to_coefficients(samples, K)
-    resid = np.sqrt(np.mean(np.abs(samples - to_samples(f, N)) ** 2))
-    scale = np.sqrt(np.mean(samples**2))
-    rel = float(resid / scale) if scale > 0 else 0.0
+    f, rel = _band_limited(samples, K, N)
     return Phantom("multi-bump", {"bumps": list(bumps)}, f, truncation_residual=rel)
 
 

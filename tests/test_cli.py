@@ -367,6 +367,21 @@ def test_out_of_range_flag_is_a_usage_error(capsys, argv):
     assert f"error: argument {argv[-2]}: must be >= " in err and "Traceback" not in err
 
 
+# a sweep is set by its config and a disk's radius by --params alone
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "cfg.json", "--seed", "1"],
+    ["sweep", "--config", "cfg.json", "--band", "4"],
+    ["sweep", "--config", "cfg.json", "--grid", "16"],
+    ["sweep", "--config", "cfg.json", "--method", "filtered"],
+    ["phantom", "--radius", "0.2"],
+])
+def test_a_flag_that_re_spells_a_setting_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_params_error_names_its_source(tmp_path, capsys):
     argv = ["phantom", "--kind", "harmonic", "--band", "4", "--grid", "12",
             "--out", tmp_path / "p.tfield"]

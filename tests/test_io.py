@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusradon.cli import main
-from torusradon.errors import CorruptInput
+from torusradon.errors import CorruptInput, DimensionMismatch
 from torusradon.fields import random_field
 from torusradon.io import (
     _slice_filename,
@@ -25,7 +25,8 @@ from torusradon.io import (
     write_pgm,
     write_sinogram,
 )
-from torusradon.lattice import RationalSubspace, direction_cover, enumerate_grassmannian, line_cover
+from torusradon.lattice import (RationalSubspace, canonicalize_subspace, direction_cover,
+                               enumerate_grassmannian, line_cover)
 from torusradon.transforms import forward_sinogram
 
 
@@ -398,6 +399,23 @@ def test_a_slice_path_that_is_a_directory_is_refused(tmp_path, rng):
     out = tmp_path / "r.tfield"
     assert main(["reconstruct", "--sinogram", str(tmp_path / "sino"), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_a_slice_file_name_past_the_limit_is_refused_before_any_write(tmp_path):
+    # the coordinate 3-plane of Q^60 names a 374-byte slice file: the refusal
+    # makes no directory, and over an old sinogram deletes and rewrites nothing
+    plane = canonicalize_subspace([tuple(int(j == i) for j in range(60)) for i in range(3)], 3)
+    g = forward_sinogram(random_field(60, 0, np.random.default_rng(5), real=True), [plane])
+    message = r"\(n=60, d=3\) subspace is 374 bytes, over the 255-byte limit"
+    with pytest.raises(DimensionMismatch, match=message):
+        write_sinogram(g, tmp_path / "fresh" / "sino")
+    assert not (tmp_path / "fresh").exists()
+    d = tmp_path / "sino"
+    write_sinogram(forward_sinogram(random_field(2, 2, np.random.default_rng(5)), direction_cover(2)), d)
+    before = {p: p.read_bytes() for p in sorted(d.rglob("*"))}
+    with pytest.raises(DimensionMismatch, match=message):
+        write_sinogram(g, d)
+    assert {p: p.read_bytes() for p in sorted(d.rglob("*"))} == before
 
 
 @pytest.mark.parametrize("key, value", [("K", 3.0), ("K", "3"), ("n", True), ("d", 1.5)])

@@ -374,6 +374,8 @@ def test_subspace_hash_is_by_value():
     (lambda: omega_k((1, 2), 1, 3, 2), DimensionMismatch, "frequency length does not match n"),
     (lambda: direction_cover(-1), ValueError, "R must be >= 0"),
     (lambda: orthogonal_line((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
+    (lambda: integer_kernel([(1.5, 1)], 2), TypeError, "'float' object cannot be interpreted"),
+    (lambda: row_hnf([(2.0, 1)], 2), TypeError, "'float' object cannot be interpreted"),
 ])
 def test_lattice_refusals(call, error, start):
     with pytest.raises(error) as info:
