@@ -153,6 +153,8 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
         raise ValueError("family must be nonempty")
     if (members[0].n, members[0].d) != (2, 1):
         raise DimensionMismatch("the bridge is a planar (n=2) line operation")
+    # the layout first: a band too large to lay out fails before the row kernels run
+    index, offsets, _ = layout(members, K)
     vs = [A.basis[0] for A in members]
     profile = sino.row_index(vs)
     # the per-direction scalars of the quadrature, as arrays over the members
@@ -184,7 +186,6 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
                           out=np.broadcast_to(Q[i, None], a.shape).copy(), where=den != 0)
         phase = np.exp(-1j * np.pi * S[i] * h[i] * nu[rows])
         g[rows] = h[i] * phase * np.einsum("rf,rf->r", ratio, c[i - i[0]])
-    index, offsets, _ = layout(members, K)
     k1, k2 = band_frequencies(2, K)[:, index]
     # k = m (-v2, v1) on the support; pick each entry's m from its k
     i = np.repeat(np.arange(len(members)), np.diff(offsets))

@@ -88,7 +88,7 @@ def cmd_forward(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     g = read_sinogram(args.sinogram)
-    rec = METHODS[args.method](g, None, {"r": args.r, "s": args.s, "alpha": args.alpha})
+    rec = METHODS[args.method](g, {"r": args.r, "s": args.s, "alpha": args.alpha})
     # render first: a --grid too coarse for the band writes no file
     image = to_samples(rec, args.grid).real if args.image else None
     path = _out_path(args.out, "recon.tfield")

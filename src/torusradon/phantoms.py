@@ -134,7 +134,11 @@ def _multi_bump(params, K, N):
     # leave an exact zero, not the rounding noise of the product.
     factors = [np.exp(-_offsets(N, c) ** 2 / two_w2) for c, two_w2 in amps]
     fx, fy = np.moveaxis(np.fft.fft(np.reshape(factors, (-1, 2, N))) / N, 1, 0)
-    f, rel = _band_limited(fx.T @ (np.reshape(list(amps.values()), (-1, 1)) * fy), K)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused below
+        spec = fx.T @ (np.reshape(list(amps.values()), (-1, 1)) * fy)
+    if not np.isfinite(spec).all():
+        raise BadParams("phantom amplitude must be finite in sum: the bumps' spectrum overflows")
+    f, rel = _band_limited(spec, K)
     return Phantom("multi-bump", {"bumps": list(bumps)}, f, truncation_residual=rel)
 
 

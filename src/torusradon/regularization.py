@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DimensionMismatch, ParamViolation
 from .fields import TorusField, bracket_sq, sobolev_norm
 from .inversion import _check_cover, adjoint
-from .sinogram import TorusSinogram, WeightRule, canonical_weight, sinogram_norm
+from .sinogram import TorusSinogram, WeightRule, _data_weight, sinogram_norm
 from .transforms import forward_sinogram
 
 
@@ -36,14 +36,15 @@ def _check_minimizer_params(r: float, s: float, alpha: float) -> None:
 
 def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> TorusField:
     """Closed-form minimizer of the Tikhonov functional in the planar
-    unweighted setting: the weighted minimizer under the canonical rule,
-    where W = 1 on the band (each k != 0 has one orthogonal line), so the
-    adjoint is smoothed by exponent s - r. Raises IncompleteCover where a
-    band frequency has no stored line, since W = 0 there."""
+    unweighted setting: the weighted minimizer under the data rule, which
+    for lines in the plane is the canonical rule, where W = 1 on the band
+    (each k != 0 has one orthogonal line), so the adjoint is smoothed by
+    exponent s - r. Raises IncompleteCover where a band frequency has no
+    stored line, since W = 0 there."""
     _check_minimizer_params(r, s, alpha)
     if g.n != 2 or g.d != 1:
         raise ParamViolation("the closed-form minimizer is the n=2, d=1 unweighted setting")
-    w = canonical_weight(g.members, g.K)
+    w = _data_weight(g)
     _check_cover(w.normal_array, g.K)
     return tikhonov_reconstruct_weighted(g, w, r, s, alpha)
 
@@ -62,12 +63,12 @@ def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: 
 def tikhonov_objective(f: TorusField, g: TorusSinogram, r: float, s: float,
                        alpha: float) -> float:
     """The Tikhonov functional: squared data misfit in the data norm of
-    order r plus alpha times the squared H^s penalty."""
+    order r (under the data rule of g's family) plus alpha times the
+    squared H^s penalty."""
     _check_minimizer_params(r, s, alpha)
     if f.n != g.n:
         raise DimensionMismatch("field and data dimensions differ")
-    w = canonical_weight(g.members, g.K)
-    misfit = sinogram_norm(forward_sinogram(f, g.members) - g, r, w)
+    misfit = sinogram_norm(forward_sinogram(f, g.members) - g, r)
     return misfit**2 + alpha * sobolev_norm(f, s) ** 2
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusradon import bridge
 from torusradon.bridge import (
     CSV_HEADER,
     EuclideanSinogram,
@@ -259,6 +260,21 @@ def test_missing_angle_names_the_first_missing_member():
     first = missing[0].basis[0]
     with pytest.raises(MissingAngle, match=re.escape(f"direction {first}")):
         bridge_ingest(sino, cover[::-1], 4)
+
+
+def test_a_band_too_large_to_lay_out_fails_before_the_row_kernels(monkeypatch):
+    # the rows of --band 100000 took 9 s before the layout's MemoryError
+    def no_layout(members, K):
+        raise MemoryError(f"layout at K={K}")
+
+    def no_rows(profiles):
+        raise AssertionError("the row kernels ran before the layout")
+
+    monkeypatch.setattr(bridge, "layout", no_layout)
+    monkeypatch.setattr(bridge, "_symmetric_spectra", no_rows)
+    cover = direction_cover(1)
+    with pytest.raises(MemoryError, match="layout at K=100000"):
+        bridge_ingest(disk_sinogram(cover, 8, 0.2), cover, 100000)
 
 
 def ingest_peak(K):

@@ -23,6 +23,7 @@ from torusradon.experiments import (
     strategy_bound_experiment,
 )
 from torusradon.fields import band_frequencies, bracket_sq, random_field
+from torusradon.inversion import adjoint_normalized, invert_filtered
 from torusradon.io import read_sinogram, write_sinogram
 from torusradon.lattice import direction_cover, enumerate_grassmannian
 from torusradon.sinogram import (
@@ -125,7 +126,7 @@ def test_config_validation_errors():
 
 
 @pytest.mark.parametrize("raw", [
-    {"band": 4, "grid": 16, "cover_radius": 3},
+    {"band": 4, "grid": 9},
     {"method": "tikhonov", "reg": {"r": 1.0, "s": 0.5}},
     {"method": "tikhonov", "reg": {"r": 0.0, "s": 1.0, "alpha": 0.0}},
     {"method": "tikhonov", "reg": {"r": -1.0, "s": -0.5, "schedule": "optimal"}},
@@ -134,6 +135,20 @@ def test_config_validation_errors():
 def test_config_that_cannot_run_is_invalid(raw):
     with pytest.raises(ConfigInvalid):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("key, value", [("weight", "canonical"), ("cover_radius", 8)])
+def test_the_sweep_takes_its_family_and_rule_from_the_band(tmp_path, capsys, key, value):
+    """A sweep's cover and weight rule follow from its band, so a config
+    that names either is refused as an unknown field, with exit code 2."""
+    raw = {"band": 4, "grid": 16, key: value}
+    with pytest.raises(ConfigInvalid, match=f"^{key}: unknown field$"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert f"{key}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_noise_sweep_config_is_valid():
@@ -209,6 +224,23 @@ def test_run_experiment_deterministic_outputs(tmp_path):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
+def test_a_tikhonov_sweep_without_delta_takes_delta_as_s(tmp_path):
+    """The schedule and the bound read one delta, s when the config gives
+    none: a config without delta writes the artifacts of one with delta = s,
+    and each row's bound and ratio are numbers."""
+    raw = {"band": 6, "grid": 16, "method": "tikhonov",
+           "reg": {"r": 0.0, "s": 1.5, "schedule": "optimal"}, "noise": {"eps": [0.01, 0.1]}}
+    trees = []
+    for name, reg in (("without", raw["reg"]), ("with", dict(raw["reg"], delta=1.5))):
+        run_experiment(ExperimentConfig.from_dict(dict(raw, reg=reg, output=str(tmp_path / name))))
+        trees.append({p.relative_to(tmp_path / name): p.read_bytes()
+                      for p in (tmp_path / name).rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+    rows = (tmp_path / "without" / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "eps,alpha,err_Hr,bound,ratio" and len(rows) == 3
+    assert all(np.isfinite([float(x) for x in row.split(",")]).all() for row in rows[1:])
+
+
 def test_strategy_bound_never_violated():
     rows = strategy_bound_experiment(
         eps_list=[1e-1, 1e-2, 1e-3], delta_list=[0.5, 1.0], K=6)
@@ -266,8 +298,6 @@ _PHANTOMS = st.one_of(
 _BAD = {
     "band": st.sampled_from([0, -1, True, 2.5, "2", 40]),
     "grid": st.sampled_from([0, 3, 1.5, None]),
-    "cover_radius": st.sampled_from([0, 1, "3", False]),
-    "weight": st.sampled_from(["flat", None]),
     "method": st.sampled_from(["fbp", 1]),
     "seed": st.sampled_from([-1.5, "x", None]),
     "error_norms": st.sampled_from([["a"], [float("nan")], 1.0]),
@@ -288,8 +318,6 @@ def _sweep_configs(draw):
     raw = {
         "band": band, "grid": draw(st.integers(2 * band + 2, 10)), "phantom": draw(_PHANTOMS),
         "method": draw(st.sampled_from(["slice", "filtered", "normalized", "sum", "tikhonov"])),
-        "weight": draw(st.sampled_from(["canonical", "height-decay"])),
-        "cover_radius": draw(st.one_of(st.none(), st.integers(band, 4))),
         "seed": draw(st.integers(0, 2**32)),
         "error_norms": draw(st.lists(_SMALL, max_size=2)),
         "noise": {"eps": draw(st.lists(st.floats(0, 0.5), max_size=2)), "t": draw(_SMALL),
@@ -354,18 +382,24 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
         assert np.isfinite(sinogram_norm(g, 0.0))
     except TorusRadonError:
         pass
-    # w = None is the `reconstruct` command's default rule for g's family
-    for method, rule in [(m, rule) for m in METHODS for rule in (w, None)]:
+    # every method reads the data rule of g's family, as `reconstruct` does
+    for method in METHODS:
         expected = tikhonov if method == "tikhonov" else f.coeffs
-        if rule is w and len(family) > len(members) and method in ("filtered", "normalized"):
-            with pytest.raises(DimensionMismatch):  # a rule is read only on its own family
-                METHODS[method](g, rule, {})
-            continue
         try:
-            rec = METHODS[method](g, rule, {"r": 0.0, "s": 1.0, "alpha": alpha})
+            rec = METHODS[method](g, {"r": 0.0, "s": 1.0, "alpha": alpha})
         except TorusRadonError:
             continue
-        assert np.max(np.abs(rec.coeffs - expected)[covered]) < 1e-10, (method, rule)
+        assert np.max(np.abs(rec.coeffs - expected)[covered]) < 1e-10, method
+    for invert in (invert_filtered, adjoint_normalized):  # an explicit rule w
+        if len(family) > len(members):
+            with pytest.raises(DimensionMismatch):  # a rule is read only on its own family
+                invert(g, w)
+            continue
+        try:
+            rec = invert(g, w)
+        except TorusRadonError:
+            continue
+        assert np.max(np.abs(rec.coeffs - f.coeffs)[covered]) < 1e-10, invert.__name__
     path = tmp_path_factory.mktemp("sino")
     try:
         write_sinogram(g, path)

@@ -105,7 +105,9 @@ def test_bad_params():
 
 # a parameter that is not finite is refused by name: a NaN disk centre once
 # gave an all-zero field, a NaN width or amplitude a misleading Hermitian
-# error, and an infinite amplitude a numpy RuntimeWarning
+# error, and an infinite amplitude a numpy RuntimeWarning; so are bumps whose
+# amplitudes sum past the float range at one centre (once three warnings and
+# the Hermitian error) or in the spectrum of two centres
 @pytest.mark.parametrize("kind, params, name", [
     ("disk", {"center": (math.nan, 0.5)}, "center"),
     ("disk", {"center": (0.5, math.inf)}, "center"),
@@ -116,6 +118,9 @@ def test_bad_params():
     ("multi-bump", {"bumps": [{"amplitude": math.inf}]}, "amplitude"),
     ("harmonic", {"frequencies": [(1, 2)], "amplitudes": [math.nan]}, "amplitudes"),
     ("harmonic", {"frequencies": [(1, 2)], "amplitudes": [-math.inf]}, "amplitudes"),
+    ("multi-bump", {"bumps": [{"amplitude": 1.7e308, "width": 0.3}] * 2}, "amplitude"),
+    ("multi-bump", {"bumps": [{"amplitude": 1.7e308, "width": 10.0, "center": c}
+                              for c in ((0.2, 0.2), (0.3, 0.3))]}, "amplitude"),
 ])
 def test_phantom_parameters_must_be_finite(kind, params, name):
     with warnings.catch_warnings():
