@@ -175,6 +175,11 @@ class ExperimentConfig:
         cfg = ExperimentConfig(**raw)  # the config keys are the field names
         if cfg.grid < 2 * cfg.band + 2:
             problems.append(f"grid: need an integer >= 2*band+2 = {2 * cfg.band + 2}")
+        for s in (s for s in cfg.error_norms if s > 0):
+            try:  # the largest H^s weight on the band is <k>^(2s) at k = (band, band)
+                (1.0 + 2 * cfg.band**2) ** s
+            except OverflowError:
+                problems.append(f"error_norms: the H^{s:g} weight (1 + 2*band^2)^s overflows a float")
         if cfg.method == "tikhonov":
             problems += [f"reg.{f}: required for the tikhonov method"
                          for f in "rs" if f not in cfg.reg]

@@ -213,14 +213,19 @@ def evaluate_at(f: TorusField, points: np.ndarray) -> np.ndarray:
 # --- norms -------------------------------------------------------------------
 
 def sobolev_norm(f: TorusField, s: float) -> float:
-    """H^s norm: sqrt of sum of <k>^(2s) |coeff(k)|^2 over the band."""
-    w = bracket_sq(f.n, f.K) ** float(s)
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+    """H^s norm: sqrt of sum of <k>^(2s) |coeff(k)|^2 over the band; a weight
+    past the float range adds 0 where |coeff|^2 is 0, so never a NaN."""
+    a2 = np.abs(f.coeffs) ** 2
+    with np.errstate(over="ignore"):
+        w = bracket_sq(f.n, f.K) ** float(s)
+        return float(np.sqrt(np.sum(np.multiply(w, a2, out=np.zeros_like(a2), where=a2 != 0))))
 
 
 def bessel_multiplier(f: TorusField, s: float) -> TorusField:
-    """Apply the Fourier multiplier <k>^s."""
-    return f.scaled_by(bracket_sq(f.n, f.K) ** (s / 2.0))
+    """Apply the Fourier multiplier <k>^s, taken as 0 where the coefficient
+    is 0 (an overflowing weight then gives no NaN, as in sobolev_norm)."""
+    with np.errstate(over="ignore"):
+        return f.scaled_by(np.where(f.coeffs != 0, bracket_sq(f.n, f.K) ** (s / 2.0), 0.0))
 
 
 def grid_lp_norm(values: np.ndarray, p) -> float:

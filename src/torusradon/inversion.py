@@ -1,7 +1,7 @@
 """Inversion paths: axis-integral slice reconstruction (a periodic
-midpoint quadrature on 2K + 1 nodes, one product per block of lines), adjoint
-and normal operators, filtered and normalized-weight inversion, and the
-filter-free hyperplane summation formula.
+midpoint quadrature on 2K + 1 nodes, exact on the band: the summation
+inverse), adjoint and normal operators, filtered and normalized-weight
+inversion, and the filter-free hyperplane summation formula.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import AxisDegenerate, DimensionMismatch, IncompleteCover
 from .fields import TorusField, band_frequencies, band_index, evaluate_at
 from .lattice import IntVec, PrimitiveDirection, _as_intvec
-from .sinogram import TorusSinogram, WeightRule, _check_rule, _data_weight, _dense, layout, scatter
+from .sinogram import TorusSinogram, WeightRule, _check_rule, _data_weight, scatter
 from .transforms import _midpoint_nodes
 
 
@@ -60,57 +60,14 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
     return complex(np.mean(vals * phase))
 
 
-# lines per product of reconstruct_slices: B and its samples are then at
-# most (2K + 1) x 1,024, however large the family
-_BLOCK_LINES = 1024
-
-
-def _read_back(P, P_back, rows, cols, width: int, values, mean) -> np.ndarray:
-    """One block of reconstruct_slices: B, of `width` lines, holds the
-    values at (rows, cols), and they come back from P_back @ (P @ B + mean).
-    Its two (2K + 1) x width arrays are freed on return, before the next
-    block is built."""
-    B = np.zeros((P.shape[1], width), dtype=np.complex128)
-    B[rows, cols] = values
-    samples = P @ B
-    samples += mean
-    np.matmul(P_back, samples, out=B)  # B now holds the coefficients read back
-    return B[rows, cols]
-
-
 def reconstruct_slices(g: TorusSinogram) -> TorusField:
-    """Full-field reconstruction through the axis integrals: the quadrature
-    of `slice_reconstruct_coeff` on its 2K + 1 nodes t, exact on the band,
-    as one product per block of `_BLOCK_LINES` lines. Column l of B holds
-    line l's coefficients at their axis frequencies; one phase matrix
-    P = e^{2 pi i k_axis t_j} samples every slice of the block plus the
-    shared mean as P @ B + mean, and every coefficient is read off
-    P^H (P @ B + mean) / (2K + 1). k = 0 is the average along the first
-    line's valid axis. Raises IncompleteCover if a band frequency has no
-    stored orthogonal line."""
+    """Full-field reconstruction through the axis integrals of
+    `slice_reconstruct_coeff`: their 2K + 1 nodes are exact at degree 2K, so
+    they return each stored value and the mean at k = 0, the summation
+    inverse. Raises IncompleteCover if a band frequency has no stored line."""
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
-    K = g.K
-    t = _midpoint_nodes(2 * K, None)  # the nodes of slice_reconstruct_coeff
-    _check_cover(_data_weight(g).normal_array, K)
-    index, offsets, _ = layout(g.members, K)
-    ks = band_frequencies(2, K)[:, index]
-    # the axis of _default_axis, entry by entry; the entries of a line are
-    # multiples of one primitive vector, so it is the same along the line
-    k_axis = np.where(np.abs(ks[0]) > np.abs(ks[1]), ks[0], ks[1]) + K
-    lines = np.repeat(np.arange(len(g.members)), np.diff(offsets))
-    P = np.exp(2j * np.pi * np.outer(t, np.arange(-K, K + 1)))
-    P_back = P.conj().T / t.size
-    coeffs = np.empty_like(g.values)
-    for lo in range(0, len(g.members), _BLOCK_LINES):
-        hi = min(lo + _BLOCK_LINES, len(g.members))
-        entries = slice(offsets[lo], offsets[hi])
-        coeffs[entries] = _read_back(P, P_back, k_axis[entries], lines[entries] - lo,
-                                     hi - lo, g.values[entries], g.mean)
-    first = slice(offsets[0], offsets[1])
-    axis = _default_axis((0, 0), PrimitiveDirection(g.members[0].basis[0]))
-    mean = np.mean(P[:, ks[axis, first] + K] @ g.values[first] + g.mean)
-    return TorusField(2, K, _dense(2, K, index, coeffs, mean))
+    return invert_sum(g)
 
 
 def adjoint(g: TorusSinogram, w: WeightRule) -> TorusField:

@@ -226,8 +226,8 @@ def read_pgm(path) -> tuple[np.ndarray, float, float]:
         lo, hi = float(parts["min"]), float(parts["max"])
         w, h = (int(t) for t in size.split())
         maxval = int(maxval)
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < maxval < 65536):
-            raise ValueError(f"bad scale min={lo}, max={hi} or maxval={maxval}")
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < maxval < 65536 and min(w, h) >= 1):
+            raise ValueError(f"bad scale min={lo}, max={hi}, maxval={maxval} or size {w} x {h}")
         raw = np.frombuffer(data, dtype=">u2").reshape(h, w)
     except OSError as e:
         raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e

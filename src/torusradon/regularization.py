@@ -21,8 +21,8 @@ def post_process(f: TorusField, s: float, alpha: float) -> TorusField:
         raise ParamViolation(f"need a finite s and a finite alpha >= 0, got s={s}, alpha={alpha}")
     if alpha == 0:
         return f
-    mult = 1.0 / (1.0 + alpha * bracket_sq(f.n, f.K) ** float(s))
-    return f.scaled_by(mult)
+    with np.errstate(over="ignore"):  # an inf weight smooths its k to 0, the limit
+        return f.scaled_by(1.0 / (1.0 + alpha * bracket_sq(f.n, f.K) ** float(s)))
 
 
 def _check_minimizer_params(r: float, s: float, alpha: float) -> None:
@@ -56,7 +56,8 @@ def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: 
     the rule's normal multiplier."""
     _check_minimizer_params(r, s, alpha)
     back = adjoint(g, w)
-    denom = w.normal_array + alpha * bracket_sq(g.n, g.K) ** float(s - r)
+    with np.errstate(over="ignore"):  # an inf penalty takes its k to 0, the limit
+        denom = w.normal_array + alpha * bracket_sq(g.n, g.K) ** float(s - r)
     return TorusField(g.n, g.K, back.coeffs / denom)
 
 

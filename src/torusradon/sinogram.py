@@ -399,7 +399,9 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
     g._check_compatible(h)
     w = w or _data_weight(g)
     _check_rule(g, w)
-    bs = bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s)
+    with np.errstate(over="ignore"):  # as in sobolev_norm: a zero term takes no weight
+        bs = np.where((g.values != 0) & (h.values != 0),
+                      bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s), 0.0)
     return complex(w.w2_zero.sum() * g.mean * np.conj(h.mean)
                    + np.sum(bs * w.w2 * g.values * np.conj(h.values)))
 

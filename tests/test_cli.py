@@ -92,6 +92,17 @@ def test_tikhonov_refuses_nonfinite_parameters(tmp_path, capsys, flag, value):
     assert not recon.exists()
 
 
+def test_tikhonov_with_an_overflowing_penalty_runs(tmp_path):
+    # <k>^800 passes the float range on most of the band; those frequencies
+    # reconstruct to 0 with no RuntimeWarning (which the suite makes an error)
+    field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
+    run(["phantom", "--band", "8", "--grid", "32", "--out", field])
+    run(["forward", "--field", field, "--out", sino])
+    assert run(["reconstruct", "--sinogram", sino, "--method", "tikhonov", "--s", "400",
+                "--out", recon]) == 0
+    assert recon.exists()
+
+
 def test_refused_grid_writes_no_file(tmp_path, capsys):
     field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
     run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])

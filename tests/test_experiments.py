@@ -151,6 +151,22 @@ def test_the_sweep_takes_its_family_and_rule_from_the_band(tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
+def test_an_error_norm_whose_weight_overflows_is_refused(tmp_path, capsys):
+    # at band 4 the largest weight is 33^s, finite up to s = 203; past it the
+    # H^s error would be NaN or inf however small the error is
+    raw = {"band": 4, "grid": 16, "method": "filtered", "error_norms": [0.0, 400.0]}
+    with pytest.raises(ConfigInvalid, match=r"^error_norms: the H\^400 weight .* overflows"):
+        ExperimentConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "error_norms" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    cfg = ExperimentConfig.from_dict(raw | {"error_norms": [0.0, 200.0, -1000.0]})
+    assert all(np.isfinite(v) for v in run_experiment(cfg)[0].errors.values())
+
+
 def test_the_noise_sweep_config_is_valid():
     path = Path(__file__).resolve().parent.parent / "scripts" / "noise_sweep.json"
     cfg = ExperimentConfig.from_dict(ExperimentConfig.json_file(path))

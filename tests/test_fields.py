@@ -10,7 +10,9 @@ from torusradon.fields import (
     TorusField,
     band_frequencies,
     band_index,
+    bessel_multiplier,
     bessel_norm,
+    bracket_sq,
     evaluate_at,
     field_from_coeffs,
     random_field,
@@ -107,6 +109,28 @@ def test_sobolev_norm_examples():
         assert sobolev_norm(f, s) == pytest.approx(3.0)
     g = unit_harmonic(2, 2, (1, 0))
     assert sobolev_norm(g, 2.0) == pytest.approx(2.0)
+
+
+def test_sobolev_norm_of_an_overflowing_weight(rng):
+    # <k>^800 passes the float range from |k|^2 = 5 on; those weights meet
+    # zero coefficients, so they add 0, not inf * 0 = NaN, and no warning
+    assert sobolev_norm(unit_harmonic(2, 4, (1, 0)), 400.0) == 2.0**200
+    assert sobolev_norm(unit_harmonic(2, 4, (2, 1)), 400.0) == np.inf
+    # every finite norm is the plain sum of the same terms, bit for bit
+    f = random_field(2, 4, rng)
+    for s in (-1.0, 0.0, 1.0, 2.5, 40.0):
+        plain = np.sqrt(np.sum(bracket_sq(2, 4) ** s * np.abs(f.coeffs) ** 2))
+        assert sobolev_norm(f, s) == float(plain)
+
+
+def test_bessel_norm_of_an_overflowing_weight(rng):
+    # the <k>^800 multiplier passes the float range where the coefficients
+    # are 0; the multiplied field is 0 there, not NaN
+    f = unit_harmonic(2, 4, (1, 0))
+    assert bessel_norm(f, 800.0, 1, 16) == pytest.approx(2.0**400, rel=1e-15)
+    g = random_field(2, 4, rng)
+    for s in (-1.0, 2.5, 40.0):
+        assert np.array_equal(bessel_multiplier(g, s).coeffs, g.coeffs * bracket_sq(2, 4) ** (s / 2))
 
 
 def test_parseval(rng):

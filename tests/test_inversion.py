@@ -167,13 +167,28 @@ def test_reconstruct_slices_matches_per_frequency_oracle(rng):
     from torusradon.bridge import bridge_ingest, disk_sinogram
     from torusradon.experiments import add_noise
 
-    K = 16
+    for K in (0, 1, 2, 16):
+        f, g, _ = planar_setup(K, rng)
+        cover = direction_cover(K)
+        bridged = bridge_ingest(disk_sinogram(cover, 256, 0.2), cover, K)
+        for data in (add_noise(g, 0.3, 0.0, 2024), bridged):
+            got = reconstruct_slices(data).coeffs
+            assert np.max(np.abs(got - slices_oracle(data).coeffs)) < 1e-13
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 16, 32])
+def test_reconstruct_slices_is_the_summation_inverse(rng, K):
+    # the 2K + 1 nodes are exact at degree 2K, so the quadrature returns
+    # every stored value and the mean: no rounding is left to differ
+    from torusradon.bridge import bridge_ingest, disk_sinogram
+    from torusradon.experiments import add_noise
+
     f, g, _ = planar_setup(K, rng)
     cover = direction_cover(K)
     bridged = bridge_ingest(disk_sinogram(cover, 256, 0.2), cover, K)
     for data in (add_noise(g, 0.3, 0.0, 2024), bridged):
-        got = reconstruct_slices(data).coeffs
-        assert np.max(np.abs(got - slices_oracle(data).coeffs)) < 1e-13
+        assert np.array_equal(reconstruct_slices(data).coeffs, invert_sum(data).coeffs)
+    assert np.array_equal(reconstruct_slices(g).coeffs, f.coeffs)
 
 
 def test_reconstruct_slices_incomplete_cover(rng):
@@ -216,7 +231,7 @@ def test_reconstruct_slices_at_scale(rng):
     rec = reconstruct_slices(g)
     elapsed = time.perf_counter() - start
     assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-12
-    assert elapsed < 0.5  # five products over blocks of the 5,040 lines
+    assert elapsed < 0.5  # one scatter of the 5,040 lines' values
     tracemalloc.start()
     try:
         rec = reconstruct_slices(g)
@@ -224,7 +239,7 @@ def test_reconstruct_slices_at_scale(rng):
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-12
-    assert peak < 8e6  # blocks of 1,024 lines; one (2K + 1) x 5,040 pair held 22 MB
+    assert peak < 8e6  # the stored values and the result; a (2K + 1) x 5,040 pair held 22 MB
 
 
 def test_reconstruct_slices_peak_memory(rng):

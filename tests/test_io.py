@@ -266,6 +266,9 @@ def test_pgm_truncation_parses_or_raises_corrupt_input(tmp_path_factory, cut):
     b"P5\n# linear scale min=0 max=1\n1\n65535\n\x00\x00",     # one dimension
     b"P5\n# linear scale min=0 max=1\n1 1\n65535\n\x00",        # odd payload
     b"P5\n# \xff\n1 1\n65535\n\x00\x00",                        # not ascii
+    b"P5\n# linear scale min=0 max=1\n1 -1\n65535\n\x00\x00",    # negative height
+    b"P5\n# linear scale min=0 max=1\n-1 1\n65535\n\x00\x00",    # negative width
+    b"P5\n# linear scale min=0 max=1\n0 1\n65535\n",             # zero width
 ])
 def test_pgm_rejects_corrupt_bytes(tmp_path, data):
     path = tmp_path / "bad.pgm"

@@ -6,6 +6,7 @@ import pytest
 from torusradon.errors import DimensionMismatch, IncompleteCover, ParamViolation
 from torusradon.fields import (
     TorusField,
+    bracket_sq,
     field_from_coeffs,
     orthogonality_mask,
     random_field,
@@ -43,6 +44,21 @@ def test_post_process_point_values():
     out = post_process(f, 1.0, 1.0)
     assert out.coeff((0, 0)) == pytest.approx(0.5)
     assert out.coeff((1, 0)) == pytest.approx(1.0 / 3.0)
+
+
+def test_an_overflowing_weight_smooths_its_frequency_to_zero(rng):
+    # (1 + |k|^2)^400 passes the float range from |k|^2 = 5 on: 1 / (1 + inf)
+    # is 0, the exact limit, with no warning
+    K = 4
+    f = random_field(2, K, rng)
+    w = bracket_sq(2, K)
+    kept = w <= 5.0
+    out = post_process(f, 400.0, 0.5)
+    assert np.all(out.coeffs[~kept] == 0)
+    assert np.array_equal(out.coeffs[kept], f.coeffs[kept] * (1.0 / (1.0 + 0.5 * w[kept] ** 400.0)))
+    rec = tikhonov_reconstruct(forward_sinogram(f, direction_cover(K)), 0.0, 400.0, 0.5)
+    assert np.all(rec.coeffs[~kept] == 0)
+    assert np.all(np.isfinite(rec.coeffs)) and np.count_nonzero(rec.coeffs[kept]) == kept.sum()
 
 
 @pytest.mark.parametrize("s, alpha", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.5)])

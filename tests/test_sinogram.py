@@ -296,6 +296,23 @@ def test_sinogram_inner_generates_norm(rng):
     assert np.sqrt(ip.real) == pytest.approx(sinogram_norm(g, 1.0, w), abs=1e-12)
 
 
+def test_sinogram_norm_of_an_overflowing_weight(rng):
+    # as sobolev_norm: <k>^800 overflows from |k|^2 = 5 on, but only on
+    # values that are 0, which add 0 with no warning
+    K = 4
+    cover = direction_cover(K)
+    assert sinogram_norm(forward_sinogram(unit_harmonic(2, K, (1, 0)), cover), 400.0) == 2.0**200
+    # every finite inner product is the plain sum of the same terms, bit for bit
+    g = forward_sinogram(random_field(2, K, rng), cover)
+    h = g.without_mean()
+    bs = bracket_sq(2, K).ravel()[layout(g.members, K)[0]]
+    w = canonical_weight(cover, K)
+    for s in (-1.0, 0.0, 2.5, 40.0):
+        plain = w.w2_zero.sum() * g.mean * np.conj(h.mean) + np.sum(
+            bs ** s * w.w2 * g.values * np.conj(h.values))
+        assert sinogram_inner(g, h, s, w) == complex(plain)
+
+
 def test_norm_axioms_p_l_combinations(rng):
     K = 2
     cover = direction_cover(K)
