@@ -18,9 +18,12 @@ Dirichlet kernel per Fourier mode of P. The window matters: it cuts off
 the interpolant's Gibbs tail outside the support, which an unwindowed
 Fourier-slice evaluation keeps.
 
-`bridge_ingest` treats every (direction, m) pair of the family as one row
-and sums the kernels of all rows in one batched pass over small chunks of
-rows, so its memory does not grow with the family.
+`bridge_ingest` treats every (direction, m) pair of the family as one row.
+A row's real kernel depends only on (|v|^2, N, Q, m), so rows that share
+those four share one kernel row: the rows are taken in that key's order, in
+small chunks, and each chunk builds each of its distinct kernels once and
+reduces all its rows in one batched real matmul. Memory does not grow with
+the family.
 """
 
 from __future__ import annotations
@@ -109,22 +112,35 @@ def disk_sinogram(directions, n_offsets: int, radius: float,
     return EuclideanSinogram(dirs, n_offsets, values, radius, tuple(center))
 
 
-# rows of Dirichlet kernels built per pass: each pass's temporaries stay a
-# few hundred kB, so the call's memory does not grow with the family, and
-# larger chunks measured slower (192 rows at K = 16: 1.3x the time, 2.6 MB peak)
-_CHUNK_ROWS = 48
+# rows of the family reduced per pass: each pass's temporaries stay a few
+# hundred kB, so the call's memory does not grow with the family. A larger
+# chunk splits fewer runs of rows that share a kernel, but its gathered
+# spectra grow with it: at K = 16 and 32, 64 rows measured within 3 % of the
+# fastest size (0.87 and 1.26 MB peak), and 96 and 128 rows peaked at 1.7 and
+# 2.0 MB at K = 32
+_CHUNK_ROWS = 64
 
 
-def _symmetric_spectra(samples: np.ndarray) -> np.ndarray:
-    """c_f for the 1-periodic trigonometric interpolant of each row of
-    uniform real samples, f = -floor(N/2) .. floor(N/2), with
-    c_-f = conj(c_f); for even N the Nyquist mode is split in half between
-    f = +-N/2."""
-    N = samples.shape[1]
-    half = np.fft.rfft(samples) / N
+def _symmetric_spectra(samples: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """z_f = c_f exp(i theta f) for the coefficients c_f of the 1-periodic
+    trigonometric interpolant of each row of uniform real samples, one theta
+    per row, f = -floor(N/2) .. floor(N/2). z_-f = conj(z_f); for even N the
+    Nyquist mode is split in half between f = +-N/2. The phase is the product
+    of two short tables, exp(i theta w p) exp(i theta r) for f = w p + r,
+    0 <= r < w ~ sqrt(N/2): about sqrt(2N) exp calls per row instead of N + 1."""
+    rows, N = samples.shape
+    F = N // 2
+    half = np.fft.rfft(samples, norm="forward")
     if N % 2 == 0:
         half[:, -1] /= 2.0
-    return np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+    w = math.isqrt(F) + 1
+    t = theta[:, None]
+    coarse, fine = np.exp(1j * t * (w * np.arange(F // w + 1))), np.exp(1j * t * np.arange(w))
+    z = np.empty((rows, 2 * F + 1), np.complex128)
+    np.multiply(half, (coarse[:, :, None] * fine[:, None]).reshape(rows, -1)[:, :F + 1],
+                out=z[:, F:])
+    np.conjugate(z[:, :F:-1], out=z[:, :F])
+    return z
 
 
 def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
@@ -138,14 +154,19 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     S = q_lo + q_hi, Q = q_hi - q_lo + 1, and its limit Q where
     sin(pi a) = 0 (f = m|v|, which integer |v| allows).
 
-    Each (direction, m) pair, 0 <= m <= m_max, is one row. The rows are
-    summed in chunks of `_CHUNK_ROWS`, each with one rfft over its
-    directions' profiles and one row-wise reduction against their spectra;
-    the phase exp(i pi S a) = exp(i pi S h f) exp(-i pi S h m|v|) is applied
-    once per direction and once per row. One gather then fills the family's
-    flat layout, with g(-m) = conj(g(m)) since the profile is real. The
-    shared mean is the equal-weight average of the real m = 0 values, summed
-    in sorted subspace order.
+    Each (direction, m) pair, 0 <= m <= m_max, is one row. The phase
+    exp(i pi S a) = exp(i pi S h f) exp(-i pi S h m|v|) goes to the
+    direction's spectrum and to the row; what is left, the real kernel
+    sin(pi Q a) / sin(pi a), depends only on (|v|^2, N, Q, m), with
+    h = 1 / (N |v|) and N = max(2 m_max + 2, n_offsets). The rows are taken
+    in the order of that key, member order breaking ties, in chunks of
+    `_CHUNK_ROWS`: each chunk builds each of its distinct kernels once, takes
+    one rfft over its directions' profiles, and reduces every row with one
+    batched real matmul of its kernel against the (F, 2) float view of its
+    direction's phased spectrum, F = 2 floor(n_offsets / 2) + 1 modes. One
+    gather then fills the family's flat layout, with g(-m) = conj(g(m))
+    since the profile is real. The shared mean is the equal-weight average
+    of the real m = 0 values, summed in sorted subspace order.
     """
     rho = sino.support_radius
     members = canonical_family(family)
@@ -165,27 +186,45 @@ def bridge_ingest(sino: EuclideanSinogram, family, K: int) -> TorusSinogram:
     m_max = K // np.maximum(np.abs(v1), np.abs(v2))
     # quadrature grid no coarser than the stored offsets, so it adds no
     # aliasing beyond the offset grid's own
-    h = 1.0 / (np.maximum(2 * m_max + 2, sino.n_offsets) * speed)
+    N = np.maximum(2 * m_max + 2, sino.n_offsets)
+    h = 1.0 / (N * speed)
     q_lo, q_hi = np.ceil((c_v - rho) / h), np.floor((c_v + rho) / h)
     S, Q = q_lo + q_hi, q_hi - q_lo + 1
+    theta = np.pi * S * h
     # direction i owns rows start[i] + m, m = 0..m_max[i]
     owner = np.repeat(np.arange(len(members)), m_max + 1)
     start = np.cumsum(m_max + 1) - (m_max + 1)
-    nu = (np.arange(owner.size) - start[owner]) * speed[owner]
+    m = np.arange(owner.size) - start[owner]
+    nu = m * speed[owner]
+    # rows in kernel-key order; shared[j]: row order[j] has the key of the one before
+    key = np.stack([norm_sq[owner], N[owner], Q[owner], m])
+    order = np.lexsort(key[::-1])
+    key = key[:, order]
+    shared = np.zeros(order.size, bool)
+    shared[1:] = (key[:, 1:] == key[:, :-1]).all(axis=0)
     f = np.arange(-(sino.n_offsets // 2), sino.n_offsets // 2 + 1)
     g = np.empty(owner.size, np.complex128)
-    for lo in range(0, owner.size, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        i = owner[rows]
-        d = slice(i[0], i[-1] + 1)  # the chunk's directions
-        c = _symmetric_spectra(sino.values[profile[d]])
-        c *= np.exp(1j * np.pi * S[d, None] * h[d, None] * f)
-        a = (f - nu[rows, None]) * h[i, None]
+    for lo in range(0, order.size, _CHUNK_ROWS):
+        rows = order[lo:lo + _CHUNK_ROWS]
+        new = ~shared[lo:lo + _CHUNK_ROWS]
+        new[0] = True
+        u = rows[new]  # one row per distinct kernel of the chunk
+        iu = owner[u]
+        a = (f - nu[u, None]) * h[iu, None]
         den = np.sin(np.pi * a)
-        ratio = np.divide(np.sin(np.pi * Q[i, None] * a), den,
-                          out=np.broadcast_to(Q[i, None], a.shape).copy(), where=den != 0)
-        phase = np.exp(-1j * np.pi * S[i] * h[i] * nu[rows])
-        g[rows] = h[i] * phase * np.einsum("rf,rf->r", ratio, c[i - i[0]])
+        ratio = np.divide(np.sin(np.pi * Q[iu, None] * a), den,
+                          out=np.broadcast_to(Q[iu, None], a.shape).copy(), where=den != 0)
+        # the chunk's directions d, row j's at d[at[j]] (np.unique gave the
+        # bridge-k16 benchmark 0.5 MB more peak RSS)
+        i = owner[rows]
+        chunk = np.zeros(len(members), bool)
+        chunk[i] = True
+        d = np.flatnonzero(chunk)
+        at = np.cumsum(chunk)[i] - 1
+        z = _symmetric_spectra(sino.values[profile[d]], theta[d])
+        z = z.view(np.float64).reshape(d.size, f.size, 2)
+        s = np.matmul(ratio[np.cumsum(new) - 1, None], z[at]).view(np.complex128)[:, 0, 0]
+        g[rows] = h[i] * np.exp(-1j * theta[i] * nu[rows]) * s
     k1, k2 = band_frequencies(2, K)[:, index]
     # k = m (-v2, v1) on the support; pick each entry's m from its k
     i = np.repeat(np.arange(len(members)), np.diff(offsets))

@@ -67,10 +67,16 @@ def orthogonality_mask(A: RationalSubspace, K: int) -> np.ndarray:
 def is_hermitian(coeffs: np.ndarray) -> bool:
     """coeff(-k) == conj(coeff(k)) up to HERMITIAN_TOL x max(1, max |coeff|);
     on a flat band array too, since k -> -k reverses flat order (a slice
-    block included; an empty one is Hermitian)."""
+    block included; an empty one is Hermitian). A coefficient that is not
+    finite must equal its mirror exactly and is then left out of the rest."""
     flipped = coeffs[(slice(None, None, -1),) * coeffs.ndim]
-    scale = max(1.0, float(np.max(np.abs(coeffs), initial=0.0)))
-    return float(np.max(np.abs(coeffs - np.conj(flipped)), initial=0.0)) <= HERMITIAN_TOL * scale
+    top = float(np.max(np.abs(coeffs), initial=0.0))
+    if not top < np.inf:
+        finite = np.isfinite(coeffs)
+        return bool(np.all(coeffs[~finite] == np.conj(flipped[~finite]))) and is_hermitian(
+            np.where(finite, coeffs, 0))
+    gap = float(np.max(np.abs(coeffs - np.conj(flipped)), initial=0.0))
+    return gap <= HERMITIAN_TOL * max(1.0, top)
 
 
 @dataclass(frozen=True)
@@ -125,11 +131,24 @@ class TorusField:
     __rmul__ = __mul__
 
     def scaled_by(self, multiplier: np.ndarray) -> "TorusField":
-        """Apply a (conjugation-symmetric) real Fourier multiplier."""
-        return TorusField(self.n, self.K, self.coeffs * multiplier, self.real)
+        """Apply a (conjugation-symmetric) real Fourier multiplier, to the
+        real and imaginary parts separately (`weigh_parts`)."""
+        return TorusField(self.n, self.K, weigh_parts(multiplier, self.coeffs), self.real)
 
     def mean(self) -> complex:
         return self.coeff((0,) * self.n)
+
+
+def weigh_parts(weight: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A real weight times complex z, applied to the real and imaginary parts
+    separately: a zero part takes no weight, as a zero term does in
+    sobolev_norm, so an infinite weight gives +-inf or 0 in each part, never
+    the NaN of (inf + 0j) z. Equal to weight * z wherever that is finite."""
+    out = np.zeros(np.broadcast_shapes(np.shape(weight), z.shape), np.complex128)
+    with np.errstate(over="ignore"):
+        np.multiply(weight, z.real, out=out.real, where=z.real != 0)
+        np.multiply(weight, z.imag, out=out.imag, where=z.imag != 0)
+    return out
 
 
 def zero_field(n: int, K: int, real: bool = False) -> TorusField:
@@ -222,20 +241,22 @@ def sobolev_norm(f: TorusField, s: float) -> float:
 
 
 def bessel_multiplier(f: TorusField, s: float) -> TorusField:
-    """Apply the Fourier multiplier <k>^s, taken as 0 where the coefficient
-    is 0 (an overflowing weight then gives no NaN, as in sobolev_norm)."""
+    """Apply the Fourier multiplier <k>^s; a zero part of a coefficient takes
+    no weight, so an overflowing weight gives no NaN, as in sobolev_norm."""
     with np.errstate(over="ignore"):
-        return f.scaled_by(np.where(f.coeffs != 0, bracket_sq(f.n, f.K) ** (s / 2.0), 0.0))
+        return f.scaled_by(bracket_sq(f.n, f.K) ** (s / 2.0))
 
 
 def grid_lp_norm(values: np.ndarray, p) -> float:
     """Discrete L^p norm on the unit torus: Riemann sum for finite p,
-    max for p = inf."""
+    max for p = inf. The sum is taken on |values| / max |values|, so a norm
+    whose p-th power passes the float range stays finite."""
     a = np.abs(values)
-    if p == np.inf or p == "inf":
-        return float(np.max(a))
+    m = np.max(a)
+    if p == np.inf or p == "inf" or not 0 < m < np.inf:
+        return float(m)
     p = float(p)
-    return float((np.mean(a**p)) ** (1.0 / p))
+    return float(m * np.mean((a / m) ** p) ** (1.0 / p))
 
 
 def bessel_norm(f: TorusField, s: float, p, N: int | None = None) -> float:
@@ -247,4 +268,8 @@ def bessel_norm(f: TorusField, s: float, p, N: int | None = None) -> float:
     if N is None:
         N = 2 * f.K + 2
     _require_grid(N, f.K)
-    return grid_lp_norm(to_samples(bessel_multiplier(f, s), N), p)
+    g = bessel_multiplier(f, s)
+    # ||f||_p >= |f^(k)| for p >= 1, and the grid of an inf coefficient is NaN
+    if float(p) >= 1 and not np.isfinite(g.coeffs).all():
+        return np.inf
+    return grid_lp_norm(to_samples(g, N), p)

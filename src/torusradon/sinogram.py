@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, WeightUndefined
 from .fields import (TorusField, band_frequencies, band_index, bessel_norm, bracket_sq, frozen,
-                     orthogonality_mask, unit_harmonic)
+                     grid_lp_norm, orthogonality_mask, unit_harmonic, weigh_parts)
 from .lattice import PrimitiveDirection, RationalSubspace, _as_intvec, enumerate_grassmannian, line
 
 CANONICAL = "canonical-singleton"
@@ -383,14 +383,14 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     _check_rule(g, w)
     wk, w0 = np.sqrt(w.w2), np.sqrt(w.w2_zero)
     index, offsets, _ = layout(g.members, g.K)
-    vals = wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0) * g.values
+    with np.errstate(over="ignore"):
+        vals = weigh_parts(wk * bracket_sq(g.n, g.K).ravel()[index] ** (float(s) / 2.0), g.values)
     dense = (_dense(g.n, g.K, index[lo:hi], vals[lo:hi], c * g.mean)
              for lo, hi, c in zip(offsets, offsets[1:], w0))
     a = np.array([bessel_norm(TorusField(g.n, g.K, arr), 0.0, p, N) for arr in dense])
-    if l == np.inf or l == "inf":
-        return float(a.max()) if a.size else 0.0
-    l = float(l)
-    return float((a**l).sum() ** (1.0 / l))
+    # the l-sum over the members: a.size times grid_lp_norm's mean, which
+    # stays finite where the l-th powers pass the float range
+    return float(grid_lp_norm(a, l) * a.size ** (1.0 / float(l)))
 
 
 def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
@@ -399,11 +399,16 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
     g._check_compatible(h)
     w = w or _data_weight(g)
     _check_rule(g, w)
-    with np.errstate(over="ignore"):  # as in sobolev_norm: a zero term takes no weight
-        bs = np.where((g.values != 0) & (h.values != 0),
-                      bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s), 0.0)
-    return complex(w.w2_zero.sum() * g.mean * np.conj(h.mean)
-                   + np.sum(bs * w.w2 * g.values * np.conj(h.values)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wk = bracket_sq(g.n, g.K).ravel()[layout(g.members, g.K)[0]] ** float(s) * w.w2
+        terms = wk * g.values * np.conj(h.values)
+    # a term past the float range weighs the parts of g conj(h) one by one, so
+    # a zero part takes no weight, as a zero term does in sobolev_norm
+    out = ~np.isfinite(terms)
+    if out.any():
+        with np.errstate(over="ignore"):
+            terms[out] = weigh_parts(wk[out], g.values[out] * np.conj(h.values[out]))
+    return complex(w.w2_zero.sum() * g.mean * np.conj(h.mean) + np.sum(terms))
 
 
 def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],

@@ -171,8 +171,14 @@ def strand_sum_oracle(sino, family, K):
         weights[0] = 1.0
         if M % 2 == 0:
             weights[-1] = 1.0
-        phases = np.exp(2j * np.pi * np.outer(points, np.arange(coeffs.shape[0])))
-        return (phases @ (weights * coeffs)).real
+        # mode 16 p + r: sum_p exp(2 pi i 16 p x) sum_r c[p, r] exp(2 pi i r x),
+        # so each point takes one exp per p and per r, not one per mode
+        c = np.zeros(-(-coeffs.shape[0] // 16) * 16, complex)
+        c[:coeffs.shape[0]] = weights * coeffs
+        c = c.reshape(-1, 16)
+        fine = np.exp(2j * np.pi * np.outer(points, np.arange(16))) @ c.T
+        coarse = np.exp(2j * np.pi * np.outer(points, 16 * np.arange(c.shape[0])))
+        return np.einsum("xp,xp->x", coarse, fine).real
 
     rho, out = sino.support_radius, {}
     for v in family:
@@ -231,6 +237,26 @@ def test_closed_form_matches_strand_loop_on_cover_32():
 ])
 def test_closed_form_matches_strand_loop_edge_cases(n_offsets, center):
     assert oracle_defect(16, n_offsets, center) < 1e-13
+
+
+# |v|^2 = 65 for all six, but at K = 14 m_max is 1 for (1, 8) and 2 for (4, 7)
+SHARED_LENGTH = [primitive_reduce(v) for v in [(1, 8), (4, 7), (8, 1), (7, 4), (1, -8), (4, -7)]]
+
+
+@pytest.mark.parametrize("sino", [
+    # N = 2 m_max + 2: 4 for (1, 8) and 6 for (4, 7)
+    disk_sinogram(SHARED_LENGTH, 4, 0.2, (0.55, 0.43)),
+    # N = 16 for both, and the off-centre disk gives (1, 8) Q = 52 and
+    # (4, 7) Q = 51: a kernel shared without Q reads the wrong row
+    disk_sinogram(SHARED_LENGTH, 16, 0.2, (0.55, 0.43)),
+    # support radius 0.05: (8, 1) with N = 4 and (4, -7) with N = 6 both hold
+    # Q = 4 points, so a kernel shared without N reads the wrong row. A disk
+    # that small misses most of 4 offsets, so the profiles are random.
+    EuclideanSinogram(tuple(SHARED_LENGTH), 4, np.random.default_rng(65).standard_normal((6, 4)),
+                      0.05, (0.55, 0.43)),
+], ids=["disk-4-offsets", "disk-16-offsets", "random-4-offsets"])
+def test_closed_form_matches_strand_loop_where_rows_share_a_length(sino):
+    assert ingest_defect(sino, SHARED_LENGTH, 14) < 1e-13
 
 
 def test_ingest_reads_rows_by_direction_not_position():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from torusradon.fields import (
     bracket_sq,
     evaluate_at,
     field_from_coeffs,
+    is_hermitian,
     random_field,
     sobolev_norm,
     to_coefficients,
@@ -131,6 +133,37 @@ def test_bessel_norm_of_an_overflowing_weight(rng):
     g = random_field(2, 4, rng)
     for s in (-1.0, 2.5, 40.0):
         assert np.array_equal(bessel_multiplier(g, s).coeffs, g.coeffs * bracket_sq(2, 4) ** (s / 2))
+
+
+def test_an_infinite_weighted_coefficient_gives_an_infinite_norm():
+    # <k>^800 = 6^400 passes the float range at k = (2, 1): the coefficient
+    # 1 + 0j weighs to inf + 0j, and ||f||_p >= |f^(k)| for p >= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (unit_harmonic(2, 4, (2, 1)),
+                  field_from_coeffs(2, 4, {(2, 1): 1.0, (-2, -1): 1.0}, real=True)):
+            weighted = bessel_multiplier(f, 800.0)
+            assert weighted.coeff((2, 1)) == complex(np.inf, 0.0)
+            assert weighted.coeff((1, 1)) == 0
+            for p in (1, 3, np.inf, "inf"):
+                assert bessel_norm(f, 800.0, p, 16) == np.inf
+
+
+def test_a_p_norm_whose_power_passes_the_float_range_stays_finite():
+    # |2^400 e(x)|^4 = 2^1600 overflows; the norm itself is 2^400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = bessel_norm(unit_harmonic(2, 4, (1, 0)), 800.0, 4, 16)
+    assert np.isfinite(norm)
+    assert norm == pytest.approx(2.0**400, rel=1e-12)
+
+
+def test_hermitian_check_with_infinite_coefficients():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_hermitian(np.array([np.inf - 1j, 2.0, np.inf + 1j]))
+        assert not is_hermitian(np.array([np.inf + 0j, 2.0, -np.inf]))
+        assert not is_hermitian(np.array([np.inf + 0j, 2.0, 5.0]))
 
 
 def test_parseval(rng):

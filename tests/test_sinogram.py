@@ -313,6 +313,21 @@ def test_sinogram_norm_of_an_overflowing_weight(rng):
         assert sinogram_inner(g, h, s, w) == complex(plain)
 
 
+def test_an_overflowing_weight_on_a_nonzero_value_gives_inf_not_nan():
+    # <k>^800 = 6^400 at k = (2, 1) meets the value 1 + 0j: each part takes
+    # the weight alone, so the inner product is inf + 0j, not (inf + 0j)(1 + 0j)
+    K = 4
+    g = forward_sinogram(unit_harmonic(2, K, (2, 1)), direction_cover(K))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ip = sinogram_inner(g, g, 400.0)
+        assert ip.real == np.inf and ip.imag == 0.0
+        # 6^200 is finite, but its square passes the float range in the l-sum
+        base = sinogram_norm(g, 0.0, p=3)
+        for l in (1, 2, np.inf):
+            assert sinogram_norm(g, 400.0, p=3, l=l) == pytest.approx(6.0**200 * base, rel=1e-12)
+
+
 def test_norm_axioms_p_l_combinations(rng):
     K = 2
     cover = direction_cover(K)
