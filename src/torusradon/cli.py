@@ -5,6 +5,11 @@ A sweep is set by its JSON config alone; `sweep --output` names where its
 artifacts go. The output root can also come from the TORUSRADON_OUT
 environment variable. Exit code 0 means every enabled invariant check
 passed.
+
+The argument parser is built once per process and shared by every `main`
+call (argparse keeps no state between parses). `main` runs the
+subcommand's `cmd_<name>` function looked up in this module when it is
+called, so a function replaced here after the first call is the one run.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 from .bridge import bridge_ingest, disk_sinogram, sinogram_from_csv, sinogram_to_csv
@@ -155,6 +161,7 @@ def _int_at_least(lo: int):
     return parse
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="torusradon",
                                 description="Tomography on flat tori: transforms, inversion, regularization")
@@ -167,13 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", type=int, default=128)
     q.add_argument("--out")
     q.add_argument("--image", help="also write a PGM rendering")
-    q.set_defaults(fn=cmd_phantom)
 
     q = sub.add_parser("forward", help="forward transform over a direction cover")
     q.add_argument("--field", required=True)
     q.add_argument("--cover", type=_int_at_least(0), help="cover radius (default: the field band)")
     q.add_argument("--out")
-    q.set_defaults(fn=cmd_forward)
 
     q = sub.add_parser("reconstruct", help="invert a stored sinogram")
     q.add_argument("--sinogram", required=True)
@@ -184,12 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--grid", type=int, default=128)
     q.add_argument("--out")
     q.add_argument("--image")
-    q.set_defaults(fn=cmd_reconstruct)
 
     q = sub.add_parser("sweep", help="run a configured experiment sweep")
     q.add_argument("--config", required=True)
     q.add_argument("--output", help="artifact directory; replaces the config's output")
-    q.set_defaults(fn=cmd_sweep)
 
     q = sub.add_parser("bridge", help="map Euclidean parallel-beam data onto the torus")
     q.add_argument("--csv", help="Euclidean sinogram CSV (angle_vx,angle_vy,offset,value)")
@@ -200,12 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--emit-csv", help="write the Euclidean sinogram the run used here "
                    "(the generated one, or the --csv input)")
     q.add_argument("--out")
-    q.set_defaults(fn=cmd_bridge)
 
     q = sub.add_parser("selftest", help="run the invariant battery")
     q.add_argument("--out", help="write deterministic report artifacts here")
     q.add_argument("--seed", type=_int_at_least(0), default=20190614)
-    q.set_defaults(fn=cmd_selftest)
 
     return p
 
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (TorusRadonError, OSError, MemoryError) as e:  # an unwritable path, a band too large
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2

@@ -233,11 +233,17 @@ def evaluate_at(f: TorusField, points: np.ndarray) -> np.ndarray:
 
 def sobolev_norm(f: TorusField, s: float) -> float:
     """H^s norm: sqrt of sum of <k>^(2s) |coeff(k)|^2 over the band; a weight
-    past the float range adds 0 where |coeff|^2 is 0, so never a NaN."""
-    a2 = np.abs(f.coeffs) ** 2
+    past the float range adds 0 where |coeff|^2 is 0, so never a NaN. Only
+    where that sum passes the float range is the norm taken from the terms
+    <k>^s |coeff(k)| divided by the largest, so a finite norm reads finite."""
+    a = np.abs(f.coeffs)
     with np.errstate(over="ignore"):
-        w = bracket_sq(f.n, f.K) ** float(s)
-        return float(np.sqrt(np.sum(np.multiply(w, a2, out=np.zeros_like(a2), where=a2 != 0))))
+        w, a2 = bracket_sq(f.n, f.K) ** float(s), a**2
+        total = np.sum(np.multiply(w, a2, out=np.zeros_like(a2), where=a2 != 0))
+        if total < np.inf:
+            return float(np.sqrt(total))
+        t = np.multiply(bracket_sq(f.n, f.K) ** (float(s) / 2.0), a, out=np.zeros_like(a), where=a != 0)
+    return float(grid_lp_norm(t, 2) * np.sqrt(t.size))
 
 
 def bessel_multiplier(f: TorusField, s: float) -> TorusField:

@@ -15,6 +15,13 @@ Readers raise CorruptInput on malformed or unreadable files. A field or
 slice file is read whole on a raw descriptor (open, fstat, read to the
 end, close), and a header line is parsed once per distinct line, so the
 slice files of one sinogram, which share their header, parse it once.
+A sinogram directory is opened once per read or write, and meta.json,
+mean.txt and every slice file are opened relative to that descriptor;
+messages still name each file by its full path. What a family costs in
+text is paid once per process: its slice file names and serialized
+subspaces are cached per canonical family, and the subspaces a meta.json
+lists are parsed once per distinct list. The code is POSIX-only
+(dir_fd, O_DIRECTORY, ftruncate).
 """
 
 from __future__ import annotations
@@ -36,17 +43,18 @@ SINOGRAM_FORMAT = 2
 NAME_MAX = 255  # bytes in one file name on common file systems
 
 
-def write_in_place(path, data: bytes | str) -> None:
-    """Write data (a str as UTF-8) to path with os.write on a raw
-    descriptor, over the old bytes of an existing file, then cut a regular
-    file to the new length. One write call, unless the kernel writes short.
+def write_in_place(path, data: bytes | str, dir_fd: int | None = None) -> None:
+    """Write data (a str as UTF-8) to path (relative to the directory
+    descriptor dir_fd, if given) with os.write on a raw descriptor, over
+    the old bytes of an existing file, then cut a regular file to the new
+    length. One write call, unless the kernel writes short.
     A new file gets mode 0o666 & ~umask, as Path.write_bytes gives; targets
     that are not regular files, such as /dev/null, are never cut. A run
     killed before the cut can leave new bytes over an old tail; README
     "File formats" lists what the readers then refuse. No fsync."""
     if isinstance(data, str):
         data = data.encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666, dir_fd=dir_fd)
     try:
         done = os.write(fd, data)
         while done < len(data):  # the kernel wrote short
@@ -81,19 +89,27 @@ def _header_fields(head: bytes) -> tuple[int, int, bool]:
     return _typed(header, "n", int), _typed(header, "K", int), _typed(header, "real", bool)
 
 
-def _read_values(path) -> tuple[int, int, bool, bytes]:
-    """(n, K, real, payload bytes) of a field or slice file, its header
-    checked. The file is read on a raw descriptor in reads sized by its
-    length, so nothing past the file size plus one byte is asked for."""
+def _read_bytes(path, dir_fd: int | None = None) -> bytes:
+    """The whole file at path (relative to dir_fd, if given), read on a raw
+    descriptor in reads sized by its length, so nothing past the file size
+    plus one byte is asked for. OSError as os raises it."""
+    fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            size = os.fstat(fd).st_size + 1
-            blob = os.read(fd, size)  # EISDIR for a directory
-            while chunk := os.read(fd, size):
-                blob += chunk
-        finally:
-            os.close(fd)
+        size = os.fstat(fd).st_size + 1
+        blob = os.read(fd, size)  # EISDIR for a directory
+        while chunk := os.read(fd, size):
+            blob += chunk
+    finally:
+        os.close(fd)
+    return blob
+
+
+def _read_values(path, dir_fd: int | None = None, name=None) -> tuple[int, int, bool, bytes]:
+    """(n, K, real, payload bytes) of a field or slice file, its header
+    checked. With dir_fd, the file opened is name, relative to that
+    directory descriptor; messages name path either way."""
+    try:
+        blob = _read_bytes(path if dir_fd is None else name, dir_fd)
     except OSError as e:
         raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
     head, newline, raw = blob.partition(b"\n")
@@ -129,29 +145,53 @@ def _slice_filename(A: RationalSubspace) -> str:
     return "slice_" + "__".join("_".join(map(str, row)) for row in A.basis) + ".tfield"
 
 
+@lru_cache(maxsize=16)
+def _family_text(members: tuple) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(slice file names, serialize() strings) of a canonical family, in
+    member order, built once per family."""
+    return tuple(map(_slice_filename, members)), tuple(A.serialize() for A in members)
+
+
+@lru_cache(maxsize=16)
+def _parse_subspaces(texts: tuple) -> tuple[RationalSubspace, ...]:
+    """The subspaces a meta.json lists, in its order, parsed once per
+    distinct list; each string takes every check of RationalSubspace.parse,
+    and exceptions are not cached."""
+    return tuple(map(RationalSubspace.parse, texts))
+
+
 def write_sinogram(g: TorusSinogram, directory) -> None:
     """Write g into the directory; slice files of members g lacks, left by
     an earlier sinogram, are deleted first, so the files name g's family.
     A member whose slice file name would pass NAME_MAX is refused with
     DimensionMismatch before anything is made, deleted or written."""
-    names = {A: _slice_filename(A) for A in g.members}
-    for A, name in names.items():
+    names, texts = _family_text(g.members)
+    for A, name in zip(g.members, names):
         if len(name) > NAME_MAX:
             raise DimensionMismatch(f"the slice file name of an (n={A.n}, d={A.d}) subspace is "
                                     f"{len(name)} bytes, over the {NAME_MAX}-byte limit: "
                                     "the sinogram format cannot store it")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    listed = {name for name in os.listdir(d) if name.startswith("slice_") and name.endswith(".tfield")}
-    for stale in listed - set(names.values()):
-        os.unlink(os.path.join(d, stale))
-    meta = {"format": SINOGRAM_FORMAT, "n": g.n, "d": g.d, "K": g.K,
-            "subspaces": [A.serialize() for A in g.members]}
-    write_in_place(d / "meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    write_in_place(d / "mean.txt", f"{g.mean.real:.17g} {g.mean.imag:.17g}\n")
-    header = _header(g.n, g.K, False)
-    for A, block in g.blocks.items():
-        write_in_place(os.path.join(d, names[A]), header + g.values[block].astype("<c16").tobytes())
+    fd = os.open(d, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        listed = {name for name in os.listdir(fd) if name.startswith("slice_") and name.endswith(".tfield")}
+        for stale in listed.difference(names):
+            os.unlink(stale, dir_fd=fd)
+        meta = {"format": SINOGRAM_FORMAT, "n": g.n, "d": g.d, "K": g.K, "subspaces": list(texts)}
+        write_in_place("meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n", fd)
+        write_in_place("mean.txt", f"{g.mean.real:.17g} {g.mean.imag:.17g}\n", fd)
+        header = _header(g.n, g.K, False)
+        raw = g.values.astype("<c16", copy=False).tobytes()
+        offsets = layout(g.members, g.K)[1].tolist()
+        for name, lo, hi in zip(names, offsets, offsets[1:]):
+            write_in_place(name, header + raw[16 * lo : 16 * hi], fd)
+    except OSError as e:  # name the file by its full path, as a call on that path would
+        if isinstance(e.filename, str):
+            e.filename = os.path.join(d, e.filename)
+        raise
+    finally:
+        os.close(fd)
 
 
 def read_sinogram(directory) -> TorusSinogram:
@@ -159,9 +199,21 @@ def read_sinogram(directory) -> TorusSinogram:
     all values in one pass; no layout is built before a file confirms K."""
     d = Path(directory)
     try:
-        meta = json.loads((d / "meta.json").read_text())
+        fd = os.open(d, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as e:
+        raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
+    try:
+        return _read_sinogram_at(d, fd)
+    finally:
+        os.close(fd)
+
+
+def _read_sinogram_at(d: Path, fd: int) -> TorusSinogram:
+    """read_sinogram of the directory d, open as the descriptor fd."""
+    try:
+        meta = json.loads(_read_bytes("meta.json", fd).decode())
         n, dim, K = (_typed(meta, key, int) for key in ("n", "d", "K"))
-        members = [RationalSubspace.parse(text) for text in meta["subspaces"]]
+        members = _parse_subspaces(tuple(meta["subspaces"]))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, TorusRadonError) as e:
         raise CorruptInput(f"{d / 'meta.json'}: {e!r}") from e
     if meta.get("format") != SINOGRAM_FORMAT:
@@ -170,7 +222,7 @@ def read_sinogram(directory) -> TorusSinogram:
     if K < 0 or len(set(members)) != len(members) or {(A.n, A.d) for A in members} != {(n, dim)}:
         raise CorruptInput(f"{d / 'meta.json'}: need K >= 0 and 1+ distinct (n={n}, d={dim}) subspaces")
     try:
-        re, im = (d / "mean.txt").read_text().split()
+        re, im = _read_bytes("mean.txt", fd).decode().split()
         mean = complex(float(re), float(im))
     except OSError as e:
         raise CorruptInput(f"{d / 'mean.txt'}: cannot read: {e.strerror}") from e
@@ -181,8 +233,9 @@ def read_sinogram(directory) -> TorusSinogram:
     members = canonical_family(members)
     payloads, flagged = [], []
     prefix = os.path.join(d, "")  # d and a separator: the paths join as os.path.join does
-    for i, path in enumerate(prefix + _slice_filename(A) for A in members):
-        sn, sK, real, raw = _read_values(path)
+    for i, name in enumerate(_family_text(members)[0]):
+        path = prefix + name
+        sn, sK, real, raw = _read_values(path, fd, name)
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
         if i == 0:  # built only once a slice file has confirmed meta.json's band

@@ -376,9 +376,13 @@ def sinogram_norm(g: TorusSinogram, s: float, w: WeightRule | None = None,
     <k>^(2s) w(k,A)^2 |coeff|^2, which is the spec formula (the mean enters
     once because every slice shares it and the canonical rule normalizes
     W_0 to one); it is generated by sinogram_inner. With no rule given, w
-    is the data rule of g's family (`_data_weight`)."""
+    is the data rule of g's family (`_data_weight`). Where that sum passes
+    the float range, the per-slice path below, which scales its sums, gives
+    the same norm."""
     if p == 2 and l == 2:
-        return math.sqrt(sinogram_inner(g, g, s, w).real)
+        square = sinogram_inner(g, g, s, w).real
+        if square < np.inf:
+            return math.sqrt(square)
     w = w or _data_weight(g)
     _check_rule(g, w)
     wk, w0 = np.sqrt(w.w2), np.sqrt(w.w2_zero)

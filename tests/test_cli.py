@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusradon.cli import main
+from torusradon.cli import build_parser, main
 
 
 def run(args):
@@ -391,6 +391,35 @@ def test_a_flag_that_re_spells_a_setting_is_a_usage_error(capsys, argv):
         run(argv)
     assert exit_info.value.code == 2
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_no_parser_state_leaks_between_main_calls(tmp_path, capsys, monkeypatch):
+    # main shares one parser per process: a usage error, then a phantom,
+    # then a forward on one parser give the exit codes, output and files
+    # that each gives alone, on a parser of its own
+    argvs = [["phantom", "--band", "-1", "--out", "refused.tfield"],
+             ["phantom", "--kind", "harmonic", "--band", "4", "--grid", "12", "--out", "p.tfield"],
+             ["forward", "--field", "p.tfield", "--out", "sino"]]
+    runs = []
+    for alone in (False, True):
+        d = tmp_path / ("alone" if alone else "session")
+        d.mkdir()
+        monkeypatch.chdir(d)
+        build_parser.cache_clear()
+        outcomes = []
+        for argv in argvs:
+            if alone:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            outcomes.append((code, *capsys.readouterr()))
+        runs.append((outcomes, tree_bytes(d)))
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0][0]] == [2, 0, 0]
+    assert "error: argument --band: must be >= 0" in runs[0][0][0][2]
+    assert build_parser() is build_parser()
 
 
 def test_params_error_names_its_source(tmp_path, capsys):

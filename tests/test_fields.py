@@ -117,12 +117,27 @@ def test_sobolev_norm_of_an_overflowing_weight(rng):
     # <k>^800 passes the float range from |k|^2 = 5 on; those weights meet
     # zero coefficients, so they add 0, not inf * 0 = NaN, and no warning
     assert sobolev_norm(unit_harmonic(2, 4, (1, 0)), 400.0) == 2.0**200
-    assert sobolev_norm(unit_harmonic(2, 4, (2, 1)), 400.0) == np.inf
+    # 6^400 passes the float range, but the norm 6^200 does not
+    assert sobolev_norm(unit_harmonic(2, 4, (2, 1)), 400.0) == pytest.approx(6.0**200, rel=1e-12)
+    assert sobolev_norm(unit_harmonic(2, 4, (2, 1)), 800.0) == np.inf
     # every finite norm is the plain sum of the same terms, bit for bit
     f = random_field(2, 4, rng)
     for s in (-1.0, 0.0, 1.0, 2.5, 40.0):
         plain = np.sqrt(np.sum(bracket_sq(2, 4) ** s * np.abs(f.coeffs) ** 2))
         assert sobolev_norm(f, s) == float(plain)
+
+
+def test_a_finite_norm_whose_square_overflows_reads_finite():
+    # the plain sum <k>^800 |c|^2 = 6^400 passes the float range; the norm is
+    # taken from the terms scaled by the largest, as the p = 3 norm is
+    f = unit_harmonic(2, 4, (2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sobolev_norm(f, 400.0) == pytest.approx(6.0**200, rel=1e-12)
+        assert bessel_norm(f, 400.0, 2) == pytest.approx(bessel_norm(f, 400.0, 3, 16), rel=1e-12)
+        # coefficients whose squares overflow at s = 0
+        big = 1e200 * f
+        assert sobolev_norm(big, 0.0) == pytest.approx(1e200, rel=1e-12)
 
 
 def test_bessel_norm_of_an_overflowing_weight(rng):

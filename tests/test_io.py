@@ -15,6 +15,8 @@ from torusradon.cli import main
 from torusradon.errors import CorruptInput, DimensionMismatch
 from torusradon.fields import random_field
 from torusradon.io import (
+    _family_text,
+    _parse_subspaces,
     _slice_filename,
     read_field,
     read_pgm,
@@ -80,6 +82,96 @@ def test_sinogram_rewrite_leaves_no_stale_slice_files(tmp_path, rng):
     back = read_sinogram(tmp_path)
     assert back.members == g.members and back.mean == g.mean
     assert np.array_equal(back.values, g.values)
+
+
+def _same_sinogram(a, b) -> bool:
+    return (a.members == b.members and a.K == b.K and a.mean == b.mean
+            and np.array_equal(a.values, b.values))
+
+
+def test_a_directory_rewritten_with_another_family_reads_the_new_one(tmp_path, rng):
+    # the per-family caches are keyed by the family: a read after the
+    # directory holds another family, band and values returns those
+    d = tmp_path / "sino"
+    big = forward_sinogram(random_field(2, 6, rng), direction_cover(6))
+    small = forward_sinogram(random_field(2, 4, rng), direction_cover(4))
+    for g in (big, small, big):
+        write_sinogram(g, d)
+        for _ in range(2):
+            assert _same_sinogram(read_sinogram(d), g)
+    assert len(list(d.glob("slice_*.tfield"))) == len(big.members)
+
+
+def test_a_corrupt_subspace_is_refused_on_every_read_until_mended(tmp_path, rng):
+    # a refused parse is not cached: the same corrupt meta.json is refused
+    # again, and once mended the directory reads
+    g = forward_sinogram(random_field(2, 3, rng), direction_cover(3))
+    d = tmp_path / "sino"
+    write_sinogram(g, d)
+    good = (d / "meta.json").read_text()
+    text = g.members[-1].serialize()
+    bad = good.replace(f'"{text}"', '"1 2; 2 0"')  # not saturated
+    assert bad != good
+    read_sinogram(d)
+    for _ in range(2):
+        (d / "meta.json").write_text(bad)
+        with pytest.raises(CorruptInput, match="meta.json"):
+            read_sinogram(d)
+    (d / "meta.json").write_text(good)
+    assert _same_sinogram(read_sinogram(d), g)
+
+
+def test_the_per_family_caches_return_values_no_caller_can_change(tmp_path, rng):
+    g = forward_sinogram(random_field(2, 3, rng), direction_cover(3))
+    names, texts = _family_text(g.members)
+    members = _parse_subspaces(texts)
+    assert members == g.members and _family_text(g.members) == (names, texts)
+    for cached in (names, texts, members):
+        with pytest.raises(TypeError):
+            cached[0] = cached[1]
+        with pytest.raises(AttributeError):
+            cached.append(cached[0])
+    with pytest.raises(AttributeError):
+        members[0].basis = ((1, 0),)
+    assert _family_text(g.members) == (names, texts) and _parse_subspaces(texts) == g.members
+
+
+def test_a_sinogram_reads_alike_through_a_symlink_and_a_relative_path(tmp_path, rng, monkeypatch):
+    g = forward_sinogram(random_field(2, 3, rng), direction_cover(3))
+    write_sinogram(g, tmp_path / "sino")
+    direct = read_sinogram(tmp_path / "sino")
+    (tmp_path / "link").symlink_to("sino")
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "link", "link", "sino", "./sino/", Path("sino")):
+        assert _same_sinogram(read_sinogram(path), direct)
+    # a write through the link rewrites the directory it points to
+    h = forward_sinogram(random_field(2, 2, rng), direction_cover(2))
+    write_sinogram(h, "link")
+    write_sinogram(h, "fresh")
+    assert (tmp_path / "link").is_symlink() and _tree(tmp_path / "sino") == _tree(tmp_path / "fresh")
+    assert _same_sinogram(read_sinogram("sino"), h)
+
+
+def test_errors_name_the_file_by_its_full_path(tmp_path, rng):
+    # files are opened relative to the directory's descriptor; a refusal
+    # still names the file by the directory path it was given
+    g = forward_sinogram(random_field(2, 2, rng), direction_cover(2))
+    d = tmp_path / "sino"
+    write_sinogram(g, d)
+    path = d / _slice_filename(g.members[0])
+    path.unlink()
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: cannot read"):
+        read_sinogram(d)
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(tmp_path / 'missing' / 'meta.json'))}: "):
+        read_sinogram(tmp_path / "missing")
+    with pytest.raises(CorruptInput, match="NotADirectoryError"):
+        read_sinogram(path.with_name("mean.txt"))
+    write_sinogram(g, d)
+    (d / "meta.json").unlink()
+    (d / "meta.json").mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_sinogram(g, d)
+    assert info.value.filename == str(d / "meta.json")
 
 
 def test_field_written_over_a_larger_field_equals_a_fresh_write(tmp_path, rng):

@@ -328,6 +328,17 @@ def test_an_overflowing_weight_on_a_nonzero_value_gives_inf_not_nan():
             assert sinogram_norm(g, 400.0, p=3, l=l) == pytest.approx(6.0**200 * base, rel=1e-12)
 
 
+def test_a_finite_p2_norm_whose_square_overflows_reads_finite():
+    # the inner product <g, g> at s = 400 is 6^400 = inf, but the norm 6^200
+    # is finite: the per-slice path scales its sums, so it reads 6^200
+    g = forward_sinogram(unit_harmonic(2, 4, (2, 1)), direction_cover(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sinogram_norm(g, 0.0) == pytest.approx(1.0, rel=1e-12)
+        assert sinogram_norm(g, 400.0) == pytest.approx(6.0**200, rel=1e-12)
+        assert sinogram_norm(g, 800.0) == np.inf
+
+
 def test_norm_axioms_p_l_combinations(rng):
     K = 2
     cover = direction_cover(K)
