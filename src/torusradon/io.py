@@ -8,19 +8,23 @@ data off A^perp or at k = 0 cannot be written; earlier dense slice
 directories are refused. Images: 16-bit P5 PGM with the linear scaling in
 the header comment. All writers are pure functions of their inputs, so
 identical runs give identical bytes, and all go through write_in_place:
-an existing file is overwritten with os.write on a raw descriptor and
-then cut to length, never truncated to zero first, because on ext4
-(auto_da_alloc) a file truncated to zero is flushed at its close.
-Readers raise CorruptInput on malformed or unreadable files. A field or
-slice file is read whole on a raw descriptor (open, fstat, read to the
-end, close), and a header line is parsed once per distinct line, so the
-slice files of one sinogram, which share their header, parse it once.
-A sinogram directory is opened once per read or write, and meta.json,
-mean.txt and every slice file are opened relative to that descriptor;
-messages still name each file by its full path. What a family costs in
-text is paid once per process: its slice file names and serialized
-subspaces are cached per canonical family, and the subspaces a meta.json
-lists are parsed once per distinct list. The code is POSIX-only
+four system calls per file (open, fstat, write, close), the new bytes
+written over the old ones on a raw descriptor, never truncated to zero
+first, because on ext4 (auto_da_alloc) a file truncated to zero is flushed
+at its close; only a regular file longer than the new bytes is then cut.
+Readers raise CorruptInput on malformed or unreadable files. A field file
+is read whole on a raw descriptor (open, fstat, read to the end, close),
+and a header line is parsed once per distinct line. In a sinogram the
+first slice file is read that way and confirms the band; every later one is read
+in four calls (open, one read sized by its block, the read that confirms
+the end, close), and a file of that length that starts with the first
+file's header bytes is taken without parsing; any other goes through the
+full parse and checks. A sinogram directory is opened once per read or
+write, and meta.json, mean.txt and every slice file are opened relative to
+that descriptor; messages still name each file by its full path. What a
+family costs in text is paid once per process: its slice file names and
+serialized subspaces are cached per canonical family, and the subspaces a
+meta.json lists are parsed once per distinct list. The code is POSIX-only
 (dir_fd, O_DIRECTORY, ftruncate).
 """
 
@@ -46,20 +50,23 @@ NAME_MAX = 255  # bytes in one file name on common file systems
 def write_in_place(path, data: bytes | str, dir_fd: int | None = None) -> None:
     """Write data (a str as UTF-8) to path (relative to the directory
     descriptor dir_fd, if given) with os.write on a raw descriptor, over
-    the old bytes of an existing file, then cut a regular file to the new
-    length. One write call, unless the kernel writes short.
-    A new file gets mode 0o666 & ~umask, as Path.write_bytes gives; targets
-    that are not regular files, such as /dev/null, are never cut. A run
-    killed before the cut can leave new bytes over an old tail; README
-    "File formats" lists what the readers then refuse. No fsync."""
+    the old bytes of an existing file: open, fstat, write, close, one write
+    call unless the kernel writes short. Only a regular file whose old size
+    exceeds the new data is then cut to length, so a same-length rewrite
+    pays no ftruncate. A new file gets mode 0o666 & ~umask, as
+    Path.write_bytes gives; targets that are not regular files, such as
+    /dev/null, are never cut. A run killed before the cut can leave new
+    bytes over an old tail; README "File formats" lists what the readers
+    then refuse. No fsync."""
     if isinstance(data, str):
         data = data.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666, dir_fd=dir_fd)
     try:
+        old = os.fstat(fd)
         done = os.write(fd, data)
         while done < len(data):  # the kernel wrote short
             done += os.write(fd, memoryview(data)[done:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
@@ -89,29 +96,39 @@ def _header_fields(head: bytes) -> tuple[int, int, bool]:
     return _typed(header, "n", int), _typed(header, "K", int), _typed(header, "real", bool)
 
 
-def _read_bytes(path, dir_fd: int | None = None) -> bytes:
+def _read_bytes(path, dir_fd: int | None = None, size: int | None = None) -> bytes:
     """The whole file at path (relative to dir_fd, if given), read on a raw
-    descriptor in reads sized by its length, so nothing past the file size
-    plus one byte is asked for. OSError as os raises it."""
+    descriptor. Without size the first read is sized by fstat, so nothing
+    past the file size plus one byte is asked for; with size (the expected
+    length plus one) there is no fstat, and a file longer than expected has
+    its rest read at its fstat size. Either way a read of b"" confirms the
+    end. OSError as os raises it."""
     fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
-        size = os.fstat(fd).st_size + 1
+        if size is None:
+            size = os.fstat(fd).st_size + 1
         blob = os.read(fd, size)  # EISDIR for a directory
         while chunk := os.read(fd, size):
             blob += chunk
+            size = os.fstat(fd).st_size + 1
     finally:
         os.close(fd)
     return blob
 
 
-def _read_values(path, dir_fd: int | None = None, name=None) -> tuple[int, int, bool, bytes]:
-    """(n, K, real, payload bytes) of a field or slice file, its header
-    checked. With dir_fd, the file opened is name, relative to that
-    directory descriptor; messages name path either way."""
+def _read_file(path, dir_fd: int | None = None, name=None, size: int | None = None) -> bytes:
+    """The bytes of a field or slice file (see _read_bytes); with dir_fd,
+    the file opened is name, relative to that directory descriptor. An
+    unreadable file is CorruptInput naming path."""
     try:
-        blob = _read_bytes(path if dir_fd is None else name, dir_fd)
+        return _read_bytes(path if dir_fd is None else name, dir_fd, size)
     except OSError as e:
         raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
+
+
+def _parse_values(path, blob: bytes) -> tuple[int, int, bool, bytes]:
+    """(n, K, real, payload bytes) of a field or slice file's bytes, its
+    header checked; messages name path."""
     head, newline, raw = blob.partition(b"\n")
     try:
         if not newline:
@@ -134,7 +151,7 @@ def _finite(path, raw: bytes, size: int) -> np.ndarray:
 
 
 def read_field(path) -> TorusField:
-    n, K, real, raw = _read_values(path)
+    n, K, real, raw = _parse_values(path, _read_file(path))
     arr = _finite(path, raw, (2 * K + 1) ** n)
     if real and not is_hermitian(arr):
         raise CorruptInput(f"{path}: flagged real but coefficients are not Hermitian")
@@ -233,16 +250,28 @@ def _read_sinogram_at(d: Path, fd: int) -> TorusSinogram:
     members = canonical_family(members)
     payloads, flagged = [], []
     prefix = os.path.join(d, "")  # d and a separator: the paths join as os.path.join does
+    header = b""  # the first slice file's header line, once it has confirmed the band
     for i, name in enumerate(_family_text(members)[0]):
         path = prefix + name
-        sn, sK, real, raw = _read_values(path, fd, name)
+        if header:
+            lo, hi = offsets[i : i + 2]
+            want = len(header) + 16 * (hi - lo)
+            blob = _read_file(path, fd, name, want + 1)
+            if len(blob) == want and blob.startswith(header):  # its fields are checked already
+                payloads.append(blob[len(header):])
+                flagged += [(path, lo, hi)] * first_real
+                continue
+        else:
+            blob = _read_file(path, fd, name)
+        sn, sK, real, raw = _parse_values(path, blob)
         if (sn, sK) != (n, K):
             raise CorruptInput(f"{path}: band (n={sn}, K={sK}) is not meta.json's (n={n}, K={K})")
-        if i == 0:  # built only once a slice file has confirmed meta.json's band
+        if not header:  # built only once a slice file has confirmed meta.json's band
             try:
                 offsets = layout(members, K)[1].tolist()
             except (MemoryError, ValueError) as e:  # numpy refuses a huge band before touching memory
                 raise CorruptInput(f"{d / 'meta.json'}: band (n={n}, K={K}) cannot be laid out: {e}") from e
+            header, first_real = blob[: len(blob) - len(raw)], real
         lo, hi = offsets[i : i + 2]
         if len(raw) != 16 * (hi - lo):
             raise CorruptInput(f"{path}: payload is {len(raw)} bytes, want {16 * (hi - lo)}")

@@ -329,15 +329,22 @@ def direction_cover(R: int) -> list[PrimitiveDirection]:
     Each candidate direction covers exactly the integer multiples of its
     orthogonal line, so residual coverage counts are disjoint per line; the
     greedy order is by that count, largest first, lexicographic tie-break.
+    The cover is built once per radius per process: each call returns a new
+    list of the same shared (immutable) directions.
     """
+    return list(_direction_cover(R))
+
+
+@lru_cache(maxsize=16, typed=True)  # typed: a float R is refused as it always was
+def _direction_cover(R: int) -> tuple[PrimitiveDirection, ...]:
     if R < 0:
         raise ValueError("R must be >= 0")
     if R == 0:
-        return [PrimitiveDirection((1, 0))]
+        return (PrimitiveDirection((1, 0)),)
     # a direction covers its orthogonal line; that line's primitive vector
     # is the direction turned a quarter, with the same sup-norm, so the
     # directions score as themselves
-    return sorted(enumerate_directions(2, R), key=lambda v: (-(R // max(map(abs, v.v))), v.v))
+    return tuple(sorted(enumerate_directions(2, R), key=lambda v: (-(R // max(map(abs, v.v))), v.v)))
 
 
 def hyperplane_cover(K: int, n: int) -> list[RationalSubspace]:

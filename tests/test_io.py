@@ -29,6 +29,7 @@ from torusradon.io import (
 )
 from torusradon.lattice import (RationalSubspace, canonicalize_subspace, direction_cover,
                                enumerate_grassmannian, line_cover)
+from torusradon.sinogram import TorusSinogram
 from torusradon.transforms import forward_sinogram
 
 
@@ -249,6 +250,52 @@ def test_short_writes_give_the_same_bytes(tmp_path, rng, monkeypatch):
     assert max(asked) > 3  # some writes were cut short
     assert _tree(fresh) == _tree(over) == _tree(normal)
     assert len(_tree(normal)) == 2 + 2 + len(g.members)
+
+
+def _count_os_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls torusradon.io makes to the named os functions until
+    monkeypatch.undo()."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(os, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(f"torusradon.io.os.{name}", counted)
+    return counts
+
+
+def test_a_sinogram_read_pays_fstat_three_times_and_two_reads_per_file(tmp_path, rng, monkeypatch):
+    # meta.json, mean.txt and the first slice file are read at their fstat
+    # size; every later slice file with one read sized by its block and the
+    # read that confirms the end
+    g = forward_sinogram(random_field(2, 6, rng), direction_cover(6))
+    write_sinogram(g, tmp_path / "sino")
+    counts = _count_os_calls(monkeypatch, "fstat", "read")
+    back = read_sinogram(tmp_path / "sino")
+    monkeypatch.undo()
+    assert _same_sinogram(back, g)
+    assert counts["fstat"] <= 3
+    assert counts["read"] == 2 * (2 + len(g.members))
+
+
+def test_a_rewrite_cuts_only_the_files_it_shrinks(tmp_path, rng, monkeypatch):
+    # over a sinogram of the same family, band and mean no file is cut; over
+    # the same family at K = 12 each file that shrinks is cut once: every
+    # slice file and meta.json, and mean.txt if its old text was longer
+    g = forward_sinogram(random_field(2, 6, rng), direction_cover(6))
+    write_sinogram(g, tmp_path / "fresh")
+    same = TorusSinogram(g.members, g.K, g.mean, rng.standard_normal(g.values.size))
+    wide = forward_sinogram(random_field(2, 12, rng), direction_cover(6))
+    for old, least in ((same, 0), (wide, len(g.members) + 1)):
+        d = tmp_path / f"over_K{old.K}"
+        write_sinogram(old, d)
+        sizes = {p.name: p.stat().st_size for p in d.iterdir()}
+        counts = _count_os_calls(monkeypatch, "ftruncate")
+        write_sinogram(g, d)
+        monkeypatch.undo()
+        shrunk = sum(sizes[p.name] > p.stat().st_size for p in d.iterdir())
+        assert counts["ftruncate"] == shrunk and least <= shrunk <= least + (old is wide)
+        assert _tree(d) == _tree(tmp_path / "fresh")
 
 
 @contextmanager
@@ -666,3 +713,62 @@ def test_io_refusals(tmp_path, call, error, start):
     with pytest.raises(error) as info:
         call(tmp_path)
     assert str(info.value).startswith(start.format(tmp=tmp_path))
+
+
+def _sinogram_k6(d, real=False):
+    g = forward_sinogram(random_field(2, 6, np.random.default_rng(7), real=real), direction_cover(6))
+    write_sinogram(g, d)
+    return g
+
+
+@pytest.mark.parametrize("member", [1, -1])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_a_later_slice_file_a_byte_long_or_short_is_named(tmp_path, member, extra):
+    # the sized read of a later slice file sees a length it did not ask for,
+    # and the full parse gives the payload-length message
+    g = _sinogram_k6(tmp_path / "sino")
+    A = g.members[member]
+    path = tmp_path / "sino" / _slice_filename(A)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\0" if extra > 0 else blob[:-1])
+    want = 16 * (g.blocks[A].stop - g.blocks[A].start)
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: payload is {want + extra} bytes, want {want}$"):
+        read_sinogram(tmp_path / "sino")
+
+
+def test_a_long_tail_on_a_later_slice_file_is_read_in_few_calls(tmp_path, monkeypatch):
+    # at K = 0 a slice file is its header line alone, so the sized read asks
+    # for a few dozen bytes; the rest of a 1 MB tail is read at its fstat size
+    g = forward_sinogram(random_field(2, 0, np.random.default_rng(5)), direction_cover(6))
+    write_sinogram(g, tmp_path / "sino")
+    path = tmp_path / "sino" / _slice_filename(g.members[-1])
+    path.write_bytes(path.read_bytes() + bytes(1 << 20))
+    counts = _count_os_calls(monkeypatch, "read")
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: payload is {1 << 20} bytes, want 0$"):
+        read_sinogram(tmp_path / "sino")
+    monkeypatch.undo()
+    assert counts["read"] <= 2 * (2 + len(g.members)) + 2
+
+
+@pytest.mark.parametrize("member", [0, 1, -1])
+@pytest.mark.parametrize("head", [b'{"n": 2, "K": 6, "real": false}',   # keys in another order
+                                  b'{"real": true, "n": 2, "K": 6}'])   # flagged real
+def test_slice_headers_spelled_another_way_are_read(tmp_path, member, head):
+    # a header that is not the first file's bytes takes the full parse
+    g = _sinogram_k6(tmp_path / "sino", real=True)
+    path = tmp_path / "sino" / _slice_filename(g.members[member])
+    path.write_bytes(head + b"\n" + path.read_bytes().partition(b"\n")[2])
+    assert _same_sinogram(read_sinogram(tmp_path / "sino"), g)
+
+
+@pytest.mark.parametrize("member", [1, -1])
+def test_a_later_slice_sharing_a_real_first_header_is_checked_hermitian(tmp_path, member):
+    # files whose header bytes equal the first file's take its "real" flag,
+    # so their blocks are checked for Hermitian symmetry as the first one's is
+    g = _sinogram_k6(tmp_path / "sino", real=True)
+    for A, block in g.blocks.items():
+        values = g.values[block] if A != g.members[member] else g.values[block] * 1j + 1e-3
+        _block_file(tmp_path / "sino" / _slice_filename(A), 6, values, real=True)
+    path = tmp_path / "sino" / _slice_filename(g.members[member])
+    with pytest.raises(CorruptInput, match=f"^{re.escape(str(path))}: flagged real but"):
+        read_sinogram(tmp_path / "sino")

@@ -339,6 +339,24 @@ def test_direction_cover_equals_the_rotate_and_score_cover(R):
     assert direction_cover(R) == old_direction_cover(R)
 
 
+@pytest.mark.parametrize("R", [0, 1, 2, 8, 32])
+def test_direction_cover_hands_out_new_lists_of_shared_directions(R):
+    # the cover is built once per radius; the sort below is the uncached
+    # cover, kept as the oracle
+    oracle = [PrimitiveDirection((1, 0))] if R == 0 else \
+        sorted(enumerate_directions(2, R), key=lambda v: (-(R // max(map(abs, v.v))), v.v))
+    first, second = direction_cover(R), direction_cover(R)
+    assert first == second == oracle and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.reverse()
+    first.append(PrimitiveDirection((1, 0)))
+    second.clear()
+    assert direction_cover(R) == oracle
+    if R:  # a float radius past 0 is refused, whether or not its int is cached
+        with pytest.raises(TypeError):
+            direction_cover(float(R))
+
+
 @pytest.mark.parametrize("K, n", [(2, 3), (6, 3), (3, 4)])
 def test_hyperplane_cover_equals_the_deduplicated_cover(K, n):
     assert hyperplane_cover(K, n) == sorted({orthogonal_complement(v.v) for v in enumerate_directions(n, K)})
