@@ -52,7 +52,6 @@ from .sinogram import (
     TorusSinogram,
     WeightRule,
     canonical_weight,
-    enforce_moment_constraint,
     sinogram_norm,
     weight_build,
     weight_on_family,

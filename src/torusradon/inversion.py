@@ -1,7 +1,7 @@
-"""Inversion paths: axis-integral slice reconstruction (a periodic
-midpoint quadrature on 2K + 1 nodes, exact on the band: the summation
-inverse), adjoint and normal operators, filtered and normalized-weight
-inversion, and the filter-free hyperplane summation formula.
+"""Inversion paths: the adjoint and normal operators and the one multiplier
+adjoint / (W + alpha <k>^(2 order)) behind the filtered, normalized, sum and
+slice inverses (alpha = 0) and Tikhonov; and the axis-integral slice
+coefficient, a periodic midpoint quadrature on 2K + 1 nodes, exact on the band.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxisDegenerate, DimensionMismatch, IncompleteCover
-from .fields import TorusField, band_frequencies, band_index, evaluate_at
+from .fields import TorusField, band_frequencies, band_index, bracket_sq, evaluate_at
 from .lattice import IntVec, PrimitiveDirection, _as_intvec
 from .sinogram import TorusSinogram, WeightRule, _check_rule, _data_weight, scatter
 from .transforms import _midpoint_nodes
@@ -62,9 +62,8 @@ def slice_reconstruct_coeff(g_v: TorusField, k: Sequence[int], v: PrimitiveDirec
 
 def reconstruct_slices(g: TorusSinogram) -> TorusField:
     """Full-field reconstruction through the axis integrals of
-    `slice_reconstruct_coeff`: their 2K + 1 nodes are exact at degree 2K, so
-    they return each stored value and the mean at k = 0, the summation
-    inverse. Raises IncompleteCover if a band frequency has no stored line."""
+    `slice_reconstruct_coeff`, exact at degree 2K: each stored value and the
+    mean, the summation inverse. IncompleteCover if a k has no stored line."""
     if g.n != 2 or g.d != 1:
         raise DimensionMismatch("slice reconstruction is the n=2, d=1 path")
     return invert_sum(g)
@@ -94,37 +93,44 @@ def _check_cover(W: np.ndarray, K: int) -> None:
         raise IncompleteCover(f"no stored subspace is orthogonal to k={k}")
 
 
+def _invert(g: TorusSinogram, w: WeightRule, alpha: float = 0.0, order: float = 0.0) -> TorusField:
+    """adjoint(g, w) / (W + alpha <k>^(2 order)), W the rule's normal
+    multiplier. At alpha = 0: no penalty (0 * inf is NaN), IncompleteCover
+    where W vanishes, and k = 0 holds 0j + mean, W(0) mean / W(0) exactly,
+    with a -0.0 part written as +0.0 so no byte hangs on a zero's sign."""
+    out = adjoint(g, w).coeffs
+    if alpha == 0:
+        _check_cover(w.normal_array, g.K)
+        np.divide(out, w.normal_array, out=out)
+        out.flat[out.size // 2] = 0j + g.mean
+    else:
+        with np.errstate(over="ignore"):  # an inf penalty takes its k to 0, the limit
+            np.divide(out, w.normal_array + alpha * bracket_sq(g.n, g.K) ** float(order), out=out)
+    return TorusField(g.n, g.K, out)
+
+
 def invert_filtered(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Exact left inverse on range data: adjoint followed by division by the
     rule's normal multiplier W. Raises IncompleteCover if W vanishes on the
     band, DimensionMismatch if the rule is not on g's family and band."""
-    back = adjoint(g, w)
-    _check_cover(w.normal_array, g.K)
-    return TorusField(g.n, g.K, back.coeffs / w.normal_array)
+    return _invert(g, w)
 
 
 def adjoint_normalized(g: TorusSinogram, w: WeightRule) -> TorusField:
     """Adjoint computed with the normalized weight w / sqrt(W); composed with
-    the forward map it is the identity and preserves every Bessel norm.
-
-    Its coefficient k is sum_A (w(k,A)^2 / W(k)) g^(k,A), the adjoint
-    divided by W: on the band it is the filtered inverse."""
-    return invert_filtered(g, w)
+    the forward map it is the identity and preserves every Bessel norm. Its
+    coefficient k is sum_A (w(k,A)^2 / W(k)) g^(k,A): the filtered inverse."""
+    return _invert(g, w)
 
 
 def invert_sum(g: TorusSinogram) -> TorusField:
-    """Filter-free inversion for hyperplane data (d = n-1): the zero-average
-    part of f is the plain sum of its slices, and the stored shared mean is
-    f's k = 0 coefficient, so one scatter returns the whole field.
-
-    Every band frequency needs its orthogonal hyperplane in the family;
-    missing coverage raises rather than returning a silently wrong field."""
+    """Filter-free inversion for hyperplane data (d = n-1): each k != 0 has
+    one orthogonal hyperplane, so the data rule's W is 1 off k = 0 and the
+    filtered inverse is the plain sum of the slices, plus the stored mean.
+    Raises IncompleteCover if a band frequency has no stored hyperplane."""
     if g.d != g.n - 1:
         raise DimensionMismatch("summation inversion needs hyperplane data (d = n-1)")
-    _check_cover(_data_weight(g).normal_array, g.K)
-    # 0j + mean writes a -0.0 part of the mean as +0.0, so the field's bytes
-    # do not depend on the sign of a zero
-    return TorusField(g.n, g.K, scatter(g.K, g.members, g.values, 0j + g.mean))
+    return _invert(g, _data_weight(g))
 
 
 @dataclass

@@ -330,12 +330,13 @@ def direction_cover(R: int) -> list[PrimitiveDirection]:
     orthogonal line, so residual coverage counts are disjoint per line; the
     greedy order is by that count, largest first, lexicographic tie-break.
     The cover is built once per radius per process: each call returns a new
-    list of the same shared (immutable) directions.
+    list of the same shared (immutable) directions. R is an integer: a
+    numpy integer shares the int's cover, a float (even 0.0) is a TypeError.
     """
-    return list(_direction_cover(R))
+    return list(_direction_cover(operator.index(R)))
 
 
-@lru_cache(maxsize=16, typed=True)  # typed: a float R is refused as it always was
+@lru_cache(maxsize=16)
 def _direction_cover(R: int) -> tuple[PrimitiveDirection, ...]:
     if R < 0:
         raise ValueError("R must be >= 0")

@@ -1,5 +1,6 @@
-"""Tikhonov regularization on the Fourier side: the smoothing multiplier,
-the closed-form minimizer, parameter schedules and the convergence bound.
+"""Tikhonov regularization on the Fourier side: the smoothing multiplier, the
+closed-form minimizer for d-planes in any T^n (the inversions' multiplier
+plus a Bessel penalty), parameter schedules and the convergence bound.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
 from .fields import TorusField, bracket_sq, sobolev_norm
-from .inversion import _check_cover, adjoint
+from .inversion import _check_cover, _invert
 from .sinogram import TorusSinogram, WeightRule, _data_weight, sinogram_norm
 from .transforms import forward_sinogram
 
@@ -35,30 +36,23 @@ def _check_minimizer_params(r: float, s: float, alpha: float) -> None:
 
 
 def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> TorusField:
-    """Closed-form minimizer of the Tikhonov functional in the planar
-    unweighted setting: the weighted minimizer under the data rule, which
-    for lines in the plane is the canonical rule, where W = 1 on the band
-    (each k != 0 has one orthogonal line), so the adjoint is smoothed by
-    exponent s - r. Raises IncompleteCover where a band frequency has no
-    stored line, since W = 0 there."""
+    """Closed-form minimizer of `tikhonov_objective` for d-planes in any T^n:
+    the functional is diagonal in k, so its minimizer is adjoint / (W +
+    alpha <k>^(2(s-r))), W the normal multiplier of g's data rule. Raises
+    IncompleteCover where a band frequency has no stored subspace (W = 0)."""
     _check_minimizer_params(r, s, alpha)
-    if g.n != 2 or g.d != 1:
-        raise ParamViolation("the closed-form minimizer is the n=2, d=1 unweighted setting")
     w = _data_weight(g)
     _check_cover(w.normal_array, g.K)
-    return tikhonov_reconstruct_weighted(g, w, r, s, alpha)
+    return _invert(g, w, alpha, s - r)
 
 
 def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: float,
                                   alpha: float) -> TorusField:
-    """Weighted d-plane analogue (experimental, beyond the planar theory):
-    per-coefficient minimizer adjoint / (W + alpha <k>^(2(s-r))), with W
-    the rule's normal multiplier."""
+    """Tikhonov under any weight rule w on g's family: the per-coefficient
+    minimizer adjoint / (W + alpha <k>^(2(s-r))), with W the rule's normal
+    multiplier."""
     _check_minimizer_params(r, s, alpha)
-    back = adjoint(g, w)
-    with np.errstate(over="ignore"):  # an inf penalty takes its k to 0, the limit
-        denom = w.normal_array + alpha * bracket_sq(g.n, g.K) ** float(s - r)
-    return TorusField(g.n, g.K, back.coeffs / denom)
+    return _invert(g, w, alpha, s - r)
 
 
 def tikhonov_objective(f: TorusField, g: TorusSinogram, r: float, s: float,

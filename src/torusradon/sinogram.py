@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, WeightUndefined
 from .fields import (TorusField, band_frequencies, band_index, bessel_norm, bracket_sq, frozen,
-                     grid_lp_norm, orthogonality_mask, unit_harmonic, weigh_parts)
+                     grid_lp_norm, orthogonality_mask, weigh_parts)
 from .lattice import PrimitiveDirection, RationalSubspace, _as_intvec, enumerate_grassmannian, line
 
 CANONICAL = "canonical-singleton"
@@ -356,7 +356,7 @@ def _data_weight(g: TorusSinogram) -> WeightRule:
     return weight_on_family(kind, g.members, g.K)
 
 
-# --- norms and the moment constraint ------------------------------------------
+# --- norms --------------------------------------------------------------------
 
 
 def _check_rule(g: TorusSinogram, w: WeightRule) -> None:
@@ -413,23 +413,3 @@ def sinogram_inner(g: TorusSinogram, h: TorusSinogram, s: float,
         with np.errstate(over="ignore"):
             terms[out] = weigh_parts(wk[out], g.values[out] * np.conj(h.values[out]))
     return complex(w.w2_zero.sum() * g.mean * np.conj(h.mean) + np.sum(terms))
-
-
-def enforce_moment_constraint(raw: Mapping[RationalSubspace, TorusField],
-                              w: WeightRule | None = None) -> TorusSinogram:
-    """Project raw per-slice data onto the shared-average constraint.
-
-    The shared mean is the w(0,.)^2-weighted average of the per-slice means,
-    which is the norm-minimizing projection under the p = l = 2 norm; a
-    rule w must be on the slices' own family and band."""
-    store = {as_subspace(A): f for A, f in raw.items()}
-    if not store:
-        raise ValueError("no slices given")
-    zero = (0,) * canonical_family(store)[0].n
-    g = TorusSinogram.from_slices(
-        0j, {A: f - f.mean() * unit_harmonic(f.n, f.K, zero) for A, f in store.items()})
-    if w is not None:
-        _check_rule(g, w)
-    wA = np.ones(len(g.members)) if w is None else w.w2_zero
-    return g.with_mean(np.dot(wA, [store[A].coeff(zero) for A in g.members]) / wA.sum())
-

@@ -103,6 +103,24 @@ def test_tikhonov_with_an_overflowing_penalty_runs(tmp_path):
     assert recon.exists()
 
 
+def test_tikhonov_runs_on_planes_in_t3(tmp_path):
+    # the closed form runs at every (n, d): the command writes the bytes of
+    # the library minimizer on hyperplane data of T^3
+    from torusradon.fields import random_field
+    from torusradon.io import write_field, write_sinogram
+    from torusradon.lattice import hyperplane_cover
+    from torusradon.regularization import tikhonov_reconstruct
+    from torusradon.transforms import forward_sinogram
+
+    g = forward_sinogram(random_field(3, 3, np.random.default_rng(7), real=True), hyperplane_cover(3, 3))
+    write_sinogram(g, tmp_path / "planes")
+    recon, expected = tmp_path / "r.tfield", tmp_path / "expected.tfield"
+    assert run(["reconstruct", "--sinogram", tmp_path / "planes", "--method", "tikhonov",
+                "--r", "0.5", "--s", "1.5", "--alpha", "0.25", "--out", recon]) == 0
+    write_field(tikhonov_reconstruct(g, 0.5, 1.5, 0.25), expected)
+    assert recon.read_bytes() == expected.read_bytes()
+
+
 def test_refused_grid_writes_no_file(tmp_path, capsys):
     field, sino, recon = tmp_path / "f.tfield", tmp_path / "sino", tmp_path / "r.tfield"
     run(["phantom", "--kind", "harmonic", "--band", "2", "--grid", "8", "--out", field])

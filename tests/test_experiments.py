@@ -30,6 +30,7 @@ from torusradon.sinogram import (
     CANONICAL,
     CUSTOM,
     HEIGHT_DECAY,
+    _data_weight,
     canonical_weight,
     layout,
     scatter,
@@ -385,8 +386,9 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
     f = random_field(n, K, rng, real=True)
     g = forward_sinogram(f, members)
     covered = scatter(K, g.members, np.ones(g.values.size), 1.0) > 0
-    alpha = 0.5  # tikhonov with r = 0, s = 1 is f W / (W + alpha <k>^2), and W = 1 where it runs
-    tikhonov = f.coeffs / (1.0 + alpha * bracket_sq(n, K))
+    alpha = 0.5  # tikhonov with r = 0, s = 1 is f W / (W + alpha <k>^2), W of g's data rule
+    W = _data_weight(g).normal_array
+    tikhonov = f.coeffs * W / (W + alpha * bracket_sq(n, K))
     family, params = full if rule_on_full else members, ()
     if kind == CUSTOM:  # a weight drawn for every (k, A), so it varies in k
         params = tuple(((tuple(k), A), rng.uniform(0.5, 2.0)) for A in family

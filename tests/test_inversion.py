@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusradon.errors import AxisDegenerate, DimensionMismatch, IncompleteCover, QuadratureTooCoarse
 from torusradon.fields import (
@@ -39,9 +41,13 @@ from torusradon.lattice import (
 from torusradon.sinogram import (
     HEIGHT_DECAY,
     TorusSinogram,
+    _data_weight,
+    canonical_family,
     canonical_weight,
+    layout,
     sinogram_inner,
     sinogram_norm,
+    scatter,
     weight_on_family,
 )
 from torusradon.transforms import forward_sinogram
@@ -433,6 +439,33 @@ def test_invert_sum_hyperplanes_n3(rng):
     expected = f.coeffs.copy()
     expected[K, K, K] = 0
     assert np.max(np.abs(rec.coeffs - expected)) < 1e-12
+
+
+_MEAN_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300]),
+                        st.floats(-1e300, 1e300))
+
+
+@given(family=st.one_of(st.integers(0, 40).map(lambda R: (direction_cover(R), R)),
+                        st.integers(1, 4).map(lambda K: (hyperplane_cover(K, 3), K))),
+       mean=st.one_of(_MEAN_PARTS.map(complex), st.builds(complex, _MEAN_PARTS, _MEAN_PARTS)),
+       scale=st.sampled_from([1.0, 1e-300, 1e300]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, derandomize=True)
+def test_alpha_zero_methods_write_the_bytes_of_the_sum(family, mean, scale, seed):
+    # the four alpha = 0 names are one multiplier: on hyperplane data W = 1
+    # off k = 0, and k = 0 holds the stored mean, not W(0) mean / W(0); the
+    # oracle is the plain scatter of the slices with the mean put back
+    cover, K = family
+    members = canonical_family(cover)
+    size = layout(members, K)[0].size
+    values = scale * ([1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, size)))
+    g = TorusSinogram(members, K, mean, values)
+    expected = scatter(K, g.members, g.values, 0j + g.mean).tobytes()
+    assert invert_sum(g).coeffs.tobytes() == expected
+    w = _data_weight(g)
+    assert invert_filtered(g, w).coeffs.tobytes() == expected
+    assert adjoint_normalized(g, w).coeffs.tobytes() == expected
+    if g.n == 2:
+        assert reconstruct_slices(g).coeffs.tobytes() == expected
 
 
 def test_stability_inequality(rng):

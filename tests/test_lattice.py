@@ -352,9 +352,10 @@ def test_direction_cover_hands_out_new_lists_of_shared_directions(R):
     first.append(PrimitiveDirection((1, 0)))
     second.clear()
     assert direction_cover(R) == oracle
-    if R:  # a float radius past 0 is refused, whether or not its int is cached
-        with pytest.raises(TypeError):
-            direction_cover(float(R))
+    with pytest.raises(TypeError):  # every float radius is refused, 0.0 included
+        direction_cover(float(R))
+    numpy_radius = direction_cover(np.int64(R))  # a numpy integer shares the int's cover
+    assert numpy_radius == oracle and all(a is b for a, b in zip(numpy_radius, direction_cover(R)))
 
 
 @pytest.mark.parametrize("K, n", [(2, 3), (6, 3), (3, 4)])

@@ -13,7 +13,7 @@ from torusradon.fields import (
     sobolev_norm,
     unit_harmonic,
 )
-from torusradon.lattice import direction_cover, hyperplane_cover
+from torusradon.lattice import direction_cover, enumerate_grassmannian, hyperplane_cover, line_cover
 from torusradon.regularization import (
     alpha_schedule,
     error_bound,
@@ -26,6 +26,7 @@ from torusradon.regularization import (
 from torusradon.sinogram import (
     HEIGHT_DECAY,
     TorusSinogram,
+    _data_weight,
     canonical_weight,
     sinogram_norm,
     weight_on_family,
@@ -116,7 +117,7 @@ def test_tikhonov_param_violation():
 
 
 def test_partial_family_is_refused_by_the_minimizer_not_the_objective(rng):
-    # the closed form needs W = 1 on the band; a cover that misses a line
+    # the closed form needs W > 0 on the band; a cover that misses a line
     # has its canonical rule (c_w = 0), on which the objective and the data
     # norm still compute, since neither divides by W
     K = 3
@@ -161,6 +162,29 @@ def test_minimizer_beats_perturbations(rng):
         for _ in range(10):
             eta = random_field(2, K, rng) * 0.1
             assert tikhonov_objective(f_star + eta, g, r, s, alpha) > base
+
+
+@pytest.mark.parametrize("family", [line_cover(3, 3), hyperplane_cover(3, 3),
+                                    enumerate_grassmannian(2, 4, 1)],
+                         ids=["lines in T^3", "planes in T^3", "planes in T^4"])
+@pytest.mark.parametrize("K", [3, 4])
+def test_minimizer_beats_perturbations_beyond_the_plane(rng, family, K):
+    # the objective is diagonal in k under the data rule, so the closed form
+    # is its minimizer at every (n, d) where W > 0 on the band
+    r, s, alpha = 0.5, 1.0, 0.3
+    n = family[0].n
+    g = forward_sinogram(random_field(n, K, rng), family)
+    noise = [0.1, 0.1j] @ rng.standard_normal((2, g.values.size))
+    g = TorusSinogram(g.members, K, g.mean + 0.05, g.values + noise)
+    if _data_weight(g).c_w == 0.0:  # the planes miss part of the K = 4 band
+        with pytest.raises(IncompleteCover, match="no stored subspace is orthogonal to k="):
+            tikhonov_reconstruct(g, r, s, alpha)
+        return
+    f_star = tikhonov_reconstruct(g, r, s, alpha)
+    base = tikhonov_objective(f_star, g, r, s, alpha)
+    for _ in range(30):  # small steps too, where a wrong point's slope would show
+        eta = random_field(n, K, rng) * 10.0 ** rng.uniform(-4, -1)
+        assert tikhonov_objective(f_star + eta, g, r, s, alpha) > base
 
 
 def test_objective_is_quadratic_along_segments(rng):

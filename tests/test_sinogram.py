@@ -30,7 +30,6 @@ from torusradon.sinogram import (
     HEIGHT_DECAY,
     TorusSinogram,
     canonical_weight,
-    enforce_moment_constraint,
     layout,
     sinogram_inner,
     sinogram_norm,
@@ -163,50 +162,6 @@ def test_incomplete_table_is_refused_at_build():
     assert (w.weight((0, 0), A), w.weight((1, 0), A)) == (1.0, 2.0)
     with pytest.raises(WeightUndefined):  # off A's support
         w.weight((0, 1), A)
-
-
-def test_enforce_moment_constraint_mean():
-    K = 1
-    A1, A2 = line((1, 0)), line((0, 1))
-    raw = {
-        A1: field_from_coeffs(2, K, {(0, 0): 1.0}),
-        A2: field_from_coeffs(2, K, {(0, 0): 3.0}),
-    }
-    g = enforce_moment_constraint(raw)
-    assert g.mean == pytest.approx(2.0)
-    assert g.slices[A1].coeff((0, 0)) == 0
-
-
-def test_enforce_moment_constraint_fixed_point():
-    K = 2
-    cover = direction_cover(K)
-    f = field_from_coeffs(2, K, {(0, 0): 2.0, (0, 1): 1.0, (0, -1): 1.0}, real=True)
-    g = forward_sinogram(f, cover)
-    raw = {A: field_from_coeffs(2, K, dict(g.slices[A].items()) | {(0, 0): g.mean})
-           for A in g.members}
-    back = enforce_moment_constraint(raw)
-    assert back.mean == pytest.approx(g.mean)
-    for A in g.members:
-        assert np.allclose(back.slices[A].coeffs, g.slices[A].coeffs)
-
-
-def test_moment_projection_is_norm_minimizing(rng):
-    K = 1
-    cover = direction_cover(K)
-    w = canonical_weight(cover, K)
-    raw = {line(v): field_from_coeffs(2, K, {(0, 0): complex(rng.standard_normal())})
-           for v in cover}
-    proj = enforce_moment_constraint(raw, w)
-    # distance from raw to any constraint-satisfying h, as raw-space vectors
-    def dist(shared):
-        total = 0.0
-        for A in sorted(raw):
-            total += w.weight((0, 0), A) ** 2 * abs(raw[A].coeff((0, 0)) - shared) ** 2
-        return total
-    d_star = dist(proj.mean)
-    for _ in range(25):
-        other = proj.mean + complex(rng.standard_normal(), rng.standard_normal())
-        assert d_star <= dist(other) + 1e-15
 
 
 def test_constructor_rejects_off_range_data():
@@ -553,8 +508,7 @@ def test_rule_refuses_a_member_outside_its_family(rng):
                      lambda: adjoint_normalized(data, rule),
                      lambda: sinogram_norm(data, 0.0, rule), lambda: sinogram_norm(data, 0.0, rule, p=3),
                      lambda: sinogram_inner(data, data, 0.0, rule),
-                     lambda: tikhonov_reconstruct_weighted(data, rule, 0.0, 1.0, 0.5),
-                     lambda: enforce_moment_constraint(dict(data.slices), rule)):
+                     lambda: tikhonov_reconstruct_weighted(data, rule, 0.0, 1.0, 0.5)):
             with pytest.raises(DimensionMismatch):
                 read()
 
@@ -624,7 +578,6 @@ def test_table_values_whose_squares_leave_the_float_range_are_refused(rng, value
     (lambda: weight_on_family(CANONICAL, line_cover(1, 3), 1), ValueError,
      "canonical-singleton weights are a d = n-1 construction"),
     (lambda: weight_on_family("flat", direction_cover(1), 1), ValueError, "unknown weight kind 'flat'"),
-    (lambda: enforce_moment_constraint({}), ValueError, "no slices given"),
     (lambda: canonical_weight(direction_cover(2), 2).weight((0,), line((1, 0))), DimensionMismatch,
      "frequency (0,) has 1 entries, need n=2"),
 ])
