@@ -1,7 +1,8 @@
 """Inversion paths: the adjoint and normal operators and the one multiplier
 adjoint / (W + alpha <k>^(2 order)) behind the filtered, normalized, sum and
-slice inverses (alpha = 0) and Tikhonov; and the axis-integral slice
-coefficient, a periodic midpoint quadrature on 2K + 1 nodes, exact on the band.
+slice inverses (alpha = 0) and Tikhonov (alpha > 0), with one coverage check
+and one k = 0 rule at every alpha; and the axis-integral slice coefficient, a
+periodic midpoint quadrature on 2K + 1 nodes, exact on the band.
 """
 
 from __future__ import annotations
@@ -95,17 +96,20 @@ def _check_cover(W: np.ndarray, K: int) -> None:
 
 def _invert(g: TorusSinogram, w: WeightRule, alpha: float = 0.0, order: float = 0.0) -> TorusField:
     """adjoint(g, w) / (W + alpha <k>^(2 order)), W the rule's normal
-    multiplier. At alpha = 0: no penalty (0 * inf is NaN), IncompleteCover
-    where W vanishes, and k = 0 holds 0j + mean, W(0) mean / W(0) exactly,
+    multiplier: every method's one rule check, coverage check and division,
+    at every alpha. k = 0 holds 0j + mean W(0) / (W(0) + alpha), so W(0) mean
+    is never formed: the mean itself at alpha = 0, where W(0) / W(0) is 1.0,
     with a -0.0 part written as +0.0 so no byte hangs on a zero's sign."""
-    out = adjoint(g, w).coeffs
-    if alpha == 0:
-        _check_cover(w.normal_array, g.K)
-        np.divide(out, w.normal_array, out=out)
-        out.flat[out.size // 2] = 0j + g.mean
-    else:
+    _check_rule(g, w)
+    W = w.normal_array
+    _check_cover(W, g.K)
+    W0 = W.flat[W.size // 2]
+    out = scatter(g.K, g.members, w.w2 * g.values, 0j)
+    if alpha != 0:  # no penalty at alpha = 0, where 0 * inf is NaN
         with np.errstate(over="ignore"):  # an inf penalty takes its k to 0, the limit
-            np.divide(out, w.normal_array + alpha * bracket_sq(g.n, g.K) ** float(order), out=out)
+            W = W + alpha * bracket_sq(g.n, g.K) ** float(order)
+    np.divide(out, W, out=out)
+    out.flat[out.size // 2] = 0j + g.mean * (W0 / (W0 + alpha))
     return TorusField(g.n, g.K, out)
 
 

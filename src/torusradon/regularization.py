@@ -1,6 +1,7 @@
 """Tikhonov regularization on the Fourier side: the smoothing multiplier, the
 closed-form minimizer for d-planes in any T^n (the inversions' multiplier
-plus a Bessel penalty), parameter schedules and the convergence bound.
+under g's data rule plus a Bessel penalty), parameter schedules and the
+convergence bound.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
 from .fields import TorusField, bracket_sq, sobolev_norm
-from .inversion import _check_cover, _invert
-from .sinogram import TorusSinogram, WeightRule, _data_weight, sinogram_norm
+from .inversion import _invert
+from .sinogram import TorusSinogram, _data_weight, sinogram_norm
 from .transforms import forward_sinogram
 
 
@@ -38,21 +39,11 @@ def _check_minimizer_params(r: float, s: float, alpha: float) -> None:
 def tikhonov_reconstruct(g: TorusSinogram, r: float, s: float, alpha: float) -> TorusField:
     """Closed-form minimizer of `tikhonov_objective` for d-planes in any T^n:
     the functional is diagonal in k, so its minimizer is adjoint / (W +
-    alpha <k>^(2(s-r))), W the normal multiplier of g's data rule. Raises
-    IncompleteCover where a band frequency has no stored subspace (W = 0)."""
+    alpha <k>^(2(s-r))), W the normal multiplier of g's data rule, with the
+    inversions' coverage check and k = 0 rule. Raises IncompleteCover where a
+    band frequency has no stored subspace (W = 0)."""
     _check_minimizer_params(r, s, alpha)
-    w = _data_weight(g)
-    _check_cover(w.normal_array, g.K)
-    return _invert(g, w, alpha, s - r)
-
-
-def tikhonov_reconstruct_weighted(g: TorusSinogram, w: WeightRule, r: float, s: float,
-                                  alpha: float) -> TorusField:
-    """Tikhonov under any weight rule w on g's family: the per-coefficient
-    minimizer adjoint / (W + alpha <k>^(2(s-r))), with W the rule's normal
-    multiplier."""
-    _check_minimizer_params(r, s, alpha)
-    return _invert(g, w, alpha, s - r)
+    return _invert(g, _data_weight(g), alpha, s - r)
 
 
 def tikhonov_objective(f: TorusField, g: TorusSinogram, r: float, s: float,

@@ -38,6 +38,7 @@ from torusradon.lattice import (
     orthogonal_primitive,
     primitive_reduce,
 )
+from torusradon.regularization import tikhonov_reconstruct
 from torusradon.sinogram import (
     HEIGHT_DECAY,
     TorusSinogram,
@@ -441,19 +442,23 @@ def test_invert_sum_hyperplanes_n3(rng):
     assert np.max(np.abs(rec.coeffs - expected)) < 1e-12
 
 
-_MEAN_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300]),
+_MEAN_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300,
+                                         1.7976931348623157e308, -1.7976931348623157e308]),
                         st.floats(-1e300, 1e300))
 
 
 @given(family=st.one_of(st.integers(0, 40).map(lambda R: (direction_cover(R), R)),
                         st.integers(1, 4).map(lambda K: (hyperplane_cover(K, 3), K))),
        mean=st.one_of(_MEAN_PARTS.map(complex), st.builds(complex, _MEAN_PARTS, _MEAN_PARTS)),
-       scale=st.sampled_from([1.0, 1e-300, 1e300]), seed=st.integers(0, 2**32 - 1))
+       scale=st.sampled_from([1.0, 1e-300, 1e300]), seed=st.integers(0, 2**32 - 1),
+       alpha=st.one_of(st.sampled_from([5e-324, 1.0, 1e300]), st.floats(1e-12, 1e12)))
 @settings(max_examples=300, derandomize=True)
-def test_alpha_zero_methods_write_the_bytes_of_the_sum(family, mean, scale, seed):
+def test_alpha_zero_methods_write_the_bytes_of_the_sum(family, mean, scale, seed, alpha):
     # the four alpha = 0 names are one multiplier: on hyperplane data W = 1
     # off k = 0, and k = 0 holds the stored mean, not W(0) mean / W(0); the
-    # oracle is the plain scatter of the slices with the mean put back
+    # oracle is the plain scatter of the slices with the mean put back.
+    # Tikhonov shares the k = 0 rule, mean W(0) / (W(0) + alpha): W(0) mean
+    # is never formed, so a mean at the float maximum leaves it finite
     cover, K = family
     members = canonical_family(cover)
     size = layout(members, K)[0].size
@@ -466,6 +471,10 @@ def test_alpha_zero_methods_write_the_bytes_of_the_sum(family, mean, scale, seed
     assert adjoint_normalized(g, w).coeffs.tobytes() == expected
     if g.n == 2:
         assert reconstruct_slices(g).coeffs.tobytes() == expected
+    rec = tikhonov_reconstruct(g, 0.0, 1.0, alpha).coeffs
+    W0 = w.normal_array.flat[w.normal_array.size // 2]
+    assert rec.flat[rec.size // 2].tobytes() == np.complex128(0j + g.mean * (W0 / (W0 + alpha))).tobytes()
+    assert np.all(np.isfinite(rec))
 
 
 def test_stability_inequality(rng):

@@ -21,16 +21,8 @@ from torusradon.regularization import (
     strategy_constant,
     tikhonov_objective,
     tikhonov_reconstruct,
-    tikhonov_reconstruct_weighted,
 )
-from torusradon.sinogram import (
-    HEIGHT_DECAY,
-    TorusSinogram,
-    _data_weight,
-    canonical_weight,
-    sinogram_norm,
-    weight_on_family,
-)
+from torusradon.sinogram import TorusSinogram, _data_weight, canonical_weight, sinogram_norm
 from torusradon.transforms import forward_sinogram
 
 
@@ -202,16 +194,6 @@ def test_objective_is_quadratic_along_segments(rng):
     predicted = np.polyval(coeffs, probe)
     actual = tikhonov_objective(f_star + probe * eta, g, r, s, alpha)
     assert abs(predicted - actual) < 1e-10 * max(1.0, abs(actual))
-
-
-def test_weighted_variant_reduces_to_planar(rng):
-    K = 2
-    fam = hyperplane_cover(K, 3)
-    w = weight_on_family(HEIGHT_DECAY, fam, K)
-    f = random_field(3, K, rng)
-    g = forward_sinogram(f, fam)
-    rec = tikhonov_reconstruct_weighted(g, w, 0.0, 0.0, 1e-9)
-    assert np.max(np.abs(rec.coeffs - f.coeffs)) < 1e-6
 
 
 def test_alpha_schedule():
