@@ -17,6 +17,10 @@ class BandTooLarge(TorusRadonError):
     """Grid too coarse for the requested frequency band (need N >= 2K+2)."""
 
 
+class CoverTooLarge(TorusRadonError):
+    """A cover or enumeration radius whose candidate walk would not fit in memory."""
+
+
 class DimensionMismatch(TorusRadonError):
     """Operands live on tori of different dimensions or bands."""
 

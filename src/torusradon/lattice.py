@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, RankMismatch, ZeroVector
+from .errors import CoverTooLarge, DimensionMismatch, RankMismatch, ZeroVector
 
 IntVec = tuple[int, ...]
 
@@ -91,11 +92,37 @@ def orthogonal_primitive(k: Sequence[int]) -> PrimitiveDirection:
     return primitive_reduce((-kk[1], kk[0]))
 
 
+# Bytes a walk over the integer vectors of a sup-norm ball holds per
+# candidate vector, set under the measured figures so that no affordable
+# walk is refused: tracemalloc peaks of 57 for enumerate_directions(2, 300),
+# 81 for enumerate_directions(3, 30) and 225 for hyperplane_cover(20, 3),
+# and 93 of process RSS for direction_cover(1000).
+_BYTES_PER_CANDIDATE = 48
+
+
+def _require_walkable(n: int, H: int) -> None:
+    """CoverTooLarge, before any walk, if the (2H+1)^n integer vectors of
+    sup-norm at most H would take more than physical memory at
+    _BYTES_PER_CANDIDATE each: such a walk could only hang, then fail."""
+    count = (2 * H + 1) ** n
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no budget to hold it to
+        return
+    if count * _BYTES_PER_CANDIDATE > memory:
+        many = count if count < 10**100 else f"{2 * H + 1}^{n}"  # str() refuses 4,300 digits
+        raise CoverTooLarge(f"radius {H} in Z^{n} walks {many} candidate vectors, past the "
+                            f"{memory} bytes of physical memory")
+
+
 def enumerate_directions(n: int, H: int) -> list[PrimitiveDirection]:
     """All canonical primitive vectors with sup-norm at most H, sorted
-    lexicographically (the order itertools.product yields them in)."""
+    lexicographically (the order itertools.product yields them in).
+    CoverTooLarge if the walk over the (2H+1)^n candidates cannot fit in
+    memory."""
     if H < 1:
         raise ValueError("H must be >= 1")
+    _require_walkable(n, H)
     # v > 0 lexicographically iff its first nonzero entry is positive
     return [PrimitiveDirection(v) for v in itertools.product(range(-H, H + 1), repeat=n)
             if v > (0,) * n and gcd(*v) == 1]
@@ -319,7 +346,9 @@ def omega_k(k: Sequence[int], d: int, n: int, H: int) -> list[RationalSubspace]:
 
 
 def frequency_band(n: int, K: int, punctured: bool = False) -> list[IntVec]:
-    """Integer frequencies with sup-norm at most K, lexicographic order."""
+    """Integer frequencies with sup-norm at most K, lexicographic order.
+    CoverTooLarge if there are too many to fit in memory."""
+    _require_walkable(n, K)
     return [k for k in itertools.product(range(-K, K + 1), repeat=n) if any(k) or not punctured]
 
 

@@ -4,11 +4,12 @@ Harmonic phantoms are exact on the band; disk and bump phantoms are grid
 sampled and band-truncated, with the truncation residual reported so tests
 can separate discretization error from method error. The residual is the
 relative RMS that the band drops from the N x N samples, taken by Parseval
-on the grid spectrum; no inverse transform is made. Each bump is the
-product of two periodized 1-D Gaussians, so the bumps' spectrum comes from
-1-D FFTs. A centre is taken mod 1 before any distance, and a bump width
-whose 2 width^2 is not a normal float (it underflows or overflows) is
-refused.
+on their grid spectrum; no inverse transform is made. The disk samples its
+N x N grid. Each bump is the product of two periodized 1-D Gaussians, so
+the bumps' band comes from their B x N 1-D spectra and the residual from
+four B x B Gram matrices of them: no N x N array is made. A centre is
+taken mod 1 before any distance, and a bump width whose 2 width^2 is not a
+normal float (it underflows or overflows) is refused.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ def _center(center) -> tuple[float, float]:
     return tuple((c % 1.0).tolist())
 
 
-def _offsets(N, center) -> np.ndarray:
-    """Signed offsets, shape (2, N), from the grid points j/N to the nearest
-    image of center along each axis."""
-    return (np.arange(N) / N - np.array(_center(center))[:, None] + 0.5) % 1.0 - 0.5
+def _offsets(N, centers) -> np.ndarray:
+    """Signed offsets, shape (..., 2, N), from the grid points j/N to the
+    nearest image of each centre (taken mod 1, shape (..., 2)) along each
+    axis."""
+    return (np.arange(N) / N - np.asarray(centers)[..., None] + 0.5) % 1.0 - 0.5
 
 
 def _band_limited(spec, K) -> tuple[TorusField, float]:
@@ -106,7 +108,7 @@ def _disk(params, K, N):
     if not (0 < radius < 0.5):
         raise BadParams("disk radius must lie in (0, 1/2)")
     _require_finite(center=center)
-    dx, dy = _offsets(N, center)
+    dx, dy = _offsets(N, _center(center))
     samples = (dx[:, None] ** 2 + dy[None, :] ** 2 <= radius**2).astype(float)
     f, rel = _band_limited(np.fft.fft2(samples) / N**2, K)
     return Phantom("disk", {"radius": radius, "center": center}, f,
@@ -128,17 +130,35 @@ def _multi_bump(params, K, N):
         key = (_center(center), two_w2)
         amps[key] = amps.get(key, 0.0) + amp
     # The periodized Gaussian (nearest image per axis) is gx (x) gy, so the
-    # spectrum of the sum is the rank-B product of the 1-D spectra, each
-    # scaled by 1/N first so that no intermediate exceeds the result. Bumps
-    # of one centre and width share one factor: amplitudes that cancel there
-    # leave an exact zero, not the rounding noise of the product.
-    factors = [np.exp(-_offsets(N, c) ** 2 / two_w2) for c, two_w2 in amps]
-    fx, fy = np.moveaxis(np.fft.fft(np.reshape(factors, (-1, 2, N))) / N, 1, 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused below
-        spec = fx.T @ (np.reshape(list(amps.values()), (-1, 1)) * fy)
-    if not np.isfinite(spec).all():
-        raise BadParams("phantom amplitude must be finite in sum: the bumps' spectrum overflows")
-    f, rel = _band_limited(spec, K)
+    # spectrum of the sum is S = sum_b a_b fx_b (x) fy_b over the B keys,
+    # with fx, fy the B x N 1-D spectra, scaled by 1/N so that no entry
+    # exceeds 1. Bumps of one centre and width share one key: amplitudes that
+    # cancel there leave an exact zero, not the rounding noise of a product.
+    centers = np.reshape([c for c, _ in amps], (-1, 2))
+    two_w2 = np.reshape([t for _, t in amps], (-1, 1, 1))
+    fx, fy = np.moveaxis(np.fft.fft(np.exp(-_offsets(N, centers) ** 2 / two_w2)) / N, 1, 0)
+    a = np.fromiter(amps.values(), float, len(amps))
+    idx = np.arange(-K, K + 1) % N
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf band is refused below
+        band = fx[:, idx].T @ (a[:, None] * fy[:, idx])
+    if not np.isfinite(band).all():
+        raise BadParams("phantom amplitude must be finite in sum: the bumps' band overflows")
+    # The energy of S on a set I x J is sum_bc a_b a_c Gx_bc Gy_bc with Gx, Gy
+    # the Grams of fx, fy on I, J; off the band is (off x all) + (band x off).
+    # Every Gram entry is at most 1 (Parseval), so with s = a / max|a| no sum
+    # overflows; the energy dropped is summed directly, not as total - kept,
+    # so a residual near 0 keeps its digits.
+    peak = np.abs(a).max(initial=0.0)
+    rel = 0.0
+    if peak > 0:
+        s = a / peak
+        off = np.arange(K + 1, N - K)
+        gxb, gxo, gyb, gyo = (v.conj() @ v.T for v in (fx[:, idx], fx[:, off], fy[:, idx], fy[:, off]))
+        dropped, kept = (max(float((s @ m @ s).real), 0.0)
+                         for m in (gxo * (gyb + gyo) + gxb * gyo, gxb * gyb))
+        if dropped + kept > 0:
+            rel = math.sqrt(dropped / (dropped + kept))
+    f = TorusField(2, K, band, real=True)
     return Phantom("multi-bump", {"bumps": list(bumps)}, f, truncation_residual=rel)
 
 

@@ -57,17 +57,40 @@ class _Family(tuple):
         return self._hash
 
 
+# id(family) -> (tuple(family), its canonical family), for the last few
+# families of hashable members: see canonical_family
+_HELD: dict[int, tuple[tuple, _Family]] = {}
+_HELD_SIZE = 16
+
+
 def canonical_family(family) -> tuple[RationalSubspace, ...]:
     """The sorted, distinct subspaces of a family of subspaces, directions
     or integer vectors, built once per family and then shared.
-    DimensionMismatch if the members differ in (n, d)."""
+    DimensionMismatch if the members differ in (n, d).
+
+    A family object seen in one of the last few calls is recognized without
+    hashing its members: the call's tuple(family) is compared with the one
+    taken then, which compares by identity first. A member appended, removed
+    or replaced by an unequal one since, or an id reused by another object,
+    fails that comparison and takes the cache. Unhashable members (lists of ints,
+    which can change inside the snapshot) skip both."""
     if type(family) is _Family:
         return family
     members = tuple(family)
+    held = _HELD.get(id(family))
     try:
-        return _canonical_family(members)
+        if held is not None and held[0] == members:
+            return held[1]
+    except ValueError:  # members that compare elementwise (numpy vectors) are no hit
+        pass
+    try:
+        fam = _canonical_family(members)
     except TypeError:  # unhashable members (lists of ints) skip the cache
         return _canonical_family.__wrapped__(members)
+    if len(_HELD) >= _HELD_SIZE and id(family) not in _HELD:
+        del _HELD[next(iter(_HELD))]
+    _HELD[id(family)] = (members, fam)
+    return fam
 
 
 @lru_cache(maxsize=64)

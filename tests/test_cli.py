@@ -131,6 +131,21 @@ def test_refused_grid_writes_no_file(tmp_path, capsys):
     assert not recon.exists() and not (tmp_path / "r.pgm").exists()
 
 
+# a cover radius whose candidate walk cannot fit in memory exits 2 at once,
+# with one error line naming the radius and the count, and no output; it
+# once ran until it was killed
+def test_a_cover_past_memory_is_refused(tmp_path, capsys):
+    field, sino = tmp_path / "f.tfield", tmp_path / "sino"
+    run(["phantom", "--band", "2", "--grid", "8", "--out", field])
+    capsys.readouterr()
+    assert run(["forward", "--field", field, "--cover", 10**7, "--out", sino]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: radius 10000000 in Z^2 walks 400000040000001 candidate vectors")
+    assert err.count("\n") == 1
+    assert not sino.exists()
+
+
 @pytest.mark.parametrize("command", ["phantom", "reconstruct"])
 def test_unwritable_output_is_an_error(tmp_path, capsys, command):
     field, sino = tmp_path / "f.tfield", tmp_path / "sino"

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusradon.errors import DimensionMismatch, RankMismatch, ZeroVector
+from torusradon import lattice
+from torusradon.errors import CoverTooLarge, DimensionMismatch, RankMismatch, ZeroVector
 from torusradon.lattice import (
     PrimitiveDirection,
     RationalSubspace,
@@ -400,6 +401,29 @@ def test_lattice_refusals(call, error, start):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(start)
+
+
+# a radius whose (2H+1)^n candidate vectors cannot fit in memory is refused
+# by name before the walk: direction_cover(10**7) once ran until it was
+# killed; the walk itself is made to fail here, so a missed check fails fast
+@pytest.mark.parametrize("call, radius, count", [
+    (lambda: enumerate_directions(2, 10**12), 10**12, (2 * 10**12 + 1) ** 2),
+    (lambda: enumerate_grassmannian(1, 2, 10**12), 10**12, (2 * 10**12 + 1) ** 2),
+    (lambda: direction_cover(10**12), 10**12, (2 * 10**12 + 1) ** 2),
+    (lambda: line_cover(10**12, 2), 10**12, (2 * 10**12 + 1) ** 2),
+    (lambda: hyperplane_cover(10**9, 3), 10**9, (2 * 10**9 + 1) ** 3),
+    (lambda: line_cover(10**9, 3), 10**9, (2 * 10**9 + 1) ** 3),
+    (lambda: enumerate_directions(3000, 1), 1, "3^3000"),
+    (lambda: enumerate_directions(10**5, 1), 1, "3^100000"),
+])
+def test_a_radius_past_memory_is_refused_before_the_walk(monkeypatch, call, radius, count):
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+    monkeypatch.setattr(lattice.itertools, "product", walk)
+    with pytest.raises(CoverTooLarge) as info:
+        call()
+    assert str(info.value).startswith(f"radius {radius} in Z^")
+    assert f" walks {count} candidate vectors" in str(info.value)
 
 
 # an integer vector is read with operator.index: a float entry, even 2.0,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -79,6 +80,37 @@ def test_cancelling_bumps_give_an_exact_zero():
     ]}, K=10, N=43)
     assert np.all(ph.field.coeffs == 0)
     assert ph.truncation_residual == 0.0
+
+
+# bumps of one centre and opposite amplitudes but different widths cancel
+# in part on the band and off it: the band from 1-D spectra and the residual
+# from B x B Grams still hold the dense path's tolerances
+@pytest.mark.parametrize("K, N", [(32, 128), (64, 256)])
+@pytest.mark.parametrize("widths", [(0.02, 0.03), (0.01, 0.011)])
+def test_cancelling_bumps_of_two_widths_match_the_dense_path(K, N, widths):
+    params = {"bumps": [{"center": (0.3, 0.6), "width": w, "amplitude": a}
+                        for w, a in zip(widths, (1.0, -1.0))]}
+    ph = phantom("multi-bump", params, K, N)
+    coeffs, resid = dense_phantom("multi-bump", params, K, N)
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    assert np.max(np.abs(ph.field.coeffs - coeffs)) <= 1e-14 * scale
+    assert abs(ph.truncation_residual - resid) <= 1e-12
+    assert 0 < ph.truncation_residual < 1
+
+
+# a multi-bump phantom costs its band, not its grid: no N x N array is made
+# (at K = 8, N = 1024 the grid spectrum once peaked at 32 MiB)
+def test_a_multi_bump_phantom_allocates_no_grid():
+    params = {"bumps": [{"center": (0.3, 0.4), "width": 0.05},
+                        {"center": (0.6, 0.7), "width": 0.08, "amplitude": -0.5}]}
+    phantom("multi-bump", params, K=8, N=1024)  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        phantom("multi-bump", params, K=8, N=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_multi_bump_real_and_positive_mean():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from torusradon import sinogram
 from torusradon.errors import DimensionMismatch, IncompleteCover, WeightUndefined
 from torusradon.fields import (
     band_frequencies,
@@ -29,6 +30,8 @@ from torusradon.sinogram import (
     CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
+    as_subspace,
+    canonical_family,
     canonical_weight,
     layout,
     sinogram_inner,
@@ -473,6 +476,65 @@ def test_weight_on_family_drops_duplicate_members():
         assert twice.family == once.family and len(twice.family) == len(cover)
         assert np.array_equal(twice.normal_array, once.normal_array)
         assert (twice.c_w, twice.C_w) == (once.c_w, once.C_w)
+
+
+def sorted_distinct(family):
+    """The canonical family built by hand: sorted distinct subspaces."""
+    return tuple(sorted({as_subspace(A) for A in family}))
+
+
+# a family object just canonicalized is recognized without hashing its
+# members, and any change to it since is seen on the next call
+def test_the_same_family_object_gives_the_same_canonical_family():
+    cover = direction_cover(8)
+    fam = canonical_family(cover)
+    assert fam == sorted_distinct(cover)
+    assert canonical_family(cover) is fam
+    assert canonical_family(fam) is fam
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: c.append(line((1, 9))),
+    lambda c: c.pop(),
+    lambda c: c.pop(0),
+    lambda c: c.__setitem__(3, line((2, 9))),
+    lambda c: c.__setitem__(3, c[4]),
+    lambda c: c.reverse(),
+    lambda c: c.clear(),
+], ids=["append", "pop", "pop-first", "replace", "duplicate", "reverse", "clear"])
+def test_a_family_changed_in_place_is_seen(change):
+    cover = [line(v) for v in direction_cover(4)]
+    canonical_family(cover)
+    change(cover)
+    assert canonical_family(cover) == sorted_distinct(cover)
+
+
+def test_a_family_of_int_lists_changed_in_place_is_seen():
+    vectors = [[1, 0], [0, 1], [1, 1]]
+    assert canonical_family(vectors) == sorted_distinct(map(tuple, vectors))
+    vectors[2][1] = -1
+    assert canonical_family(vectors) == sorted_distinct(map(tuple, vectors))
+    vectors[0][:] = [2, 3]
+    assert canonical_family(vectors) == sorted_distinct(map(tuple, vectors))
+
+
+def test_an_iterator_is_a_family():
+    cover = direction_cover(4)
+    for _ in range(2):
+        assert canonical_family(iter(cover)) == sorted_distinct(cover)
+        assert canonical_family(A for A in cover) == sorted_distinct(cover)
+
+
+# an id reused by another object fails the snapshot comparison: here the
+# snapshot held under the id of numpy vectors is of other members, and
+# numpy's elementwise comparison is no hit either
+def test_a_reused_id_is_no_hit(monkeypatch):
+    vectors = [np.array([1, 2]), np.array([0, 1])]
+    other = tuple(direction_cover(1)[:2])
+    monkeypatch.setitem(sinogram._HELD, id(vectors), (other, canonical_family(other)))
+    assert canonical_family(vectors) == sorted_distinct(vectors)
+    monkeypatch.setitem(sinogram._HELD, id(other), (tuple(vectors), canonical_family(vectors)))
+    assert canonical_family(other) == sorted_distinct(other)
 
 
 def test_constructor_takes_only_a_canonical_family():
