@@ -10,10 +10,8 @@ from .fields import (
     field_from_coeffs,
     random_field,
     sobolev_norm,
-    to_coefficients,
     to_samples,
     unit_harmonic,
-    zero_field,
 )
 from .inversion import (
     ReconstructionReport,
@@ -34,7 +32,6 @@ from .lattice import (
     enumerate_grassmannian,
     hyperplane_cover,
     line_cover,
-    omega_k,
     orthogonal_complement,
     orthogonal_primitive,
     primitive_reduce,
@@ -43,7 +40,6 @@ from .phantoms import Phantom, phantom
 from .regularization import (
     alpha_schedule,
     error_bound,
-    post_process,
     strategy_constant,
     tikhonov_objective,
     tikhonov_reconstruct,
@@ -62,7 +58,6 @@ from .transforms import (
     forward_sinogram,
     forward_subspace,
     quadrature_line_integral,
-    rescale_convention,
 )
 
 __version__ = "0.1.0"

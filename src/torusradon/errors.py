@@ -29,10 +29,6 @@ class QuadratureTooCoarse(TorusRadonError):
     """Midpoint rule step count below the exactness threshold."""
 
 
-class WeightUndefined(TorusRadonError):
-    """Weight rule has no value for a stored (frequency, subspace) pair."""
-
-
 class IncompleteCover(TorusRadonError):
     """Some band frequency lacks its orthogonal subspace in the family."""
 

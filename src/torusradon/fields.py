@@ -151,10 +151,6 @@ def weigh_parts(weight: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def zero_field(n: int, K: int, real: bool = False) -> TorusField:
-    return TorusField(n, K, np.zeros((2 * K + 1,) * n, dtype=np.complex128), real)
-
-
 def field_from_coeffs(n: int, K: int, entries: dict, real: bool = False) -> TorusField:
     arr = np.zeros((2 * K + 1) ** n, dtype=np.complex128)
     for k, val in entries.items():

@@ -285,38 +285,22 @@ def _read_sinogram_at(d: Path, fd: int) -> TorusSinogram:
 
 
 def write_pgm(image: np.ndarray, path) -> None:
-    """16-bit grayscale P5 with linear min-max scaling noted in the comment."""
+    """16-bit grayscale P5 with linear min-max scaling noted in the comment.
+    An image with a non-finite sample has no such scale: TorusRadonError,
+    before the file is opened."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("image must be two-dimensional")
+    if not np.all(np.isfinite(img)):
+        raise TorusRadonError(f"{path}: the image has non-finite samples, so no linear scale fits it")
     lo, hi = float(img.min()), float(img.max())
-    scaled = np.round((img - lo) / (hi - lo) * 65535.0) if hi > lo else np.zeros_like(img)
+    # in halves where hi - lo passes the float range; halving is exact, and
+    # every other image is scaled by (img - lo) / (hi - lo) itself
+    h = 1.0 if np.isfinite(hi - lo) else 0.5
+    scaled = np.round((h * img - h * lo) / (h * hi - h * lo) * 65535.0) if hi > lo else np.zeros_like(img)
     header = (f"P5\n# linear scale min={lo:.17g} max={hi:.17g}\n"
               f"{img.shape[1]} {img.shape[0]}\n65535\n")
     write_in_place(path, header.encode("ascii") + scaled.astype(">u2").tobytes())
-
-
-def read_pgm(path) -> tuple[np.ndarray, float, float]:
-    """Read back a P5 written by write_pgm: (scaled array, min, max).
-    Raises CorruptInput on a malformed, truncated or unreadable file."""
-    try:
-        magic, comment, size, maxval, data = Path(path).read_bytes().split(b"\n", 4)
-        if magic != b"P5":
-            raise ValueError("not a P5 PGM")
-        parts = dict(tok.split("=") for tok in comment.decode("ascii").replace("#", "").split()
-                     if "=" in tok)
-        lo, hi = float(parts["min"]), float(parts["max"])
-        w, h = (int(t) for t in size.split())
-        maxval = int(maxval)
-        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < maxval < 65536 and min(w, h) >= 1):
-            raise ValueError(f"bad scale min={lo}, max={hi}, maxval={maxval} or size {w} x {h}")
-        raw = np.frombuffer(data, dtype=">u2").reshape(h, w)
-    except OSError as e:
-        raise CorruptInput(f"{path}: cannot read: {e.strerror}") from e
-    except (ValueError, KeyError, UnicodeDecodeError) as e:
-        raise CorruptInput(f"{path}: bad PGM: {e!r}") from e
-    img = raw.astype(np.float64) / maxval * (hi - lo) + lo if hi > lo else np.full((h, w), lo)
-    return img, lo, hi
 
 
 def write_csv(path, header: str, rows) -> None:

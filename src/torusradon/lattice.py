@@ -1,5 +1,5 @@
 """Integer-lattice engine: primitive directions, rational subspaces in
-Hermite normal form, orthogonality sets and direction covers.
+Hermite normal form, Grassmannian enumeration and band covers.
 
 All arithmetic here is exact (Python integers). A subspace has one
 canonical form, the HNF basis of its saturated lattice; two values
@@ -64,13 +64,6 @@ class PrimitiveDirection:
 
     def dot(self, k: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(self.v, _as_intvec(k)))
-
-    def serialize(self) -> str:
-        return ",".join(str(x) for x in self.v)
-
-    @staticmethod
-    def parse(text: str) -> "PrimitiveDirection":
-        return PrimitiveDirection(_as_intvec(int(t) for t in text.split(",")))
 
 
 def primitive_reduce(v: Sequence[int]) -> PrimitiveDirection:
@@ -267,12 +260,6 @@ def _line(v: PrimitiveDirection) -> RationalSubspace:
     return _subspace(v.n, 1, (v.v,))
 
 
-def direction_of(A: RationalSubspace) -> PrimitiveDirection:
-    if A.d != 1:
-        raise ValueError("direction_of needs a one-dimensional subspace")
-    return PrimitiveDirection(A.basis[0])
-
-
 def canonicalize_subspace(rows: Sequence[Sequence[int]], d: int) -> RationalSubspace:
     """Canonical representative of the Q-span of the given integer rows.
 
@@ -328,21 +315,6 @@ def _enumerate_grassmannian_cached(d: int, n: int, H: int) -> tuple[RationalSubs
                     out.append(_subspace(n, d, basis))
     out.sort()
     return tuple(out)
-
-
-def omega_k(k: Sequence[int], d: int, n: int, H: int) -> list[RationalSubspace]:
-    """Truncated orthogonality set: subspaces of height <= H with every
-    basis row orthogonal to k. For k = 0 this is the whole truncated
-    Grassmannian; for d = n-1 and k != 0 it is at most the one hyperplane."""
-    kk = _as_intvec(k)
-    if len(kk) != n:
-        raise DimensionMismatch("frequency length does not match n")
-    if not any(kk):
-        return enumerate_grassmannian(d, n, H)
-    if d == n - 1:
-        A = orthogonal_complement(kk)
-        return [A] if A.height <= H else []
-    return [A for A in enumerate_grassmannian(d, n, H) if A.contains_frequency(kk)]
 
 
 def frequency_band(n: int, K: int, punctured: bool = False) -> list[IntVec]:

@@ -1,7 +1,8 @@
-"""Tikhonov regularization on the Fourier side: the smoothing multiplier, the
-closed-form minimizer for d-planes in any T^n (the inversions' multiplier
-under g's data rule plus a Bessel penalty), parameter schedules and the
-convergence bound.
+"""Tikhonov regularization on the Fourier side: the closed-form minimizer
+for d-planes in any T^n (the inversions' multiplier under g's data rule plus
+a Bessel penalty), parameter schedules and the convergence bound. On a
+planar direction cover, where the canonical rule's W is 1, the minimizer at
+r = 0 is the smoothing post-processing filter f^(k) / (1 + alpha <k>^(2s)).
 """
 
 from __future__ import annotations
@@ -11,20 +12,10 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ParamViolation
-from .fields import TorusField, bracket_sq, sobolev_norm
+from .fields import TorusField, sobolev_norm
 from .inversion import _invert
 from .sinogram import TorusSinogram, _data_weight, sinogram_norm
 from .transforms import forward_sinogram
-
-
-def post_process(f: TorusField, s: float, alpha: float) -> TorusField:
-    """The smoothing Fourier multiplier (1 + alpha <k>^(2s))^-1."""
-    if not (math.isfinite(s) and math.isfinite(alpha)) or alpha < 0:
-        raise ParamViolation(f"need a finite s and a finite alpha >= 0, got s={s}, alpha={alpha}")
-    if alpha == 0:
-        return f
-    with np.errstate(over="ignore"):  # an inf weight smooths its k to 0, the limit
-        return f.scaled_by(1.0 / (1.0 + alpha * bracket_sq(f.n, f.K) ** float(s)))
 
 
 def _check_minimizer_params(r: float, s: float, alpha: float) -> None:

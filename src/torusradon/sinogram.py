@@ -16,18 +16,19 @@ out of it in one bincount (`scatter`). Member A's vector is
 
 A weight rule lives on an explicit finite subspace family (the working
 truncation of the Grassmannian) and is built once, its constants c_w and
-C_w computed on the band by exhaustive summation. It is total on its
-family and band: its squared weights are one flat array of positive values
-on layout(family, K) plus one w(0, A)^2 per member. It is read only on data
-whose members are its family, at its band, so every operator on transform
-data is one numpy expression on the rule's own arrays.
+C_w computed on the band by exhaustive summation. Each kind gives a member
+one weight off k = 0, so a rule is total on its family and band: its squared
+weights are one flat array of positive values on layout(family, K) plus one
+w(0, A)^2 per member, and W(k) sums them over the members orthogonal to k
+(Railo's orthogonality set Omega_k). It is read only on data whose members
+are its family, at its band, so every operator on transform data is one
+numpy expression on the rule's own arrays.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -35,14 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, WeightUndefined
-from .fields import (TorusField, band_frequencies, band_index, bessel_norm, bracket_sq, frozen,
+from .errors import DimensionMismatch
+from .fields import (TorusField, band_frequencies, bessel_norm, bracket_sq, frozen,
                      grid_lp_norm, orthogonality_mask, weigh_parts)
-from .lattice import PrimitiveDirection, RationalSubspace, _as_intvec, enumerate_grassmannian, line
+from .lattice import PrimitiveDirection, RationalSubspace, enumerate_grassmannian, line
 
 CANONICAL = "canonical-singleton"
 HEIGHT_DECAY = "height-decay"
-CUSTOM = "custom-table"
 
 
 def as_subspace(member: RationalSubspace | PrimitiveDirection | Sequence[int]) -> RationalSubspace:
@@ -240,9 +240,6 @@ class TorusSinogram:
     def without_mean(self) -> "TorusSinogram":
         return self._new(0j, self.values)
 
-    def with_mean(self, mean: complex) -> "TorusSinogram":
-        return self._new(mean, self.values)
-
 
 # --- weight rules -------------------------------------------------------------
 
@@ -259,8 +256,6 @@ class WeightRule:
     kind 'canonical-singleton' (d = n-1): w = 1 off the mean and
     1/sqrt(|family|) at k = 0, so the data norm is the unweighted one.
     kind 'height-decay': w = base^-height(A), any d.
-    kind 'custom-table': explicit values per (k, A), one for k = 0 and
-    one for each k on support(A, K), for every member.
     """
 
     kind: str
@@ -275,79 +270,37 @@ class WeightRule:
     c_w: float = field(compare=False)
     C_w: float = field(compare=False)
 
-    def _block(self, A: RationalSubspace) -> tuple[slice, float]:
-        """(member A's block of w2 and of layout(family, K), w(0, A)^2);
-        DimensionMismatch if A is not a member."""
-        i = bisect_left(self.family, A)
-        if i == len(self.family) or self.family[i] != A:
-            raise DimensionMismatch("a member lies outside the weight rule's family")
-        off = layout(self.family, self.K)[1]
-        return slice(off[i], off[i + 1]), self.w2_zero[i]
-
-    def weight(self, k: Sequence[int], A: RationalSubspace) -> float:
-        """w(k, A) for k = 0 or k on support(A, K), else WeightUndefined;
-        DimensionMismatch unless k has n entries."""
-        block, w0 = self._block(A)
-        flat = band_index(self.n, self.K, k)
-        if flat == (2 * self.K + 1) ** self.n // 2:
-            return math.sqrt(w0)
-        hit = np.flatnonzero(layout(self.family, self.K)[0][block] == flat)  # none if flat is None
-        if not hit.size:
-            raise WeightUndefined(f"no weight value for k={_as_intvec(k)}, A={A.serialize()!r}")
-        return math.sqrt(self.w2[block][hit[0]])
-
-    def decay_certificate(self, A: RationalSubspace) -> tuple[float, float]:
-        """(c_A, m_A) with w(k, A) >= c_A <k>^-m_A on the stored band:
-        c_A is A's least weight, k = 0 included, and m_A = 0. Reads A's
-        block of the rule's arrays, so no one-member layout is built."""
-        block, w0 = self._block(A)
-        return math.sqrt(float(np.min(self.w2[block], initial=w0))), 0.0
-
 
 def weight_on_family(kind: str, family, K: int, params: tuple = ()) -> WeightRule:
     """The weight rule on an explicit subspace family, built once per (kind,
-    family, K, params) and shared. A custom table must give every member's
-    w(0, A) and w(k, A) on support(A, K); ValueError names the first
-    missing pair, in member order with k = 0 first; so is a weight whose
-    square is 0 or inf in floats, and a table whose squares sum to inf at
-    some k (the first such k is named). A family that misses part of the
-    band still has its rule, with c_w = 0; the inversions refuse it."""
+    family, K, params) and shared. The canonical rule takes no parameters
+    and height-decay at most a finite positive base (2 by default);
+    ValueError otherwise, and also for a base whose squared weights are 0 or
+    inf in floats or sum to inf at some k (the first such k is named). A
+    family that misses part of the band still has its rule, with c_w = 0;
+    the inversions refuse it."""
     fam = canonical_family(family)
     if not fam:
         raise ValueError("family must be nonempty")
     if kind == CANONICAL and fam[0].d != fam[0].n - 1:
         raise ValueError("canonical-singleton weights are a d = n-1 construction")
-    if kind not in (CANONICAL, HEIGHT_DECAY, CUSTOM):
+    if kind not in (CANONICAL, HEIGHT_DECAY):
         raise ValueError(f"unknown weight kind {kind!r}")
-    # no params for the canonical rule, a base for height-decay, ((k, A), value) pairs for a table
-    values = [v for _, v in params] if kind == CUSTOM else list(params)
-    if kind != CUSTOM and len(values) > (kind == HEIGHT_DECAY):
+    if len(params) > (kind == HEIGHT_DECAY):
         raise ValueError(f"too many parameters for {kind!r} weights: {params!r}")
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v > 0 for v in values):
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v > 0 for v in params):
         raise ValueError("weights must be finite and positive")
     return _weight_rule(kind, fam, K, tuple(params))
 
 
 @lru_cache(maxsize=64)
 def _weight_rule(kind: str, fam: tuple[RationalSubspace, ...], K: int, params: tuple) -> WeightRule:
-    index, offsets, _ = layout(fam, K)
-    if kind == CUSTOM:
-        table, n, off = dict(params), fam[0].n, offsets.tolist()
-        ks = [tuple(k) for k in band_frequencies(n, K)[:, index].T.tolist()]
-        pairs = [(k, A) for i, A in enumerate(fam) for k in [(0,) * n] + ks[off[i]:off[i + 1]]]
-        missing = next((p for p in pairs if p not in table), None)
-        if missing:
-            raise ValueError(f"no weight value for k={missing[0]}, A={missing[1].serialize()!r}")
-        w = [table[k, A] for k, A in pairs if any(k)]
-        zero = [table[k, A] for k, A in pairs if not any(k)]
-    else:  # the built-in kinds are constant off k = 0
-        base = np.float64(params[0] if params else 2.0)  # overflows to inf, not an error
-        with np.errstate(over="ignore"):
-            per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
-        w = np.repeat(per_member, np.diff(offsets))
+    base = np.float64(params[0] if params else 2.0)
+    with np.errstate(over="ignore"):  # an inf weight, square or sum, or a 0 square, is refused below
+        per_member = [1.0 if kind == CANONICAL else base ** -A.height for A in fam]
         zero = [1.0 / math.sqrt(len(fam))] * len(fam) if kind == CANONICAL else per_member
-    with np.errstate(over="ignore"):  # an inf square or sum, or a 0 square, is refused below
-        w2, w2_zero = np.asarray(w, np.float64) ** 2, np.asarray(zero, np.float64) ** 2
+        w2 = np.repeat(np.asarray(per_member, np.float64), np.diff(layout(fam, K)[1])) ** 2
+        w2_zero = np.asarray(zero, np.float64) ** 2
         zero_sum = w2_zero.sum()
     if not all(np.all((a > 0) & (a < np.inf)) for a in (w2, w2_zero)):
         raise ValueError("weights must be finite and positive")

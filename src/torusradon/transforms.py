@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, QuadratureTooCoarse
 from .fields import TorusField, evaluate_at
-from .lattice import PrimitiveDirection, RationalSubspace, _as_intvec
+from .lattice import PrimitiveDirection, RationalSubspace
 from .sinogram import TorusSinogram, _dense, as_subspace, canonical_family, layout, support
 
 
@@ -99,15 +99,3 @@ def forward_sinogram(f: TorusField, family) -> TorusSinogram:
         raise DimensionMismatch(f"subspaces in Q^{members[0].n}, field on T^{f.n}")
     return TorusSinogram(members, f.K, f.mean(), f.coeffs.ravel()[layout(members, f.K)[0]])
 
-
-def rescale_convention(value: complex, v: PrimitiveDirection | Sequence[int],
-                       target: str) -> complex:
-    """Convert a line datum between the period-1 and arc-length conventions;
-    the period-1 value is |v|^-1 times the arc-length value."""
-    vec = v.v if isinstance(v, PrimitiveDirection) else _as_intvec(v)
-    speed = float(np.sqrt(sum(x * x for x in vec)))
-    if target == "arc-length":
-        return complex(value) * speed
-    if target == "period-1":
-        return complex(value) / speed
-    raise ValueError(f"unknown convention {target!r}")

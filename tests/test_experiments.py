@@ -22,20 +22,18 @@ from torusradon.experiments import (
     splitmix64,
     strategy_bound_experiment,
 )
-from torusradon.fields import band_frequencies, bracket_sq, random_field
+from torusradon.fields import bracket_sq, random_field
 from torusradon.inversion import adjoint_normalized, invert_filtered
 from torusradon.io import read_sinogram, write_sinogram
 from torusradon.lattice import direction_cover, enumerate_grassmannian
 from torusradon.sinogram import (
     CANONICAL,
-    CUSTOM,
     HEIGHT_DECAY,
     _data_weight,
     canonical_weight,
     layout,
     scatter,
     sinogram_norm,
-    support,
     weight_on_family,
 )
 from torusradon.transforms import forward_sinogram
@@ -371,7 +369,7 @@ def _small_domains(draw):
     picked = draw(st.one_of(st.just(set(range(len(full)))),
                             st.sets(st.integers(0, len(full) - 1), min_size=1)))
     return (n, d, draw(st.integers(0, 2 if n == 4 else 3)), [full[i] for i in sorted(picked)], full,
-            draw(st.sampled_from([HEIGHT_DECAY, CUSTOM] + [CANONICAL] * (d == n - 1))),
+            draw(st.sampled_from([HEIGHT_DECAY] + [CANONICAL] * (d == n - 1))),
             draw(st.booleans()), draw(st.integers(0, 2**32)))
 
 
@@ -390,13 +388,10 @@ def test_every_method_is_exact_or_typed_on_small_domains(tmp_path_factory, domai
     alpha = 0.5  # tikhonov with r = 0, s = 1 is f W / (W + alpha <k>^2), W of g's data rule
     W = _data_weight(g).normal_array
     tikhonov = f.coeffs * W / (W + alpha * bracket_sq(n, K))
-    family, params = full if rule_on_full else members, ()
-    if kind == CUSTOM:  # a weight drawn for every (k, A), so it varies in k
-        params = tuple(((tuple(k), A), rng.uniform(0.5, 2.0)) for A in family
-                       for k in [(0,) * n] + band_frequencies(n, K)[:, support(A, K)].T.tolist())
+    family = full if rule_on_full else members
     # a rule on a family that misses part of the band is still built, with
     # c_w = 0: the methods refuse such data themselves
-    w = weight_on_family(kind, family, K, params)
+    w = weight_on_family(kind, family, K)
     try:  # the default data rule gives every family a norm
         assert np.isfinite(sinogram_norm(g, 0.0))
     except TorusRadonError:

@@ -22,7 +22,6 @@ from torusradon.fields import (
     to_coefficients,
     to_samples,
     unit_harmonic,
-    zero_field,
 )
 
 
@@ -74,7 +73,7 @@ def test_band_too_large():
     with pytest.raises(BandTooLarge):
         to_coefficients(np.zeros((4, 4)), K=2)
     with pytest.raises(BandTooLarge):
-        to_samples(zero_field(2, 3), N=7)
+        to_samples(field_from_coeffs(2, 3, {}), N=7)
 
 
 def test_to_samples_constant():
@@ -232,7 +231,7 @@ def test_real_flag_validation():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        zero_field(2, 2) + zero_field(2, 3)
+        field_from_coeffs(2, 2, {}) + field_from_coeffs(2, 3, {})
 
 
 def test_items_order_and_values():

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusradon.cli import main
-from torusradon.errors import CorruptInput, DimensionMismatch
-from torusradon.fields import random_field
+from torusradon.errors import CorruptInput, DimensionMismatch, TorusRadonError
+from torusradon.fields import random_field, to_samples
 from torusradon.io import (
     _family_text,
     _parse_subspaces,
     _slice_filename,
     read_field,
-    read_pgm,
     read_sinogram,
     write_csv,
     write_field,
@@ -348,11 +347,19 @@ def test_sinogram_files_hold_only_their_blocks(tmp_path, rng, n, K, family):
     assert np.array_equal(back.values, g.values)
 
 
+def _read_pgm(path):
+    """(image, min, max) of a P5 written by write_pgm, its linear scale undone."""
+    _, comment, size, _, data = Path(path).read_bytes().split(b"\n", 4)
+    lo, hi = (float(tok.partition(b"=")[2]) for tok in comment.split()[-2:])
+    w, h = map(int, size.split())
+    return np.frombuffer(data, ">u2").reshape(h, w) / 65535.0 * (hi - lo) + lo, lo, hi
+
+
 def test_pgm_round_trip(tmp_path, rng):
     img = rng.standard_normal((12, 8))
     p = tmp_path / "img.pgm"
     write_pgm(img, p)
-    back, lo, hi = read_pgm(p)
+    back, lo, hi = _read_pgm(p)
     assert lo == img.min() and hi == img.max()
     assert np.max(np.abs(back - img)) <= (hi - lo) / 65535
 
@@ -360,7 +367,7 @@ def test_pgm_round_trip(tmp_path, rng):
 def test_pgm_constant_image(tmp_path):
     p = tmp_path / "c.pgm"
     write_pgm(np.full((4, 4), 2.5), p)
-    back, lo, hi = read_pgm(p)
+    back, lo, hi = _read_pgm(p)
     assert lo == hi == 2.5
     assert np.all(back == 2.5)
 
@@ -373,49 +380,50 @@ def test_pgm_deterministic_bytes(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _levels(path) -> bytes:
+    return Path(path).read_bytes().split(b"\n", 4)[4]
+
+
+def test_pgm_of_samples_whose_range_passes_the_float_range(tmp_path, rng):
+    # max - min passes the float range: the levels are those of the same
+    # image scaled by 2^-4, where it does not, with no overflow warning
+    img = rng.uniform(-1.0, 1.0, (6, 5)) * 1.7e308
+    write_pgm(img, tmp_path / "big.pgm")
+    write_pgm(img / 16, tmp_path / "small.pgm")
+    levels = np.frombuffer(_levels(tmp_path / "big.pgm"), ">u2")
+    assert levels.tobytes() == _levels(tmp_path / "small.pgm")
+    assert levels[[img.argmin(), img.argmax()]].tolist() == [0, 65535]
+    # the command line: a harmonic of amplitude 6e307 has samples in +-1.2e308
+    assert main(["phantom", "--kind", "harmonic", "--params",
+                 '{"frequencies": [[1, 0]], "amplitudes": [6e307]}', "--band", "2", "--grid", "8",
+                 "--image", str(tmp_path / "h.pgm"), "--out", str(tmp_path / "h.tfield")]) == 0
+    write_pgm(to_samples(read_field(tmp_path / "h.tfield"), 8).real / 16, tmp_path / "h16.pgm")
+    assert _levels(tmp_path / "h.pgm") == _levels(tmp_path / "h16.pgm")
+    assert len(set(np.frombuffer(_levels(tmp_path / "h.pgm"), ">u2"))) == 5
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_pgm_of_non_finite_samples_is_refused_before_any_file(tmp_path, capsys, bad):
+    img = np.ones((3, 4))
+    img[1, 2] = bad
+    with pytest.raises(TorusRadonError, match="non-finite samples"):
+        write_pgm(img, tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
+    # the harmonic's samples overflow to inf in to_samples, which numpy
+    # reports; the command exits 2 and leaves neither the field nor the image
+    with np.errstate(over="ignore"):
+        code = main(["phantom", "--kind", "harmonic", "--params",
+                     '{"frequencies": [[1, 0]], "amplitudes": [1e308]}', "--band", "2", "--grid", "8",
+                     "--image", str(tmp_path / "h.pgm"), "--out", str(tmp_path / "h.tfield")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("error: ") == 1 and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_write_csv(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, "a,b", [(1.0, 2.5), (3.0, -0.125)])
     assert p.read_text() == "a,b\n1,2.5\n3,-0.125\n"
-
-
-PGM_IMAGE = np.arange(16.0).reshape(4, 4) / 7.0
-
-
-@given(cut=st.integers(0, 200))
-@settings(max_examples=200)
-def test_pgm_truncation_parses_or_raises_corrupt_input(tmp_path_factory, cut):
-    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
-    write_pgm(PGM_IMAGE, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:cut])
-    try:
-        img, lo, hi = read_pgm(path)
-    except CorruptInput:
-        assert cut < len(data)
-        return
-    assert cut >= len(data) and np.allclose(img, PGM_IMAGE, atol=(hi - lo) / 65535)
-
-
-@pytest.mark.parametrize("data", [
-    b"P6\n# linear scale min=0 max=1\n1 1\n65535\n\x00\x00",   # magic
-    b"P5\n# linear scale min=0\n1 1\n65535\n\x00\x00",         # max missing
-    b"P5\n# linear scale min=0 max=nan\n1 1\n65535\n\x00\x00", # max not finite
-    b"P5\n# linear scale min=0 max=1\n1 1\n0\n\x00\x00",       # maxval zero
-    b"P5\n# linear scale min=0 max=1\n1\n65535\n\x00\x00",     # one dimension
-    b"P5\n# linear scale min=0 max=1\n1 1\n65535\n\x00",        # odd payload
-    b"P5\n# \xff\n1 1\n65535\n\x00\x00",                        # not ascii
-    b"P5\n# linear scale min=0 max=1\n1 -1\n65535\n\x00\x00",    # negative height
-    b"P5\n# linear scale min=0 max=1\n-1 1\n65535\n\x00\x00",    # negative width
-    b"P5\n# linear scale min=0 max=1\n0 1\n65535\n",             # zero width
-])
-def test_pgm_rejects_corrupt_bytes(tmp_path, data):
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(data)
-    with pytest.raises(CorruptInput):
-        read_pgm(path)
-    with pytest.raises(CorruptInput):
-        read_pgm(tmp_path / "missing.pgm")
 
 
 def _block_file(path, K: int, values, real: bool = False) -> None:

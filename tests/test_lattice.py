@@ -14,7 +14,6 @@ from torusradon.lattice import (
     RationalSubspace,
     canonicalize_subspace,
     direction_cover,
-    direction_of,
     enumerate_directions,
     enumerate_grassmannian,
     frequency_band,
@@ -22,7 +21,6 @@ from torusradon.lattice import (
     integer_kernel,
     line,
     line_cover,
-    omega_k,
     orthogonal_complement,
     orthogonal_line,
     orthogonal_primitive,
@@ -149,34 +147,6 @@ def test_canonicalize_unimodular_invariance(seed):
     assert canonicalize_subspace(mixed, d) == A
 
 
-def test_omega_k_examples():
-    got = omega_k((1, 2), 1, 2, 2)
-    assert [A.basis for A in got] == [((2, -1),)]
-
-    got = omega_k((1, 1, 1), 2, 3, 1)
-    assert [A.basis for A in got] == [((1, 0, -1), (0, 1, -1))]
-
-    got = omega_k((0, 0, 1), 1, 3, 1)
-    assert sorted(A.basis[0] for A in got) == [(0, 1, 0), (1, -1, 0), (1, 0, 0), (1, 1, 0)]
-
-
-def test_omega_k_zero_gives_full_grassmannian():
-    assert omega_k((0, 0), 1, 2, 2) == enumerate_grassmannian(1, 2, 2)
-
-
-def test_omega_k_orthogonality_exact():
-    for k in [(3, -5), (7, 2)]:
-        for A in omega_k(k, 1, 2, 8):
-            assert A.contains_frequency(k)
-
-
-def test_omega_k_hyperplane_singleton():
-    k = (2, -3, 5)
-    A = orthogonal_complement(k)
-    assert omega_k(k, 2, 3, A.height) == [A]
-    assert omega_k(k, 2, 3, A.height + 3) == [A]
-
-
 def test_grassmannian_hnf_pattern_matches_bruteforce():
     # every 2-subspace of Q^3 with height <= 2, via span-canonicalization
     brute = set()
@@ -225,8 +195,6 @@ def test_orthogonal_line_general_dims():
 
 
 def test_serialization_round_trip():
-    v = PrimitiveDirection((2, -1))
-    assert PrimitiveDirection.parse(v.serialize()) == v
     A = canonicalize_subspace([(1, 0, -1), (0, 1, -1)], 2)
     assert A.serialize() == "2 3; 1 0 -1; 0 1 -1"
     assert RationalSubspace.parse(A.serialize()) == A
@@ -243,11 +211,6 @@ def test_parse_of_a_line_is_the_interned_line():
     for A in hyperplane_cover(2, 3):  # d = 2 parses as before: a new equal value
         B = RationalSubspace.parse(A.serialize())
         assert B == A and B is not A
-
-
-def test_line_direction_round_trip():
-    v = primitive_reduce((4, -6))
-    assert direction_of(line(v)) == v
 
 
 def test_row_hnf_canonical_form():
@@ -366,7 +329,7 @@ def test_hyperplane_cover_equals_the_deduplicated_cover(K, n):
 
 def test_direction_hash_is_by_value():
     """Equal directions built apart hash alike and are one dict key."""
-    v, w = PrimitiveDirection((3, -2)), PrimitiveDirection.parse("3,-2")
+    v, w = PrimitiveDirection((3, -2)), PrimitiveDirection((3, -2))
     assert v == w and v is not w and hash(v) == hash(w)
     assert primitive_reduce((-6, 4)) == v and hash(primitive_reduce((-6, 4))) == hash(v)
     cover = direction_cover(8)
@@ -387,11 +350,9 @@ def test_subspace_hash_is_by_value():
     (lambda: orthogonal_primitive((1, 2, 3)), DimensionMismatch, "orthogonal_primitive is a planar"),
     (lambda: enumerate_directions(2, 0), ValueError, "H must be >= 1"),
     (lambda: RationalSubspace(2, 2, ((1, 0), (0, 1))), ValueError, "need 1 <= d <= n-1, got d=2"),
-    (lambda: direction_of(orthogonal_complement((1, 1, 1))), ValueError, "direction_of needs a one-"),
     (lambda: canonicalize_subspace([], 1), RankMismatch, "no generators given"),
     (lambda: orthogonal_complement((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
     (lambda: enumerate_grassmannian(2, 3, 0), ValueError, "H must be >= 1"),
-    (lambda: omega_k((1, 2), 1, 3, 2), DimensionMismatch, "frequency length does not match n"),
     (lambda: direction_cover(-1), ValueError, "R must be >= 0"),
     (lambda: orthogonal_line((0, 0, 0)), ZeroVector, "frequency must be nonzero"),
     (lambda: integer_kernel([(1.5, 1)], 2), TypeError, "'float' object cannot be interpreted"),

@@ -17,7 +17,6 @@ from torusradon.lattice import direction_cover, enumerate_grassmannian, hyperpla
 from torusradon.regularization import (
     alpha_schedule,
     error_bound,
-    post_process,
     strategy_constant,
     tikhonov_objective,
     tikhonov_reconstruct,
@@ -26,15 +25,21 @@ from torusradon.sinogram import TorusSinogram, _data_weight, canonical_weight, s
 from torusradon.transforms import forward_sinogram
 
 
-def test_post_process_identity_at_zero(rng):
-    f = random_field(2, 3, rng)
-    out = post_process(f, 2.0, 0.0)
-    assert np.all(out.coeffs == f.coeffs)
-
-
-def test_post_process_point_values():
-    f = field_from_coeffs(2, 2, {(0, 0): 1.0, (1, 0): 1.0})
-    out = post_process(f, 1.0, 1.0)
+def test_tikhonov_on_a_direction_cover_is_the_post_processing_filter(rng):
+    """On direction_cover(K) the canonical rule's W is 1 on the whole band,
+    k = 0 included, so at r = 0 the minimizer is the post-processing filter
+    f^(k) / (1 + alpha <k>^(2s)) of Ilmavirta-Koskela-Railo 2020. Where
+    <k>^(2s) passes the float range the filter is 0, the exact limit."""
+    K = 4
+    cover = direction_cover(K)
+    for s, alpha in [(1.0, 1.0), (1.0, 0.2), (2.5, 1e-3), (0.5, 40.0), (400.0, 0.5)]:
+        f = random_field(2, K, rng)
+        with np.errstate(over="ignore"):
+            want = f.coeffs / (1.0 + alpha * bracket_sq(2, K) ** s)
+        rec = tikhonov_reconstruct(forward_sinogram(f, cover), 0.0, s, alpha)
+        assert np.all(np.abs(rec.coeffs - want) <= 1e-15 * np.abs(want)), (s, alpha)
+    g = forward_sinogram(field_from_coeffs(2, 2, {(0, 0): 1.0, (1, 0): 1.0}), direction_cover(2))
+    out = tikhonov_reconstruct(g, 0.0, 1.0, 1.0)
     assert out.coeff((0, 0)) == pytest.approx(0.5)
     assert out.coeff((1, 0)) == pytest.approx(1.0 / 3.0)
 
@@ -44,20 +49,10 @@ def test_an_overflowing_weight_smooths_its_frequency_to_zero(rng):
     # is 0, the exact limit, with no warning
     K = 4
     f = random_field(2, K, rng)
-    w = bracket_sq(2, K)
-    kept = w <= 5.0
-    out = post_process(f, 400.0, 0.5)
-    assert np.all(out.coeffs[~kept] == 0)
-    assert np.array_equal(out.coeffs[kept], f.coeffs[kept] * (1.0 / (1.0 + 0.5 * w[kept] ** 400.0)))
+    kept = bracket_sq(2, K) <= 5.0
     rec = tikhonov_reconstruct(forward_sinogram(f, direction_cover(K)), 0.0, 400.0, 0.5)
     assert np.all(rec.coeffs[~kept] == 0)
     assert np.all(np.isfinite(rec.coeffs)) and np.count_nonzero(rec.coeffs[kept]) == kept.sum()
-
-
-@pytest.mark.parametrize("s, alpha", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.5)])
-def test_post_process_refuses_nonfinite_parameters(s, alpha):
-    with pytest.raises(ParamViolation, match="finite"):
-        post_process(random_field(2, 2, np.random.default_rng(0)), s, alpha)
 
 
 @pytest.mark.parametrize("r, s, alpha", [(0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
@@ -228,16 +223,11 @@ def test_error_bound():
 def test_smoothing_gain(rng):
     K = 3
     r, s, alpha = 0.0, 1.0, 0.2
+    cover = direction_cover(K)
     for _ in range(10):
         f = random_field(2, K, rng)
-        out = post_process(f, s, alpha)
+        out = tikhonov_reconstruct(forward_sinogram(f, cover), r, s, alpha)
         assert sobolev_norm(out, r + 2 * s) <= sobolev_norm(f, r) / alpha + 1e-12
-
-
-def test_post_process_multiplier_symmetry_keeps_real(rng):
-    f = random_field(2, 3, rng, real=True)
-    out = post_process(f, 1.5, 0.3)
-    assert out.real
 
 
 # each refusal of the regularization module, with its typed error and the start of its message

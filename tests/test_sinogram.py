@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from torusradon import sinogram
-from torusradon.errors import DimensionMismatch, IncompleteCover, WeightUndefined
+from torusradon.errors import DimensionMismatch, IncompleteCover
 from torusradon.fields import (
     band_frequencies,
     bracket_sq,
@@ -15,7 +15,6 @@ from torusradon.fields import (
     random_field,
     sobolev_norm,
     unit_harmonic,
-    zero_field,
 )
 from torusradon.inversion import adjoint, adjoint_normalized, invert_filtered, normal_multiplier
 from torusradon.lattice import (
@@ -27,7 +26,6 @@ from torusradon.lattice import (
 )
 from torusradon.sinogram import (
     CANONICAL,
-    CUSTOM,
     HEIGHT_DECAY,
     TorusSinogram,
     as_subspace,
@@ -75,6 +73,23 @@ def test_weight_build_canonical_planar():
     assert normal_multiplier(w, (0, 0)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d, n, H, K", [(1, 2, 3, 3), (1, 3, 1, 2), (2, 3, 1, 2)])
+def test_normal_multiplier_sums_the_orthogonality_set(d, n, H, K):
+    """W(k) is the sum of w^2 = 4^-height(A) over the orthogonality set
+    Omega_k of Railo 2020: the members orthogonal to k, found by brute force.
+    Omega_0 is the whole family, and a hyperplane family holds at most k's
+    own orthogonal complement."""
+    w = weight_build(HEIGHT_DECAY, (2.0,), d, n, H, K)
+    for k, W in zip(band_frequencies(n, K).T.tolist(), w.normal_array.ravel()):
+        omega = [A for A in w.family if A.contains_frequency(k)]
+        if not any(k):
+            assert omega == list(w.family)
+        elif d == n - 1:
+            assert omega == [A for A in [orthogonal_complement(k)] if A.height <= H]
+        want = sum(4.0 ** -A.height for A in omega)
+        assert abs(W - want) <= 1e-15 * want, k
+
+
 def normalized_weight_sums(w):
     """Band array of sum_A wtilde(k, A)^2 with wtilde = w / sqrt(W); equal
     to one wherever W(k) > 0."""
@@ -114,14 +129,6 @@ def test_degenerate_weight_raises(rng):
         invert_filtered(g, w)
 
 
-def test_decay_certificate_positive():
-    K = 2
-    w = weight_on_family(HEIGHT_DECAY, hyperplane_cover(K, 3), K)
-    c_A, m_A = w.decay_certificate(w.family[0])
-    assert c_A > 0
-    assert m_A == 0.0
-
-
 def test_sinogram_norm_unitary_single_harmonic():
     K = 3
     f = unit_harmonic(2, K, (1, 2))
@@ -137,7 +144,7 @@ def test_sinogram_norm_zero_and_mean_only():
     w = canonical_weight(cover, K)
     z = TorusSinogram(w.family, K, 0j, np.zeros(layout(w.family, K)[0].size))
     assert sinogram_norm(z, 1.0, w) == 0.0
-    m = z.with_mean(5.0)
+    m = TorusSinogram(z.members, K, 5.0, z.values)
     for s in (-1.0, 0.0, 2.0):
         assert sinogram_norm(m, s, w) == pytest.approx(5.0, abs=1e-12)
 
@@ -151,19 +158,6 @@ def test_unitarity_random_fields(s, rng):
         f = random_field(2, K, rng, decay=2.0)
         g = forward_sinogram(f, cover)
         assert sinogram_norm(g, s, w) == pytest.approx(sobolev_norm(f, s), abs=1e-12)
-
-
-def test_incomplete_table_is_refused_at_build():
-    K = 1
-    A = line((0, 1))
-    table = {((0, 0), A): 1.0}  # w(0, A) alone; support(A, 1) holds k = (-1, 0) and (1, 0)
-    with pytest.raises(ValueError, match=r"k=\(-1, 0\)"):
-        weight_on_family(CUSTOM, [A], K, params=tuple(table.items()))
-    table[(1, 0), A] = table[(-1, 0), A] = 2.0
-    w = weight_on_family(CUSTOM, [A], K, params=tuple(table.items()))
-    assert (w.weight((0, 0), A), w.weight((1, 0), A)) == (1.0, 2.0)
-    with pytest.raises(WeightUndefined):  # off A's support
-        w.weight((0, 1), A)
 
 
 def test_constructor_rejects_off_range_data():
@@ -187,18 +181,6 @@ def test_dense_constructor_gathers_the_slices_back(family, K, rng):
     g = forward_sinogram(random_field(fam[0].n, K, rng), fam)
     back = TorusSinogram.from_slices(g.mean, g.slices)
     assert back.members == g.members and back.values.tobytes() == g.values.tobytes()
-
-
-def test_decay_certificate_leaves_the_family_caches_alone():
-    """Certifying every member reads the rule's own arrays: no one-member
-    layout pushes the family out."""
-    K = 32
-    w = canonical_weight(direction_cover(K), K)
-    index = layout(w.family, K)
-    size = layout.cache_info().currsize
-    assert all(w.decay_certificate(A) == pytest.approx((1 / 36, 0.0)) for A in w.family)
-    assert layout(w.family, K) is index
-    assert layout.cache_info().currsize == size
 
 
 def test_support_index_pairs_k_with_minus_k():
@@ -326,9 +308,14 @@ def test_line_cover_norms_n3(rng):
 
 
 def oracle_weights(w, A):
-    """w(., A) on support(A, K) and w(0, A), looked up one pair at a time."""
-    ks = np.stack(np.unravel_index(support(A, w.K), (2 * w.K + 1,) * w.n), axis=1) - w.K
-    return np.array([w.weight(k, A) for k in ks]), w.weight((0,) * w.n, A)
+    """w(., A) on support(A, K) and w(0, A), from the rule's definition: the
+    canonical rule is 1 off k = 0 and 1/sqrt(|family|) at k = 0, height-decay
+    is base^-height(A) everywhere."""
+    if w.kind == CANONICAL:
+        wk, wz = 1.0, 1.0 / math.sqrt(len(w.family))
+    else:
+        wk = wz = (w.params[0] if w.params else 2.0) ** -A.height
+    return np.full(support(A, w.K).size, wk), wz
 
 
 def weighted_sum_oracle(g, w, with_data):
@@ -356,39 +343,16 @@ def sinogram_inner_oracle(g, h, s, w):
     return acc
 
 
-def band_pairs(family, K):
-    """(j, k, A) for every pair a weight rule on the family needs: member
-    by member, k = 0 first and then support(A, K) in ascending flat order."""
-    for j, A in enumerate(family):
-        yield j, (0,) * A.n, A
-        for i in support(A, K):
-            yield j, tuple(int(x) - K for x in np.unravel_index(i, (2 * K + 1,) * A.n)), A
-
-
-def table_params(family, K, rng, skip=lambda k, j: False):
-    """Custom-table parameters with a random positive value on every (k, A)
-    of the family's band, k = 0 included, except where skip(k, j) holds for
-    member j."""
-    return tuple(((k, A), float(rng.uniform(0.5, 2.0))) for j, k, A in band_pairs(family, K)
-                 if not skip(k, j))
-
-
 def flat_layout_cases(rng):
-    """(label, sinogram, rule): a complete k-dependent custom table,
-    height-decay on line_cover(2, 3), and rules built on strict subsets of
-    those families, the table's from its whole-family parameters."""
+    """(label, sinogram, rule): height-decay on line_cover(2, 3), and rules
+    built on strict subsets of that family and of a planar cover."""
     K = 3
     cover = [line(v) for v in direction_cover(K)]
-    table = weight_on_family(CUSTOM, cover, K, params=table_params(cover, K, rng))
-    g = forward_sinogram(random_field(2, K, rng), cover).with_mean(0.7 - 0.2j)
     lines3 = line_cover(2, 3)
-    yield "k-dependent custom table", g, table
     yield "height-decay lines in T^3", forward_sinogram(random_field(3, 2, rng), lines3), \
         weight_on_family(HEIGHT_DECAY, lines3, 2)
     yield "subset of a height-decay family", forward_sinogram(random_field(3, 2, rng), lines3[::3]), \
         weight_on_family(HEIGHT_DECAY, lines3[::3], 2)
-    yield "subset of a custom table", forward_sinogram(random_field(2, K, rng), cover[1::2]), \
-        weight_on_family(CUSTOM, cover[1::2], K, params=table.params)
     yield "subset of the canonical rule", forward_sinogram(random_field(2, K, rng), cover[::2]), \
         canonical_weight(cover[::2], K)
 
@@ -405,29 +369,9 @@ def test_adjoint_and_normal_multiplier_match_member_loop(rng):
 
 def test_inner_matches_member_loop(rng):
     for label, g, w in flat_layout_cases(rng):
-        h = g * (0.3 + 1.1j) + g.with_mean(0.2)
+        h = g * (0.3 + 1.1j) + TorusSinogram(g.members, g.K, 0.2, g.values)
         for s in (-1.0, 0.0, 1.5):
             assert close(sinogram_inner(g, h, s, w), sinogram_inner_oracle(g, h, s, w)), label
-
-
-def test_incomplete_table_names_the_first_missing_pair(rng):
-    K = 2
-    cover = sorted(line(v) for v in direction_cover(K))  # member j is cover[j]
-    named = set()
-    for skip in (lambda k, j: j == 2 and any(k) or j == 5 and not any(k),  # k != 0 member first
-                 lambda k, j: j == 3,                                       # k = 0 before k != 0
-                 lambda k, j: j == 4 and not any(k) or j == 6 and any(k),  # k = 0 member first
-                 lambda k, j: False):
-        params = table_params(cover, K, rng, skip)
-        first = next(((k, A) for j, k, A in band_pairs(cover, K) if skip(k, j)), None)
-        named.add(first)
-        if first is None:
-            weight_on_family(CUSTOM, cover, K, params=params)
-            continue
-        with pytest.raises(ValueError) as ei:
-            weight_on_family(CUSTOM, cover, K, params=params)
-        assert str(ei.value) == f"no weight value for k={first[0]}, A={first[1].serialize()!r}"
-    assert len(named) == 4
 
 
 def test_mirror_index_reverses_each_member_block(rng):
@@ -554,11 +498,6 @@ def test_rule_refuses_a_member_outside_its_family(rng):
     K = 3
     cover = direction_cover(K)
     w = weight_on_family(HEIGHT_DECAY, cover[:-1], K)
-    outside = line(cover[-1])
-    for call in (lambda: w.weight((0, 0), outside), lambda: w.decay_certificate(outside),
-                 lambda: w.decay_certificate(line((1, 0, 0)))):
-        with pytest.raises(DimensionMismatch):
-            call()
     g = forward_sinogram(random_field(2, K, rng), cover)
     part = forward_sinogram(random_field(2, K, rng), cover[:-1])
     cases = [(g, w),  # a rule on a strict subset of the data's members
@@ -583,62 +522,44 @@ def test_rule_refuses_a_member_outside_its_family(rng):
     (HEIGHT_DECAY, (2.0, 3.0)),
     (HEIGHT_DECAY, ("2",)),
     (CANONICAL, (2.0,)),
-    (CUSTOM, ((((0, 1), line((1, 0))), math.nan),)),
-    (CUSTOM, ((((0, 1), line((1, 0))), "1.0"),)),
-    (CUSTOM, ((((0, 1), line((1, 0))), None),)),
-    (CUSTOM, ((((0, 1), line((1, 0))), -1.0),)),
 ], ids=["zero base", "nan base", "negative base", "infinite base", "weight overflows",
-        "square underflows", "extra entry", "string base",
-        "canonical with a base", "nan value", "string value", "None value", "negative value"])
+        "square underflows", "extra entry", "string base", "canonical with a base"])
 def test_weight_parameters_are_validated(kind, params):
     with pytest.raises(ValueError):
         weight_on_family(kind, direction_cover(2), 2, params=params)
 
 
 @pytest.mark.parametrize("family, k", [
-    ([line(v) for v in direction_cover(2)], (0, 0)),  # eight w(0, A)^2 of 1e308 at k = 0
+    ([line(v) for v in direction_cover(1)], (0, 0)),  # four w(0, A)^2 of 1e308 at k = 0
     (line_cover(1, 3), (-1, -1, -1)),  # three lines are orthogonal to the first k
 ])
 def test_table_whose_squares_sum_past_the_float_range_is_refused(family, k):
-    # every w^2 = 1e308 is finite, but W sums them: the build refuses the
-    # table, naming the first k where W is inf, with no overflow warning
+    # every member has height 1, so base 1e-154 gives each the weight 1e154:
+    # every w^2 = 1e308 is finite, but W sums them. The build refuses the
+    # rule, naming the first k where W is inf, with no overflow warning
     K = 1 if family[0].n == 3 else 2
-    fam = sorted(family)
-    table = tuple(((kk, A), 1e154) for _, kk, A in band_pairs(fam, K))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(f"squares sum to inf at k={k}")):
-            weight_on_family(CUSTOM, fam, K, params=table)
-
-
-@pytest.mark.parametrize("value", [1e-200, 1e200])
-def test_table_values_whose_squares_leave_the_float_range_are_refused(rng, value):
-    # the square of a w(0, A) or of a w(k, A) is 0 or inf in floats: the
-    # positivity refusal (a numpy overflow warning would fail the test)
-    K = 2
-    cover = sorted(line(v) for v in direction_cover(K))
-    params = table_params(cover, K, rng)
-    for i in (0, 1):
-        table = params[:i] + ((params[i][0], value),) + params[i + 1:]
-        with pytest.raises(ValueError, match="weights must be finite and positive"):
-            weight_on_family(CUSTOM, cover, K, params=table)
+            weight_on_family(HEIGHT_DECAY, family, K, params=(1e-154,))
 
 
 # each refusal of the sinogram module, with its typed error and the start of its message
 @pytest.mark.parametrize("call, error, start", [
-    (lambda: TorusSinogram(forward_sinogram(zero_field(2, 1), direction_cover(1)).members, 1, 0j,
+    (lambda: TorusSinogram(forward_sinogram(field_from_coeffs(2, 1, {}), direction_cover(1)).members, 1, 0j,
                            np.zeros(3)), DimensionMismatch,
      "(3,) values do not fit the layout at K=1"),
-    (lambda: TorusSinogram.from_slices(0j, {line((1, 0)): zero_field(2, 1), line((0, 1)): zero_field(2, 2)}),
+    (lambda: TorusSinogram.from_slices(0j, {line((1, 0)): field_from_coeffs(2, 1, {}),
+                                            line((0, 1)): field_from_coeffs(2, 2, {})}),
      DimensionMismatch, "slices must share one band"),
-    (lambda: forward_sinogram(zero_field(2, 1), direction_cover(1))
-     + forward_sinogram(zero_field(2, 2), direction_cover(1)),
+    (lambda: forward_sinogram(field_from_coeffs(2, 1, {}), direction_cover(1))
+     + forward_sinogram(field_from_coeffs(2, 2, {}), direction_cover(1)),
      DimensionMismatch, "sinograms live on different bands or subspace families"),
     (lambda: weight_on_family(CANONICAL, [], 1), ValueError, "family must be nonempty"),
     (lambda: weight_on_family(CANONICAL, line_cover(1, 3), 1), ValueError,
      "canonical-singleton weights are a d = n-1 construction"),
     (lambda: weight_on_family("flat", direction_cover(1), 1), ValueError, "unknown weight kind 'flat'"),
-    (lambda: canonical_weight(direction_cover(2), 2).weight((0,), line((1, 0))), DimensionMismatch,
+    (lambda: normal_multiplier(canonical_weight(direction_cover(2), 2), (0,)), DimensionMismatch,
      "frequency (0,) has 1 entries, need n=2"),
 ])
 def test_sinogram_refusals(call, error, start):

@@ -10,7 +10,6 @@ from torusradon.fields import (
     random_field,
     to_samples,
     unit_harmonic,
-    zero_field,
 )
 from torusradon.lattice import (
     PrimitiveDirection,
@@ -26,7 +25,6 @@ from torusradon.transforms import (
     forward_sinogram,
     forward_subspace,
     quadrature_line_integral,
-    rescale_convention,
 )
 
 
@@ -124,7 +122,7 @@ def test_quadrature_plane_matches_multiplier(rng):
 
 
 def test_forward_sinogram_zero():
-    g = forward_sinogram(zero_field(2, 2), direction_cover(2))
+    g = forward_sinogram(field_from_coeffs(2, 2, {}), direction_cover(2))
     assert g.mean == 0
     for A in g.members:
         assert np.all(g.slices[A].coeffs == 0)
@@ -147,21 +145,12 @@ def test_forward_sinogram_mean_shared(rng):
             assert g.slices[A].coeff((0, 0)) == 0
 
 
-def test_rescale_convention():
-    assert rescale_convention(1.0, (1, 0), "arc-length") == pytest.approx(1.0)
-    assert rescale_convention(1.0, (1, 0), "period-1") == pytest.approx(1.0)
-    assert rescale_convention(1.0, (2, -1), "arc-length") == pytest.approx(np.sqrt(5.0))
-    v = PrimitiveDirection((3, 1))
-    val = 2.5 - 1j
-    back = rescale_convention(rescale_convention(val, v, "arc-length"), v, "period-1")
-    assert back == pytest.approx(val, abs=1e-15)
-
-
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        forward_direction(zero_field(3, 2), (1, 0))
+        forward_direction(field_from_coeffs(3, 2, {}), (1, 0))
     with pytest.raises(DimensionMismatch):
-        quadrature_line_integral(zero_field(3, 2), GeodesicSpec((0.0, 0.0), primitive_reduce((1, 1))))
+        quadrature_line_integral(field_from_coeffs(3, 2, {}),
+                                 GeodesicSpec((0.0, 0.0), primitive_reduce((1, 1))))
 
 
 def test_forward_sinogram_depends_only_on_the_family_as_a_set(rng):
@@ -182,7 +171,7 @@ def test_forward_sinogram_depends_only_on_the_family_as_a_set(rng):
 
 
 def test_forward_sinogram_rejects_mixed_or_mismatched_families():
-    f = zero_field(2, 2)
+    f = field_from_coeffs(2, 2, {})
     with pytest.raises(DimensionMismatch):
         forward_sinogram(f, [(1, 0), (1, 0, 0)])
     with pytest.raises(DimensionMismatch):
@@ -195,8 +184,7 @@ def test_forward_sinogram_rejects_mixed_or_mismatched_families():
 @pytest.mark.parametrize("call, error, start", [
     (lambda: GeodesicSpec((1.0, 0.5), PrimitiveDirection((1, 0))), ValueError,
      "base point components must lie in [0, 1)"),
-    (lambda: rescale_convention(1.0, (1, 1), "metric"), ValueError, "unknown convention 'metric'"),
-    (lambda: rescale_convention(1.0, (1.0, 1), "period-1"), TypeError,
+    (lambda: forward_direction(field_from_coeffs(2, 1, {}), (1.0, 1)), TypeError,
      "'float' object cannot be interpreted as an integer"),
 ])
 def test_transforms_refusals(call, error, start):
